@@ -3,12 +3,11 @@
 Each parameter block is served best by specific depths: the argmax of its
 block information over d = 1..S (ties are returned in full).  For the whole
 parameter vector the objective log det M = sum_r p_r ln h_r(w) is concave in
-the depth weights, and is maximized by vertex-direction ascent (step toward
-the depth whose variance exceeds p the most, with exact line search on the
-one-dimensional section), followed by pruning of negligible weights and a
-damped Newton polish on the surviving support.  Whenever the polished weights
-sit on small rationals the design is re-certified in exact arithmetic and
-returned with exact weights.
+the depth weights and depends on them only through h in R^4, so an optimum
+needs at most four depths.  optimize_full therefore works on a small active
+set of depths with vertex-direction steps and a Newton polish, all stopping
+tests relative to p or |phi|, and hands the converged weights to an exact
+rational snap and a zero-slack certificate.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .design_space import DepthDesign, ModelSpec
 from .equivalence import variance_profile
@@ -36,9 +34,10 @@ __all__ = [
 _PRUNE_EPS = 1e-8
 _LINE_SEARCH_XTOL = 1e-12
 _SNAP_DENOMINATOR = 10**4
-_NEWTON_GRAD_TOL = 1e-11
-_POLISH_PERIOD = 10
+_FLOAT_RTOL = 1e-12
+_PHI_ULPS = 8
 _MAX_SUPPORT = 4
+_RULE_MAX_STRENGTH = 18
 
 
 def _strength_of(spec: ModelSpec | int) -> int:
@@ -96,14 +95,19 @@ def optimal_depth_third_order(spec: ModelSpec | int) -> set[int]:
 def conjectured_design(spec: ModelSpec) -> DepthDesign:
     """Two-depth rational design: d* = floor((S+1)/3), d1* = S+1-d*, w(d*) = d1*/(S+1).
 
-    Defined for strength 5 and up; the strength-4 optimum needs all four
-    depths, with weights 4/15, 2/5, 4/15, 1/15 on depths 1..4.
+    The rule is exactly optimal (tol-0 certificate) for full profiles K = S
+    with 5 <= S <= 18 and raises ValueError elsewhere: it first fails at
+    S = 19, and no partial profile K > S satisfies it.  The strength-4
+    optimum needs all four depths, with weights 4/15, 2/5, 4/15, 1/15 on
+    depths 1..4.  Use optimize_full outside the rule's range.
     """
     s = spec.strength
-    if s < 5:
+    if not 5 <= s <= _RULE_MAX_STRENGTH or spec.n_attributes != s:
         raise ValueError(
-            "no two-depth rule below strength 5; the strength-4 optimum mixes "
-            "all four depths with weights 4/15, 2/5, 4/15, 1/15"
+            f"the two-depth rule holds only for full profiles K = S with "
+            f"5 <= S <= {_RULE_MAX_STRENGTH}, got K={spec.n_attributes} S={s} "
+            "(the strength-4 optimum mixes all four depths with weights "
+            "4/15, 2/5, 4/15, 1/15); use optimize_full instead"
         )
     d_low = (s + 1) // 3
     d_high = s + 1 - d_low
@@ -162,23 +166,24 @@ def _variances(h: np.ndarray, h_matrix: np.ndarray, p_blocks: np.ndarray) -> np.
 
 
 def _line_search(h: np.ndarray, h_target: np.ndarray, p_blocks: np.ndarray) -> float:
-    """Maximize phi((1-a) h + a h_target) over a in [0, 1]; the section is concave."""
+    """Maximize phi((1-a) h + a h_target) over a in [0, 1] by bisection.
+
+    The section is concave, so its slope falls with a.  a = 1 itself, where a
+    target with an empty block would divide by zero, is never evaluated.
+    """
+    rows = list(zip(p_blocks.tolist(), h.tolist(), h_target.tolist()))
 
     def slope(a: float) -> float:
-        mix = (1.0 - a) * h + a * h_target
-        return float(p_blocks @ ((h_target - h) / mix))
+        return sum(p * (t - x) / ((1.0 - a) * x + a * t) for p, x, t in rows)
 
-    if slope(0.0) <= 0.0:
-        return 0.0
-    if np.all(h_target > 0):
-        if slope(1.0) >= 0.0:
-            return 1.0
-        upper = 1.0
-    else:
-        upper = 1.0 - 1e-12
-        if slope(upper) >= 0.0:
-            return upper
-    return float(brentq(slope, 0.0, upper, xtol=_LINE_SEARCH_XTOL))
+    low, high = 0.0, 1.0
+    while high - low > _LINE_SEARCH_XTOL:
+        mid = 0.5 * (low + high)
+        if slope(mid) > 0.0:
+            low = mid
+        else:
+            high = mid
+    return low
 
 
 def _newton_on_support(
@@ -186,9 +191,8 @@ def _newton_on_support(
 ) -> np.ndarray | None:
     """Damped Newton polish of phi on the current support.
 
-    Weights pushed against zero are dropped from the support (active set);
-    returns the polished weight vector, or None when the iterate went
-    singular.
+    Stops once the support variances agree to _FLOAT_RTOL * p; weights pushed
+    below _PRUNE_EPS leave the support.  None means the iterate is singular.
     """
     w = weights.copy()
     for _ in range(200):
@@ -202,35 +206,29 @@ def _newton_on_support(
         anchor = support[-1]
         free = support[:-1]
         grad = variances[free] - variances[anchor]
-        if np.max(np.abs(grad)) <= _NEWTON_GRAD_TOL:
+        if np.max(np.abs(grad)) <= _FLOAT_RTOL * p_blocks.sum():
             return w
         columns = h_matrix[:, free] - h_matrix[:, anchor][:, None]
         curvature = p_blocks / h**2
         hessian = columns.T @ (columns * curvature[:, None])
-        try:
-            step = np.linalg.solve(hessian, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        # rank <= 4 by construction, so larger active sets are singular
+        step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
         direction = np.zeros_like(w)
         direction[free] = step
         direction[anchor] = -step.sum()
-        # largest simplex-feasible step, then backtrack until phi improves
-        limit = 1.0
-        for idx in support:
-            if direction[idx] < 0:
-                limit = min(limit, w[idx] / -direction[idx])
+        # largest feasible step, halved until phi is within rounding of phi_now
+        shrinking = direction < 0
+        scale = float(np.min(-w[shrinking] / direction[shrinking], initial=1.0))
         phi_now = _phi(h, p_blocks)
-        scale = limit
-        accepted = False
+        slack = _PHI_ULPS * np.finfo(float).eps * abs(phi_now)
         while scale > 1e-14:
             trial = w + scale * direction
-            trial[trial < 1e-17] = 0.0
+            trial[trial < _PRUNE_EPS] = 0.0
             trial /= trial.sum()
-            if _phi(h_matrix @ trial, p_blocks) >= phi_now - 1e-13:
-                accepted = True
+            if _phi(h_matrix @ trial, p_blocks) >= phi_now - slack:
                 break
             scale /= 2.0
-        if not accepted:
+        else:
             return w
         w = trial
     return w
@@ -304,7 +302,7 @@ def _result_from_design(
 
 def _design_from_floats(spec: ModelSpec, weights: np.ndarray) -> DepthDesign:
     kept = {
-        j + 1: float(weight) for j, weight in enumerate(weights) if weight > 0
+        j + 1: float(weight) for j, weight in enumerate(weights) if weight > _PRUNE_EPS
     }
     total = sum(kept.values())
     return DepthDesign({d: w / total for d, w in kept.items()}, spec)
@@ -341,12 +339,14 @@ def optimize_full(
     """Maximize log det over depth weightings and certify the result.
 
     Starts uniform on depths 1..S-1 (depth S alone would start on a singular
-    boundary), ascends toward the worst-variance depth with exact line search,
-    and periodically prunes and polishes.  On success the result carries a
-    design whose equivalence-theorem excess is at most tol * p, with exact
-    rational weights whenever the optimum sits on small fractions.  If the
-    iteration budget runs out the best iterate is returned with
-    ``certified=False`` and its true excess, never a silent wrong answer.
+    boundary).  Each iteration steps toward the worst-variance depth with an
+    exact line search, keeps it and the heaviest other depths above
+    _PRUNE_EPS, at most 2 * _MAX_SUPPORT in all, and Newton-polishes on that
+    active set, until max_d V(d) - p <= _FLOAT_RTOL * p.  The result's
+    equivalence-theorem excess is then at most tol * p, with exact weights
+    whenever the snap to small rationals passes the zero-slack exact check.
+    If the budget runs out and the last iterate does not certify, it is
+    returned with ``certified=False`` and its true excess, never silently.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -355,30 +355,29 @@ def optimize_full(
     p_blocks = np.array(spec.block_dims, dtype=float)
     w = np.zeros(s)
     w[: s - 1] = 1.0 / (s - 1)
-    best_w = w.copy()
-    best_phi = _phi(h_matrix @ w, p_blocks)
     iterations = 0
     while iterations < max_iter:
         h = h_matrix @ w
         variances = _variances(h, h_matrix, p_blocks)
-        excess = float(np.max(variances) - p)
-        if excess <= tol * p or iterations % _POLISH_PERIOD == 0:
-            candidate = _polish(spec, h_matrix, p_blocks, w, tol)
-            if candidate is not None:
-                return _result_from_design(spec, candidate, iterations, tol)
+        if np.max(variances) - p <= _FLOAT_RTOL * p:
+            break
         target = int(np.argmax(variances))
         alpha = _line_search(h, h_matrix[:, target], p_blocks)
-        if alpha > 0.0:
-            w *= 1.0 - alpha
-            w[target] += alpha
+        w *= 1.0 - alpha
+        w[target] += alpha
+        # active set: the depth just stepped toward and the heaviest others
+        others = np.argsort(-w, kind="stable")
+        others = others[others != target]
+        w[others[2 * _MAX_SUPPORT - 1 :]] = 0.0
+        w[others[w[others] < _PRUNE_EPS]] = 0.0
+        w /= w.sum()
+        polished = _newton_on_support(h_matrix, p_blocks, w)
+        if polished is not None:
+            w = polished
         iterations += 1
-        phi_now = _phi(h_matrix @ w, p_blocks)
-        if phi_now > best_phi:
-            best_phi = phi_now
-            best_w = w.copy()
-    candidate = _polish(spec, h_matrix, p_blocks, best_w, tol)
+    candidate = _polish(spec, h_matrix, p_blocks, w, tol)
     if candidate is not None:
         return _result_from_design(spec, candidate, iterations, tol)
     return _result_from_design(
-        spec, _design_from_floats(spec, best_w), iterations, tol, polished=False
+        spec, _design_from_floats(spec, w), iterations, tol, polished=False
     )

@@ -1,10 +1,15 @@
 """Per-block optimal depths and the full D-criterion optimizer."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pairdesign
 from pairdesign import (
     DepthDesign,
     ModelSpec,
@@ -102,6 +107,15 @@ class TestConjecturedDesign:
         with pytest.raises(ValueError, match="4/15"):
             conjectured_design(spec44)
 
+    @pytest.mark.parametrize("s", range(5, 19))
+    def test_exactly_optimal_in_stated_range(self, s):
+        assert kw_certify(conjectured_design(ModelSpec(s, s)), tol=0).optimal
+
+    @pytest.mark.parametrize("k,s", [(19, 19), (30, 30), (8, 6)])
+    def test_outside_stated_range_rejected(self, k, s):
+        with pytest.raises(ValueError, match="optimize_full"):
+            conjectured_design(ModelSpec(k, s))
+
 
 class TestOptimizeFull:
     def test_strength_four_exact(self, spec44):
@@ -142,7 +156,8 @@ class TestOptimizeFull:
         assert result.log_det >= reference - 1e-9
 
     def test_output_passes_own_certificate(self):
-        for k, s in [(4, 4), (7, 7), (6, 4), (9, 5)]:
+        # (13, 8), (16, 10), (20, 7): dust weight on a depth with V < p fails support_ok
+        for k, s in [(4, 4), (7, 7), (6, 4), (9, 5), (13, 8), (16, 10), (20, 7)]:
             result = optimize_full(ModelSpec(k, s))
             assert result.certified
             report = kw_certify(result.design, tol=result.tol)
@@ -155,6 +170,17 @@ class TestOptimizeFull:
         assert result.certified
         assert len(result.support) <= 4
         assert result.kw_excess <= result.tol * ModelSpec(k, s).n_params
+
+    @pytest.mark.parametrize("s,d_low", [(650, 303), (1000, 473)])
+    def test_large_full_profile_exact_two_depth(self, s, d_low):
+        result = optimize_full(ModelSpec(s, s))
+        d_high = s + 1 - d_low
+        assert result.certified
+        assert result.support == (d_low, d_high)
+        assert result.design.is_exact
+        assert result.design.weights[d_low] == Fraction(d_high, s + 1)
+        assert result.design.weights[d_high] == Fraction(d_low, s + 1)
+        assert kw_certify(result.design, tol=0).optimal
 
     def test_budget_exhaustion_reports_best_iterate(self, spec44):
         result = optimize_full(spec44, max_iter=0)
@@ -195,3 +221,11 @@ class TestOptimizeFull:
     def test_bad_tol(self, spec44):
         with pytest.raises(ValueError):
             optimize_full(spec44, tol=0)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(pairdesign.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, pairdesign; assert 'scipy' not in sys.modules, 'scipy imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
