@@ -35,7 +35,7 @@ dense = info_matrix_exact(explicit)
 block = mix_h(design).as_matrix()
 print(f"\nbrute force vs closed form: max deviation {np.abs(dense.entries - block).max():.2e}")
 
-sweep = variance_sweep_max_deviation(design, explicit)
+sweep = variance_sweep_max_deviation(design, info=dense)
 print(f"dense-solve variance vs closed form over every pair: {sweep:.2e}")
 
 print(rule)

@@ -9,8 +9,9 @@ Subcommands:
   enumerate  dump one comparison-depth orbit as CSV
   hvalues    print the per-depth block informations as exact fractions
 
-Exit codes: 0 ok, 2 usage or parse failure, 3 optimizer non-convergence,
-4 singular (non-identifiable) design.  All output is deterministic.
+Exit codes: 0 ok, 2 usage or parse failure (also a ``verify --oracle``
+request past the oracle gate), 3 optimizer non-convergence, 4 singular
+(non-identifiable) design.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -40,7 +41,13 @@ from .equivalence import (
     variance_profile,
     variance_sweep_max_deviation,
 )
-from .information import SingularDesignError, h_values, info_matrix_exact, mix_h
+from .information import (
+    SingularDesignError,
+    _check_oracle_gate,
+    h_values,
+    info_matrix_exact,
+    mix_h,
+)
 from .optimizer import OptimResult, optimize_full
 
 EXIT_OK = 0
@@ -81,7 +88,7 @@ class DesignDocument:
 
     spec: ModelSpec
     depth_weights: dict[int, Weight]
-    explicit_rows: list[tuple[tuple[int, ...], tuple[int, ...], float]] | None = None
+    explicit_rows: list[tuple[tuple[int, ...], tuple[int, ...], Weight]] | None = None
     certification: dict | None = None
 
     def to_json_dict(self) -> dict:
@@ -98,7 +105,7 @@ class DesignDocument:
         }
         if self.explicit_rows is not None:
             document["explicit_rows"] = [
-                [list(i), list(j), w] for i, j, w in self.explicit_rows
+                [list(i), list(j), float(w)] for i, j, w in self.explicit_rows
             ]
         if self.certification is not None:
             document["certification"] = self.certification
@@ -150,27 +157,33 @@ def _fraction_label(weight: Weight) -> str:
     return ""
 
 
-def _write_plan_csv(path: str, design: DepthDesign) -> int:
-    """Export explicit rows; returns the row count."""
-    explicit = realize_design(design)
-    k = design.spec.n_attributes
-    header = (
+def _weight_text(weight: Weight) -> str:
+    """CSV weight cell: fraction text for exact weights, 17 digits otherwise."""
+    if isinstance(weight, (int, Fraction)):
+        return str(Fraction(weight))
+    return f"{float(weight):.17g}"
+
+
+def _parse_weight_text(text: str) -> Weight:
+    """Inverse of ``_weight_text``: integers and ``a/b`` are exact, decimals float."""
+    if "/" in text or text.lstrip("+-").isdigit():
+        return Fraction(text)
+    return float(text)
+
+
+def _write_plan_csv(handle, n_attributes: int, rows) -> int:
+    """Write plan rows ``(first levels, second levels, weight)``; returns the row count."""
+    writer = csv.writer(handle)
+    writer.writerow(
         ["pair_id"]
-        + [f"i_{n}" for n in range(1, k + 1)]
-        + [f"j_{n}" for n in range(1, k + 1)]
+        + [f"i_{n}" for n in range(1, n_attributes + 1)]
+        + [f"j_{n}" for n in range(1, n_attributes + 1)]
         + ["weight"]
     )
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for pair_id, (pair, weight) in enumerate(explicit.entries, start=1):
-            writer.writerow(
-                [pair_id]
-                + list(pair.first.levels)
-                + list(pair.second.levels)
-                + [f"{float(weight):.17g}"]
-            )
-    return len(explicit.entries)
+    n_rows = 0
+    for n_rows, (first, second, weight) in enumerate(rows, start=1):
+        writer.writerow([n_rows, *first, *second, _weight_text(weight)])
+    return n_rows
 
 
 def _read_plan_csv(path: str) -> DesignDocument:
@@ -187,15 +200,16 @@ def _read_plan_csv(path: str) -> DesignDocument:
         for row in reader:
             i = tuple(int(v) for v in row[1 : 1 + k])
             j = tuple(int(v) for v in row[1 + k : 1 + 2 * k])
-            rows.append((i, j, float(row[1 + 2 * k])))
+            rows.append((i, j, _parse_weight_text(row[1 + 2 * k])))
     if not rows:
         raise ValueError(f"{path} contains no rows")
     strength = sum(1 for v in rows[0][0] if v != 0)
     spec = ModelSpec(k, strength)
-    weights: dict[int, float] = {}
+    # starts at int 0 so all-exact weights sum to exact depth weights
+    weights: dict[int, Weight] = {}
     for i, j, w in rows:
         pair = ComparisonPair(Profile(i), Profile(j))
-        weights[pair.depth] = weights.get(pair.depth, 0.0) + w
+        weights[pair.depth] = weights.get(pair.depth, 0) + w
     return DesignDocument(spec, weights, rows)
 
 
@@ -246,12 +260,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     report = kw_certify(result.design)
     rows = None
     if args.export:
-        n_rows = _write_plan_csv(args.export, result.design)
-        explicit = realize_design(result.design)
         rows = [
-            (pair.first.levels, pair.second.levels, float(weight))
-            for pair, weight in explicit.entries
+            (pair.first.levels, pair.second.levels, weight)
+            for pair, weight in realize_design(result.design).entries
         ]
+        with open(args.export, "w", newline="") as handle:
+            n_rows = _write_plan_csv(handle, spec.n_attributes, rows)
         if not args.json:
             print(f"exported {n_rows} rows to {args.export}")
     if args.json:
@@ -376,6 +390,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError, IndexError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: cannot parse {args.design}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.oracle:
+        if document.explicit_rows is None:
+            n_pairs = sum(count_pairs(design.spec, d) for d in design.support)
+        else:
+            n_pairs = len(document.explicit_rows)
+        try:
+            _check_oracle_gate(design.spec, n_pairs)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         report = kw_certify(design, tol=args.tol)
     except SingularDesignError as exc:
@@ -387,7 +411,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         dense = info_matrix_exact(explicit)
         block = mix_h(design).as_matrix()
         block_dev = float(abs(dense.entries - block).max())
-        variance_dev = variance_sweep_max_deviation(design, explicit)
+        variance_dev = variance_sweep_max_deviation(design, info=dense)
         print(f"oracle block deviation: {block_dev:.3e}")
         print(f"oracle variance deviation: {variance_dev:.3e}")
     return EXIT_OK
@@ -400,23 +424,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    handle = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["pair_id"]
-            + [f"i_{n}" for n in range(1, args.k + 1)]
-            + [f"j_{n}" for n in range(1, args.k + 1)]
-            + ["weight"]
-        )
-        weight = f"{1.0 / n_pairs:.17g}"
-        for pair_id, pair in enumerate(enumerate_orbit(spec, args.d), start=1):
-            writer.writerow(
-                [pair_id] + list(pair.first.levels) + list(pair.second.levels) + [weight]
-            )
-    finally:
-        if args.out:
-            handle.close()
+    weight = Fraction(1, n_pairs)
+    rows = (
+        (pair.first.levels, pair.second.levels, weight)
+        for pair in enumerate_orbit(spec, args.d)
+    )
+    if args.out:
+        with open(args.out, "w", newline="") as handle:
+            _write_plan_csv(handle, args.k, rows)
+    else:
+        _write_plan_csv(sys.stdout, args.k, rows)
     return EXIT_OK
 
 

@@ -41,6 +41,8 @@ __all__ = [
 Weight = Fraction | float | int
 
 _WEIGHT_SUM_TOL = 1e-12
+# Rows per block when orbits stream as level arrays (oracle and sweep).
+_ORACLE_CHUNK = 1 << 16
 
 
 class InvalidPairError(ValueError):
@@ -187,29 +189,77 @@ def count_pairs(spec: ModelSpec | tuple[int, int], depth: int) -> int:
     return 2**s * math.comb(k, s) * math.comb(s, depth)
 
 
+def _batches(iterable, size: int) -> Iterator[list]:
+    iterator = iter(iterable)
+    while batch := list(itertools.islice(iterator, size)):
+        yield batch
+
+
+def _orbit_blocks(
+    spec: ModelSpec | tuple[int, int], depth: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stream one depth orbit as int8 ``(firsts, seconds)`` level blocks.
+
+    Rows come in ``enumerate_orbit``'s order (attribute subsets, then
+    first-profile levels, then flipped positions) in blocks of at most
+    ``_ORACLE_CHUNK`` rows.  Each block is the
+    broadcast product of a batch of subsets, a batch of level patterns and a
+    batch of flip masks; a batch of an outer factor holds more than one item
+    only when every inner factor fits whole, which keeps the order.
+    """
+    k, s = _dims_of(spec)
+    if not 0 <= depth <= s:
+        raise ValueError(f"depth must lie in 0..{s}, got {depth}")
+    n_flips, n_levels = math.comb(s, depth), 2**s
+    flip_batch = min(n_flips, _ORACLE_CHUNK)
+    level_batch = min(n_levels, _ORACLE_CHUNK // flip_batch)
+    subset_batch = _ORACLE_CHUNK // (level_batch * flip_batch)
+
+    def flip_signs() -> Iterator[np.ndarray]:
+        for flips in _batches(itertools.combinations(range(s), depth), flip_batch):
+            signs = np.ones((len(flips), s), dtype=np.int8)
+            rows = np.arange(len(flips))[:, None]
+            signs[rows, np.array(flips, dtype=np.intp).reshape(len(flips), depth)] = -1
+            yield signs
+
+    def level_patterns() -> Iterator[np.ndarray]:
+        for levels in _batches(itertools.product((-1, 1), repeat=s), level_batch):
+            yield np.array(levels, dtype=np.int8).reshape(len(levels), s)
+
+    # a factor that fits in one batch is built once and reused
+    signs_once = list(flip_signs()) if flip_batch == n_flips else None
+    levels_once = list(level_patterns()) if level_batch == n_levels else None
+    for subsets in _batches(itertools.combinations(range(k), s), subset_batch):
+        columns = np.array(subsets, dtype=np.intp).reshape(len(subsets), s)
+        for levels in levels_once or level_patterns():
+            for signs in signs_once or flip_signs():
+                shape = (len(subsets), len(levels), len(signs), s)
+                at = np.broadcast_to(columns[:, None, None, :], shape)
+                shown = np.broadcast_to(levels[None, :, None, :], shape)
+                firsts = np.zeros(shape[:3] + (k,), dtype=np.int8)
+                seconds = np.zeros(shape[:3] + (k,), dtype=np.int8)
+                np.put_along_axis(firsts, at, shown, axis=3)
+                np.put_along_axis(seconds, at, shown * signs[None, None, :, :], axis=3)
+                yield firsts.reshape(-1, k), seconds.reshape(-1, k)
+
+
 def enumerate_orbit(
     spec: ModelSpec | tuple[int, int], depth: int
 ) -> Iterator[ComparisonPair]:
     """Yield every ordered pair of the given comparison depth exactly once.
 
     The stream is deterministic: attribute subsets, then first-profile levels,
-    then flipped positions, each in lexicographic order.  Nothing is
-    materialized, so large spaces can be consumed incrementally.
+    then flipped positions, each in lexicographic order.  Pairs are built
+    block by block from ``_orbit_blocks``, so large spaces can be consumed
+    incrementally.
     """
-    k, s = _dims_of(spec)
-    if not 0 <= depth <= s:
-        raise ValueError(f"depth must lie in 0..{s}, got {depth}")
-    for support in itertools.combinations(range(k), s):
-        for levels in itertools.product((-1, 1), repeat=s):
-            base = [0] * k
-            for pos, value in zip(support, levels):
-                base[pos] = value
-            first = Profile(tuple(base))
-            for flips in itertools.combinations(range(s), depth):
-                other = list(base)
-                for index in flips:
-                    other[support[index]] = -other[support[index]]
-                yield ComparisonPair(first, Profile(tuple(other)))
+    shared = None
+    for firsts, seconds in _orbit_blocks(spec, depth):
+        for levels, other in zip(firsts.tolist(), seconds.tolist()):
+            # consecutive rows share their first profile; Profile makes tuples
+            if levels != shared:
+                shared, first = levels, Profile(levels)
+            yield ComparisonPair(first, Profile(other))
 
 
 @dataclass(frozen=True)
@@ -313,10 +363,17 @@ def _combo_indices(n_attributes: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _regression_matrix(levels: np.ndarray, n_attributes: int) -> np.ndarray:
-    """Model rows for a batch of level rows; blocks ordered mains, pairs, triples, quads."""
+    """Model rows for a batch of level rows; blocks ordered mains, pairs, triples, quads.
+
+    Products are taken column by column, so the rows keep the dtype of
+    ``levels`` (int8 level blocks give int8 rows).
+    """
     blocks = [levels]
     for idx in _combo_indices(n_attributes):
-        blocks.append(levels[:, idx].prod(axis=2))
+        product = levels[:, idx[:, 0]]
+        for column in idx.T[1:]:
+            product = product * levels[:, column]
+        blocks.append(product)
     return np.concatenate(blocks, axis=1)
 
 

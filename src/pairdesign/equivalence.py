@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +28,8 @@ from .design_space import (
     ExplicitDesign,
     ModelSpec,
     Weight,
-    enumerate_orbit,
+    _orbit_blocks,
+    _regression_matrix,
     realize_design,
     regression_vector,
 )
@@ -180,33 +182,45 @@ def variance_exact(
     return float(diff @ solution)
 
 
+def _orbit_variances(info: DenseInfo, depth: int) -> Iterator[np.ndarray]:
+    """Oracle variances of the depth orbit, one array per ``_orbit_blocks`` block.
+
+    With M = L L^T the variance of a difference row x is |L^{-1} x|^2, so M
+    is factored once and each block costs one regression-matrix build and one
+    matrix product; values follow ``enumerate_orbit``'s order.
+    """
+    k = info.spec.n_attributes
+    try:
+        whitening = np.linalg.inv(np.linalg.cholesky(info.entries)).T
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesignError("oracle information matrix is singular") from exc
+    for firsts, seconds in _orbit_blocks(info.spec, depth):
+        diffs = _regression_matrix(firsts, k) - _regression_matrix(seconds, k)
+        whitened = diffs.astype(float) @ whitening
+        yield np.einsum("ij,ij->i", whitened, whitened)
+
+
 def variance_sweep_max_deviation(
-    design: DepthDesign, explicit: ExplicitDesign | None = None
+    design: DepthDesign,
+    explicit: ExplicitDesign | None = None,
+    info: DenseInfo | None = None,
 ) -> float:
     """Max |oracle variance - closed form| over every pair of every depth.
 
     Exhausts the whole design region of the spec, not just the design's
-    support, using one factorization of the oracle matrix.  Subject to the
-    oracle gate, so intended for small attribute counts.
+    support, streaming each orbit in level blocks.  Pass the oracle matrix as
+    ``info`` when the caller already holds it; otherwise it is built from
+    ``explicit`` (realized from ``design`` if absent), subject to the oracle
+    gate, so intended for small attribute counts.
     """
-    spec = design.spec
-    if explicit is None:
-        explicit = realize_design(design)
-    dense = info_matrix_exact(explicit)
+    if info is None:
+        info = info_matrix_exact(realize_design(design) if explicit is None else explicit)
     closed = variance_profile(design)
     worst = 0.0
-    for depth in spec.depths:
-        pairs = list(enumerate_orbit(spec, depth))
-        diffs = np.array(
-            [
-                regression_vector(p.first, spec) - regression_vector(p.second, spec)
-                for p in pairs
-            ],
-            dtype=float,
-        )
-        solved = np.linalg.solve(dense.entries, diffs.T)
-        oracle_values = np.einsum("ij,ji->i", diffs, solved)
-        worst = max(worst, float(np.max(np.abs(oracle_values - float(closed.values[depth])))))
+    for depth in design.spec.depths:
+        target = float(closed.values[depth])
+        for values in _orbit_variances(info, depth):
+            worst = max(worst, float(np.max(np.abs(values - target))))
     return worst
 
 

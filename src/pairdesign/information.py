@@ -27,6 +27,7 @@ from .design_space import (
     ExplicitDesign,
     ModelSpec,
     Weight,
+    _ORACLE_CHUNK,
     _regression_matrix,
 )
 
@@ -45,7 +46,6 @@ __all__ = [
 _MAX_ORACLE_PARAMS = 500
 _MAX_ORACLE_PAIRS = 10_000_000
 _MAX_EXACT_DENOMINATOR = 10**12
-_ORACLE_CHUNK = 1 << 16
 
 
 class SingularDesignError(Exception):
@@ -214,24 +214,40 @@ class DenseInfo:
         )
 
 
-def info_matrix_exact(design: ExplicitDesign) -> DenseInfo:
-    """Brute-force information matrix sum_x w_x (f(i)-f(j))(f(i)-f(j))^T.
+def _check_oracle_gate(spec: ModelSpec, n_pairs: int) -> None:
+    """Refuse oracle work past p <= 500 parameters or 1e7 pairs.
 
-    Runs in exact integer arithmetic over the least common weight denominator
-    whenever every weight is rational (and the common denominator stays
-    moderate); otherwise accumulates in float64.  Refuses problems past the
-    oracle gate (p <= 500, <= 1e7 pairs) instead of degrading silently.
+    Callers check before they build anything, so an oversize request fails
+    fast instead of after realizing every pair.
     """
-    spec = design.spec
     if spec.n_params > _MAX_ORACLE_PARAMS:
         raise ValueError(
             f"oracle gate: p={spec.n_params} exceeds {_MAX_ORACLE_PARAMS}; "
             "use the closed-form block information instead"
         )
-    if len(design.entries) > _MAX_ORACLE_PAIRS:
-        raise ValueError(
-            f"oracle gate: {len(design.entries)} pairs exceed {_MAX_ORACLE_PAIRS}"
-        )
+    if n_pairs > _MAX_ORACLE_PAIRS:
+        raise ValueError(f"oracle gate: {n_pairs} pairs exceed {_MAX_ORACLE_PAIRS}")
+
+
+def info_matrix_exact(design: ExplicitDesign) -> DenseInfo:
+    """Brute-force information matrix sum_x w_x (f(i)-f(j))(f(i)-f(j))^T.
+
+    Runs in exact arithmetic over the least common weight denominator D
+    whenever every weight is rational and D <= 1e12; otherwise accumulates
+    float weights.  Refuses problems past the oracle gate (p <= 500, <= 1e7
+    pairs) instead of degrading silently.
+
+    The exact path holds the integer counts c_x = D w_x as float64 so the
+    products run in BLAS, and it is still exact: both profiles of a pair show
+    the same attributes, so every entry of f(i)-f(j) lies in {-2, 0, 2}, every
+    product term is an integer of magnitude <= 4 c_x, and every partial sum in
+    any summation order is an integer of magnitude <= 4 sum_x c_x.  While that
+    bound is below 2^53 each of these integers is a float64 and no operation
+    rounds; the bound is checked before the products and the conversion of
+    the result to int64 ``exact_num`` is checked afterwards.
+    """
+    spec = design.spec
+    _check_oracle_gate(spec, len(design.entries))
     weights = [w for _, w in design.entries]
     exact = all(isinstance(w, (int, Fraction)) for w in weights)
     counts = None
@@ -240,31 +256,29 @@ def info_matrix_exact(design: ExplicitDesign) -> DenseInfo:
         fractions = [Fraction(w) for w in weights]
         denominator = math.lcm(*(f.denominator for f in fractions)) if fractions else 1
         if denominator <= _MAX_EXACT_DENOMINATOR:
-            counts = np.array(
-                [f.numerator * (denominator // f.denominator) for f in fractions],
-                dtype=np.int64,
-            )
-    k, p = spec.n_attributes, spec.n_params
+            counts = [f.numerator * (denominator // f.denominator) for f in fractions]
     if counts is not None:
-        total = np.zeros((p, p), dtype=np.int64)
+        if 4 * sum(counts) >= 2**53:
+            raise ArithmeticError("exact oracle: 4 * sum of counts reaches 2^53")
+        row_weights = np.array(counts, dtype=float)
     else:
-        total = np.zeros((p, p), dtype=float)
-        float_weights = np.array([float(w) for w in weights])
+        row_weights = np.array([float(w) for w in weights])
+    k, p = spec.n_attributes, spec.n_params
+    total = np.zeros((p, p), dtype=float)
     for start in range(0, len(design.entries), _ORACLE_CHUNK):
         chunk = design.entries[start : start + _ORACLE_CHUNK]
-        firsts = np.array([pair.first.levels for pair, _ in chunk], dtype=np.int64)
-        seconds = np.array([pair.second.levels for pair, _ in chunk], dtype=np.int64)
-        diffs = _regression_matrix(firsts, k) - _regression_matrix(seconds, k)
-        if counts is not None:
-            total += diffs.T @ (diffs * counts[start : start + len(chunk), None])
-        else:
-            weighted = diffs * float_weights[start : start + len(chunk), None]
-            total += diffs.T @ weighted
+        firsts = np.array([pair.first.levels for pair, _ in chunk], dtype=np.int8)
+        seconds = np.array([pair.second.levels for pair, _ in chunk], dtype=np.int8)
+        diffs = (_regression_matrix(firsts, k) - _regression_matrix(seconds, k)).astype(float)
+        total += diffs.T @ (diffs * row_weights[start : start + len(chunk), None])
     if counts is not None:
+        exact_num = total.astype(np.int64)
+        if not np.array_equal(exact_num, total):
+            raise ArithmeticError("exact oracle: float64 accumulation left the integers")
         return DenseInfo(
-            entries=total / denominator,
+            entries=exact_num / denominator,
             spec=spec,
-            exact_num=total,
+            exact_num=exact_num,
             exact_den=denominator,
         )
     return DenseInfo(entries=(total + total.T) / 2.0, spec=spec)

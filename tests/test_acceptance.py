@@ -235,7 +235,7 @@ def test_criterion_9_cli_round_trip(tmp_path, capsys):
             i = tuple(int(row[f"i_{n}"]) for n in range(1, k + 1))
             j = tuple(int(row[f"j_{n}"]) for n in range(1, k + 1))
             pair = ComparisonPair(Profile(i), Profile(j))
-            weight = float(row["weight"])
+            weight = float(Fraction(row["weight"]))
             entries.append((pair, weight))
             depth_weights[pair.depth] = depth_weights.get(pair.depth, 0.0) + weight
         dense = info_matrix_exact(ExplicitDesign(tuple(entries), spec))

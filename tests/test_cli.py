@@ -17,6 +17,7 @@ from pairdesign import (
     info_matrix_exact,
     mix_h,
 )
+from pairdesign import cli
 from pairdesign.cli import main
 
 
@@ -61,8 +62,9 @@ class TestEnumerate:
         lines = out.strip().splitlines()
         assert lines[0].split(",")[:2] == ["pair_id", "i_1"]
         assert len(lines) == 1 + 96
-        weights = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
-        assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+        weights = [Fraction(line.rsplit(",", 1)[1]) for line in lines[1:]]
+        assert set(weights) == {Fraction(1, 96)}
+        assert sum(weights) == 1
 
     def test_to_file(self, capsys, tmp_path):
         path = tmp_path / "orbit.csv"
@@ -119,7 +121,7 @@ class TestOptimize:
             i = tuple(int(row[f"i_{n}"]) for n in range(1, 5))
             j = tuple(int(row[f"j_{n}"]) for n in range(1, 5))
             pair = ComparisonPair(Profile(i), Profile(j))
-            weight = float(row["weight"])
+            weight = float(Fraction(row["weight"]))
             sums[pair.depth] = sums.get(pair.depth, 0.0) + weight
             entries.append((pair, weight))
         expected = {1: 4 / 15, 2: 2 / 5, 3: 4 / 15, 4: 1 / 15}
@@ -141,6 +143,24 @@ class TestOptimize:
             )
         ).as_matrix()
         assert np.max(np.abs(dense.entries - block)) <= 1e-12
+
+    def test_export_realizes_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        realize = cli.realize_design
+
+        def counting(design):
+            calls.append(design)
+            return realize(design)
+
+        monkeypatch.setattr(cli, "realize_design", counting)
+        path = tmp_path / "plan.csv"
+        code, out, _ = run(
+            capsys, "optimize", "--k", "5", "--s", "4", "--json", "--export", str(path)
+        )
+        assert code == 0
+        assert len(calls) == 1
+        rows = json.loads(out)["explicit_rows"]
+        assert len(rows) == len(path.read_text().splitlines()) - 1
 
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "optimize", "--k", "4", "--s", "3")
@@ -240,6 +260,60 @@ class TestVerify:
         assert "verdict: optimal" in out
         block_line = [l for l in out.splitlines() if "block deviation" in l][0]
         assert float(block_line.rsplit(":", 1)[1]) <= 1e-12
+
+
+class TestExactCsvRoundTrip:
+    def test_exported_plan_keeps_exact_proof(self, capsys, tmp_path):
+        plan = tmp_path / "plan.csv"
+        code, _, _ = run(capsys, "optimize", "--k", "6", "--s", "6", "--export", str(plan))
+        assert code == 0
+        lines = plan.read_text().splitlines()
+        assert lines[0].split(",")[0] == "pair_id" and lines[0].endswith(",weight")
+        assert len(lines) == 1 + 1344
+        assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"1/1344"}
+        document = cli.load_design_document(str(plan))
+        assert document.depth_weights == {2: Fraction(5, 7), 5: Fraction(2, 7)}
+        code, out, _ = run(capsys, "verify", str(plan), "--oracle")
+        assert code == 0
+        assert "max excess: 0.000e+00 (tol 1e-06 relative to p)" in out.splitlines()
+        assert "oracle block deviation: 0.000e+00" in out.splitlines()
+
+    def test_float_weights_stay_float(self, capsys, tmp_path):
+        plan = tmp_path / "plan.csv"
+        code, _, _ = run(capsys, "optimize", "--k", "7", "--s", "6", "--export", str(plan))
+        assert code == 0
+        cells = {line.rsplit(",", 1)[1] for line in plan.read_text().splitlines()[1:]}
+        assert not any("/" in cell for cell in cells)
+        document = cli.load_design_document(str(plan))
+        assert all(isinstance(w, float) for w in document.depth_weights.values())
+        code, out, _ = run(capsys, "verify", str(plan))
+        assert code == 0 and "verdict: optimal" in out
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("1/1344", Fraction(1, 1344)), ("1", Fraction(1)), ("0.25", 0.25), ("1e-05", 1e-05)],
+    )
+    def test_weight_cells(self, text, value):
+        parsed = cli._parse_weight_text(text)
+        assert parsed == value and type(parsed) is type(value)
+        assert cli._parse_weight_text(cli._weight_text(value)) == value
+
+
+class TestOracleGate:
+    def test_oversize_request_exits_2_before_realizing(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("realized before the gate")
+
+        monkeypatch.setattr(cli, "realize_design", refuse)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"K": 11, "S": 4, "depth_weights": {"1": "1"}}))
+        code, out, err = run(capsys, "verify", str(path), "--oracle")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: oracle gate: p=561")
+        # without --oracle the closed-form certificate still runs
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0 and "K=11 S=4 p=561" in out
 
 
 class TestDeterminism:

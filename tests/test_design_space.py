@@ -23,7 +23,26 @@ from pairdesign import (
     regression_vector,
 )
 
+from pairdesign import design_space
+from pairdesign.design_space import _orbit_blocks
+
 from conftest import reference_pairs, reference_regression
+
+
+def ordered_reference_orbit(k, s, depth):
+    """The documented stream order by nested loops: subsets, levels, flips."""
+    pairs = []
+    for support in itertools.combinations(range(k), s):
+        for levels in itertools.product((-1, 1), repeat=s):
+            first = [0] * k
+            for pos, value in zip(support, levels):
+                first[pos] = value
+            for flips in itertools.combinations(range(s), depth):
+                second = list(first)
+                for index in flips:
+                    second[support[index]] = -second[support[index]]
+                pairs.append((tuple(first), tuple(second)))
+    return pairs
 
 
 class TestParamDims:
@@ -240,6 +259,36 @@ class TestEnumerateOrbit:
             for i, j in reference_pairs(k, s, d)
         }
         assert union == everything
+
+
+class TestOrbitBlocks:
+    @pytest.mark.parametrize("k,s,d", [(5, 4, 2), (6, 6, 1), (7, 7, 7)])
+    @pytest.mark.parametrize("chunk", [1 << 16, 1, 5, 16, 100, 1000])
+    def test_blocks_concatenate_to_orbit_stream(self, k, s, d, chunk, monkeypatch):
+        # small chunks split flip masks, level patterns and subsets across blocks
+        monkeypatch.setattr(design_space, "_ORACLE_CHUNK", chunk)
+        blocks = list(_orbit_blocks((k, s), d))
+        assert all(f.dtype == np.int8 and g.dtype == np.int8 for f, g in blocks)
+        assert all(0 < len(f) == len(g) <= chunk for f, g in blocks)
+        firsts = np.concatenate([f for f, _ in blocks]).tolist()
+        seconds = np.concatenate([g for _, g in blocks]).tolist()
+        rows = [(tuple(f), tuple(g)) for f, g in zip(firsts, seconds)]
+        assert rows == [
+            (p.first.levels, p.second.levels) for p in enumerate_orbit((k, s), d)
+        ]
+        assert rows == ordered_reference_orbit(k, s, d)
+
+    def test_huge_orbit_streams(self):
+        # 2^40 level patterns times C(40, 20) flip masks: only the first block is built
+        pair = next(enumerate_orbit((40, 40), 20))
+        assert pair.first.levels == (-1,) * 40
+        assert pair.second.levels == (1,) * 20 + (-1,) * 20
+
+    def test_depth_zero_and_bad_depth(self):
+        (firsts, seconds), = _orbit_blocks((4, 4), 0)
+        assert len(firsts) == 16 and np.array_equal(firsts, seconds)
+        with pytest.raises(ValueError):
+            next(_orbit_blocks((4, 4), 5))
 
 
 class TestDesigns:

@@ -20,6 +20,8 @@ from pairdesign import (
     variance_sweep_max_deviation,
     variance_uniform,
 )
+from pairdesign import equivalence
+from pairdesign.equivalence import _orbit_variances
 from pairdesign.information import info_matrix_exact
 
 
@@ -155,6 +157,37 @@ class TestVarianceExact:
     def test_sweep_helper_tight(self, spec54):
         design = DepthDesign({1: Fraction(1, 4), 2: Fraction(3, 4)}, spec54)
         assert variance_sweep_max_deviation(design) <= 1e-10
+
+    def test_batched_sweep_matches_per_pair_solves(self):
+        spec = ModelSpec(5, 5)
+        design = DepthDesign({2: Fraction(2, 3), 4: Fraction(1, 3)}, spec)
+        explicit = realize_design(design)
+        info = info_matrix_exact(explicit)
+        closed = variance_profile(design)
+        worst = 0.0
+        for depth in spec.depths:
+            batched = np.concatenate(list(_orbit_variances(info, depth)))
+            looped = [
+                variance_exact(pair, explicit, info)
+                for pair in enumerate_orbit(spec, depth)
+            ]
+            # same quadratic forms by another factorization: float64 rounding only
+            np.testing.assert_allclose(batched, looped, rtol=1e-12, atol=0)
+            worst = max(worst, max(abs(v - float(closed.values[depth])) for v in looped))
+        sweep = variance_sweep_max_deviation(design, info=info)
+        assert sweep <= 1e-9 * spec.n_params
+        assert abs(sweep - worst) <= 1e-12 * spec.n_params
+
+    def test_sweep_reuses_given_oracle(self, spec54, monkeypatch):
+        design = DepthDesign({1: Fraction(1, 4), 2: Fraction(3, 4)}, spec54)
+        info = info_matrix_exact(realize_design(design))
+
+        def refuse(*args):
+            raise AssertionError("oracle rebuilt")
+
+        monkeypatch.setattr(equivalence, "info_matrix_exact", refuse)
+        monkeypatch.setattr(equivalence, "realize_design", refuse)
+        assert variance_sweep_max_deviation(design, info=info) <= 1e-10
 
 
 class TestQuarticShape:

@@ -19,7 +19,10 @@ from pairdesign import (
     is_identifiable,
     log_det,
     mix_h,
+    optimize_full,
+    realize_design,
 )
+from pairdesign.information import _MAX_EXACT_DENOMINATOR
 
 from conftest import reference_uniform_info
 
@@ -241,3 +244,32 @@ class TestIdentifiability:
         # h4 vanishes at both d=2 and d=4 when S=4
         design = DepthDesign({2: 0.5, 4: 0.5}, spec44)
         assert not is_identifiable(design)
+
+
+class TestExactOracleInFloat64:
+    @pytest.mark.parametrize("strength", [4, 5, 7])
+    def test_k7_optima_equal_closed_form_integers(self, strength):
+        spec = ModelSpec(7, strength)
+        design = optimize_full(spec).design
+        assert design.is_exact
+        dense = info_matrix_exact(realize_design(design))
+        assert dense.is_exact and dense.exact_num.dtype == np.int64
+        scaled = [Fraction(h) * dense.exact_den for h in mix_h(design).values]
+        assert all(v.denominator == 1 for v in scaled)
+        want = np.diag(np.repeat([int(v) for v in scaled], spec.block_dims))
+        assert np.array_equal(dense.exact_num, want)
+        assert np.array_equal(dense.entries, dense.exact_num / dense.exact_den)
+
+    @pytest.mark.parametrize(
+        "denominator,exact",
+        [(_MAX_EXACT_DENOMINATOR, True), (_MAX_EXACT_DENOMINATOR + 1, False)],
+    )
+    def test_denominator_limit_selects_path(self, spec44, denominator, exact):
+        pairs = list(enumerate_orbit(spec44, 2))
+        weights = [Fraction(1, denominator)] * (len(pairs) - 1)
+        weights.append(1 - sum(weights))
+        dense = info_matrix_exact(ExplicitDesign(tuple(zip(pairs, weights)), spec44))
+        assert dense.is_exact is exact
+        floats = ExplicitDesign(tuple(zip(pairs, map(float, weights))), spec44)
+        reference = info_matrix_exact(floats).entries
+        assert np.max(np.abs(dense.entries - reference)) <= 1e-12
