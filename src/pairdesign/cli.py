@@ -9,9 +9,11 @@ Subcommands:
   enumerate  dump one comparison-depth orbit as CSV
   hvalues    print the per-depth block informations as exact fractions
 
-Exit codes: 0 ok, 2 usage or parse failure (also a ``verify --oracle``
-request past the oracle gate), 3 optimizer non-convergence, 4 singular
-(non-identifiable) design.  All output is deterministic.
+Exit codes: 0 ok, 1 ``tables --check`` drift or a reader that closed stdout
+early (nothing is printed to stderr then), 2 usage or parse failure (also a
+``verify --oracle`` request past the oracle gate), 3 optimizer
+non-convergence, 4 singular (non-identifiable) design.  All output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,28 +87,28 @@ EXPECTED_NORMALIZED_VARIANCES = {
 
 @dataclass
 class DesignDocument:
-    """Serializable design: spec, depth weights, optional explicit rows and report."""
+    """Serializable design: spec, depth weights, optional explicit pairs and report."""
 
     spec: ModelSpec
     depth_weights: dict[int, Weight]
-    explicit_rows: list[tuple[tuple[int, ...], tuple[int, ...], Weight]] | None = None
+    explicit: ExplicitDesign | None = None
     certification: dict | None = None
 
     def to_json_dict(self) -> dict:
         weights = {}
         for depth, weight in sorted(self.depth_weights.items()):
-            weights[str(depth)] = {
-                "fraction": str(Fraction(weight)),
-                "decimal": float(weight),
-            }
+            weights[str(depth)] = {"decimal": float(weight)}
+            if isinstance(weight, (int, Fraction)):
+                weights[str(depth)]["fraction"] = str(Fraction(weight))
         document = {
             "K": self.spec.n_attributes,
             "S": self.spec.strength,
             "depth_weights": weights,
         }
-        if self.explicit_rows is not None:
+        if self.explicit is not None:
             document["explicit_rows"] = [
-                [list(i), list(j), float(w)] for i, j, w in self.explicit_rows
+                [list(pair.first.levels), list(pair.second.levels), float(w)]
+                for pair, w in self.explicit.entries
             ]
         if self.certification is not None:
             document["certification"] = self.certification
@@ -117,26 +120,25 @@ class DesignDocument:
         weights: dict[int, Weight] = {}
         for key, value in document["depth_weights"].items():
             weights[int(key)] = _parse_weight(value)
-        rows = None
+        explicit = None
         if document.get("explicit_rows") is not None:
-            rows = [
-                (tuple(int(v) for v in i), tuple(int(v) for v in j), float(w))
-                for i, j, w in document["explicit_rows"]
-            ]
-        return cls(spec, weights, rows, document.get("certification"))
+            rows = ((i, j, float(w)) for i, j, w in document["explicit_rows"])
+            explicit = ExplicitDesign(_pair_entries(rows), spec)
+        return cls(spec, weights, explicit, document.get("certification"))
 
     def depth_design(self) -> DepthDesign:
         return DepthDesign(self.depth_weights, self.spec)
 
     def explicit_design(self) -> ExplicitDesign:
-        """Explicit form: the stored rows if present, else realized from weights."""
-        if self.explicit_rows is None:
+        """Explicit form: the pairs read with the document, else realized from weights."""
+        if self.explicit is None:
             return realize_design(self.depth_design())
-        entries = tuple(
-            (ComparisonPair(Profile(i), Profile(j)), w)
-            for i, j, w in self.explicit_rows
-        )
-        return ExplicitDesign(entries, self.spec)
+        return self.explicit
+
+
+def _pair_entries(rows) -> tuple[tuple[ComparisonPair, Weight], ...]:
+    """Rows ``(first levels, second levels, weight)`` as validated weighted pairs."""
+    return tuple((ComparisonPair(Profile(i), Profile(j)), w) for i, j, w in rows)
 
 
 def _parse_weight(value) -> Weight:
@@ -196,21 +198,18 @@ def _read_plan_csv(path: str) -> DesignDocument:
         if not i_cols or len(i_cols) != len(j_cols) or header[-1] != "weight":
             raise ValueError(f"{path} does not look like an exported plan")
         k = len(i_cols)
-        rows = []
-        for row in reader:
-            i = tuple(int(v) for v in row[1 : 1 + k])
-            j = tuple(int(v) for v in row[1 + k : 1 + 2 * k])
-            rows.append((i, j, _parse_weight_text(row[1 + 2 * k])))
-    if not rows:
+        entries = _pair_entries(
+            (row[1 : 1 + k], row[1 + k : 1 + 2 * k], _parse_weight_text(row[1 + 2 * k]))
+            for row in reader
+        )
+    if not entries:
         raise ValueError(f"{path} contains no rows")
-    strength = sum(1 for v in rows[0][0] if v != 0)
-    spec = ModelSpec(k, strength)
+    spec = ModelSpec(k, entries[0][0].first.strength)
     # starts at int 0 so all-exact weights sum to exact depth weights
     weights: dict[int, Weight] = {}
-    for i, j, w in rows:
-        pair = ComparisonPair(Profile(i), Profile(j))
+    for pair, w in entries:
         weights[pair.depth] = weights.get(pair.depth, 0) + w
-    return DesignDocument(spec, weights, rows)
+    return DesignDocument(spec, weights, ExplicitDesign(entries, spec))
 
 
 def load_design_document(path: str) -> DesignDocument:
@@ -258,19 +257,20 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     result = optimize_full(spec, tol=args.tol)
     report = kw_certify(result.design)
-    rows = None
+    explicit = None
     if args.export:
-        rows = [
+        explicit = realize_design(result.design)
+        rows = (
             (pair.first.levels, pair.second.levels, weight)
-            for pair, weight in realize_design(result.design).entries
-        ]
+            for pair, weight in explicit.entries
+        )
         with open(args.export, "w", newline="") as handle:
             n_rows = _write_plan_csv(handle, spec.n_attributes, rows)
         if not args.json:
             print(f"exported {n_rows} rows to {args.export}")
     if args.json:
         document = DesignDocument(
-            spec, dict(result.design.weights), rows, report.to_dict()
+            spec, dict(result.design.weights), explicit, report.to_dict()
         )
         print(json.dumps(document.to_json_dict(), indent=2, sort_keys=True))
     else:
@@ -391,10 +391,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: cannot parse {args.design}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.oracle:
-        if document.explicit_rows is None:
+        if document.explicit is None:
             n_pairs = sum(count_pairs(design.spec, d) for d in design.support)
         else:
-            n_pairs = len(document.explicit_rows)
+            n_pairs = len(document.explicit.entries)
         try:
             _check_oracle_gate(design.spec, n_pairs)
         except ValueError as exc:
@@ -501,7 +501,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        code = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # flush at interpreter exit cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

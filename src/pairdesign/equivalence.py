@@ -2,10 +2,19 @@
 
 For an invariant design with block informations h1..h4 the normalized
 prediction variance of a pair depends on the pair only through its comparison
-depth:
+depth.  It is the gradient of log det M = sum_r p_r ln h_r towards the depth-d
+orbit,
+
+    V(d) = sum_r p_r h_r(d) / h_r,
+
+with h_r(d) the block informations of that orbit alone; the optimizer steps
+on the same formula.  Written out with the h_r(d) of information.py it is the
+paper's display
 
     V(d) = 4d ( 1/h1 + (S-d)/h2 + (3S^2 - 6dS + 4d^2 - 3S + 2) / (6 h3)
                 + (S-d)(2d^2 - 2Sd + S^2 - 3S + 4) / (6 h4) )
+
+which ``variance_uniform`` keeps, for point masses, as an independent check.
 
 By the Kiefer-Wolfowitz equivalence theorem a design is D-optimal exactly when
 V(d) <= p for every depth, with equality at every depth it actually weights.
@@ -38,6 +47,8 @@ from .information import (
     DenseInfo,
     SingularDesignError,
     _check_spec,
+    _h_denominators,
+    h_numerators,
     h_values,
     info_matrix_exact,
     mix_h,
@@ -66,26 +77,30 @@ def _raise_singular(info: BlockInfo) -> None:
     )
 
 
+def _gradient_coefficients(info: BlockInfo) -> tuple[Weight, ...]:
+    """c_r = p_r / (den_r h_r), so that V(d) = sum_r c_r h_numerators(S, d)[r]."""
+    if info.is_singular:
+        _raise_singular(info)
+    dens = _h_denominators(info.spec.n_attributes)
+    return tuple(
+        p / (den * h) for p, den, h in zip(info.spec.block_dims, dens, info.values)
+    )
+
+
+def _dot(coefficients: tuple[Weight, ...], numerators: tuple[int, ...]) -> Weight:
+    return sum(c * n for c, n in zip(coefficients, numerators))
+
+
 def variance_from_blocks(info: BlockInfo, depth: int) -> Weight:
     """V(depth) for a design with the given block informations.
 
     Exact when the h values are exact.  Depth 0 is the degenerate identical
     pair and evaluates to 0 by convention.
     """
-    s = info.spec.strength
-    d = int(depth)
-    if not 0 <= d <= s:
-        raise ValueError(f"depth must lie in 0..{s}, got {depth}")
-    if d == 0:
+    numerators = h_numerators(info.spec.strength, depth)
+    if depth == 0:
         return 0
-    if info.is_singular:
-        _raise_singular(info)
-    h1, h2, h3, h4 = info.values
-    q3 = 3 * s * s - 6 * d * s + 4 * d * d - 3 * s + 2
-    q4 = 2 * d * d - 2 * s * d + s * s - 3 * s + 4
-    return (4 * d) * (
-        1 / h1 + (s - d) / h2 + q3 / (6 * h3) + (s - d) * q4 / (6 * h4)
-    )
+    return _dot(_gradient_coefficients(info), numerators)
 
 
 @dataclass(frozen=True)
@@ -117,10 +132,8 @@ def variance_profile(
 ) -> VarianceProfile:
     """Evaluate the variance function of an invariant design at every depth."""
     spec = _check_spec(design, spec)
-    info = mix_h(design, spec)
-    if info.is_singular:
-        _raise_singular(info)
-    values = {d: variance_from_blocks(info, d) for d in spec.depths}
+    coefficients = _gradient_coefficients(mix_h(design, spec))
+    values = {d: _dot(coefficients, h_numerators(spec.strength, d)) for d in spec.depths}
     return VarianceProfile(values=values, p=spec.n_params)
 
 

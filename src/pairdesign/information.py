@@ -122,11 +122,16 @@ def _fraction_string(value: Weight) -> str:
     return repr(float(value))
 
 
+def _h_denominators(n_attributes: int) -> tuple[int, int, int, int]:
+    """Denominators of the four block informations: h_r(d) = numerator_r(d) / these."""
+    k = n_attributes
+    return (k, k * (k - 1), k * (k - 1) * (k - 2), k * (k - 1) * (k - 2) * (k - 3))
+
+
 def h_values(spec: ModelSpec, depth: int) -> BlockInfo:
     """Exact block informations of the uniform design on one depth orbit."""
-    k = spec.n_attributes
     nums = h_numerators(spec.strength, depth)
-    dens = (k, k * (k - 1), k * (k - 1) * (k - 2), k * (k - 1) * (k - 2) * (k - 3))
+    dens = _h_denominators(spec.n_attributes)
     return BlockInfo(*(Fraction(n, m) for n, m in zip(nums, dens)), spec=spec)
 
 

@@ -6,8 +6,9 @@ parameter vector the objective log det M = sum_r p_r ln h_r(w) is concave in
 the depth weights and depends on them only through h in R^4, so an optimum
 needs at most four depths.  optimize_full therefore works on a small active
 set of depths with vertex-direction steps and a Newton polish, all stopping
-tests relative to p or |phi|, and hands the converged weights to an exact
-rational snap and a zero-slack certificate.
+tests relative to p or |phi|.  Its results are certified by kw_certify, the
+one equivalence-theorem check: at tol 0 in exact arithmetic when the weights
+snap to small rationals, at tol otherwise.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .design_space import DepthDesign, ModelSpec
-from .equivalence import variance_profile
+from .equivalence import CertificationReport, kw_certify
 from .information import SingularDesignError, h_numerators, h_values, log_det, mix_h
 
 __all__ = [
@@ -234,23 +235,18 @@ def _newton_on_support(
     return w
 
 
-def _snap_to_exact(spec: ModelSpec, weights: np.ndarray) -> DepthDesign | None:
-    """Try to read the float weights as small rationals and certify them exactly.
+def _snap_to_exact(spec: ModelSpec, kept: dict[int, float]) -> CertificationReport | None:
+    """Read the pruned float weights as small rationals and certify them exactly.
 
-    Returns the exact design only when the exact variance check passes with
-    zero slack: V(d) <= p for every depth and V(d) = p on the support.
+    Returns the tol-0 certificate only when it proves optimality: V(d) <= p
+    for every depth and V(d) = p on the support, in exact arithmetic.
     """
-    p = spec.n_params
     exact: dict[int, Fraction] = {}
-    for j, weight in enumerate(weights):
-        if weight <= 0:
-            continue
-        candidate = Fraction(float(weight)).limit_denominator(_SNAP_DENOMINATOR)
-        if candidate <= 0 or abs(float(candidate) - float(weight)) > 1e-6:
+    for depth, weight in kept.items():
+        candidate = Fraction(weight).limit_denominator(_SNAP_DENOMINATOR)
+        if candidate <= 0 or abs(float(candidate) - weight) > 1e-6:
             return None
-        exact[j + 1] = candidate
-    if not exact:
-        return None
+        exact[depth] = candidate
     total = sum(exact.values())
     if total != 1:
         # absorb the float residue into the heaviest depth (ties: smallest depth)
@@ -259,78 +255,10 @@ def _snap_to_exact(spec: ModelSpec, weights: np.ndarray) -> DepthDesign | None:
         if exact[heaviest] <= 0:
             return None
     try:
-        design = DepthDesign(exact, spec)
-        profile = variance_profile(design)
+        report = kw_certify(DepthDesign(exact, spec), tol=0)
     except (ValueError, SingularDesignError):
         return None
-    if any(v > p for v in profile.values.values()):
-        return None
-    if any(profile.values[d] != p for d in design.support):
-        return None
-    return design
-
-
-def _result_from_design(
-    spec: ModelSpec,
-    design: DepthDesign,
-    iterations: int,
-    tol: float,
-    polished: bool = True,
-) -> OptimResult:
-    info = mix_h(design)
-    profile = variance_profile(design)
-    excess = float(max(v - spec.n_params for v in profile.values.values()))
-    certified = polished and excess <= tol * spec.n_params
-    result = OptimResult(
-        design=design,
-        log_det=log_det(info),
-        kw_excess=excess,
-        iterations=iterations,
-        support=design.support,
-        certified=certified,
-        tol=tol,
-    )
-    if certified:
-        # the bound holds for true optima; an unpruned iterate could carry
-        # dust on extra depths, which is why only polished designs certify
-        assert len(result.support) <= _MAX_SUPPORT, (
-            f"certified design on {len(result.support)} depths; "
-            "at most four can satisfy the support condition"
-        )
-    return result
-
-
-def _design_from_floats(spec: ModelSpec, weights: np.ndarray) -> DepthDesign:
-    kept = {
-        j + 1: float(weight) for j, weight in enumerate(weights) if weight > _PRUNE_EPS
-    }
-    total = sum(kept.values())
-    return DepthDesign({d: w / total for d, w in kept.items()}, spec)
-
-
-def _polish(
-    spec: ModelSpec, h_matrix: np.ndarray, p_blocks: np.ndarray,
-    weights: np.ndarray, tol: float,
-) -> DepthDesign | None:
-    """Prune, Newton-polish, and return a design only if it certifies at tol."""
-    p = spec.n_params
-    pruned = np.where(weights > _PRUNE_EPS, weights, 0.0)
-    if pruned.sum() <= 0:
-        return None
-    pruned /= pruned.sum()
-    polished = _newton_on_support(h_matrix, p_blocks, pruned)
-    if polished is None:
-        return None
-    exact = _snap_to_exact(spec, polished)
-    if exact is not None:
-        return exact
-    h = h_matrix @ polished
-    if np.any(h <= 0):
-        return None
-    excess = float(np.max(_variances(h, h_matrix, p_blocks)) - p)
-    if excess <= tol * p:
-        return _design_from_floats(spec, polished)
-    return None
+    return report if report.optimal and report.support_ok else None
 
 
 def optimize_full(
@@ -342,11 +270,14 @@ def optimize_full(
     boundary).  Each iteration steps toward the worst-variance depth with an
     exact line search, keeps it and the heaviest other depths above
     _PRUNE_EPS, at most 2 * _MAX_SUPPORT in all, and Newton-polishes on that
-    active set, until max_d V(d) - p <= _FLOAT_RTOL * p.  The result's
-    equivalence-theorem excess is then at most tol * p, with exact weights
-    whenever the snap to small rationals passes the zero-slack exact check.
-    If the budget runs out and the last iterate does not certify, it is
-    returned with ``certified=False`` and its true excess, never silently.
+    active set, until max_d V(d) - p <= _FLOAT_RTOL * p.  Weights at most
+    _PRUNE_EPS are then dropped.  The result carries exact weights when the
+    snap to small rationals passes ``kw_certify`` at tol 0; otherwise the
+    pruned float weights go through ``kw_certify`` at ``tol``.  ``certified``
+    is that report's verdict together with its support condition, and
+    ``kw_excess`` its max excess, so a result that does not certify (say,
+    because the budget ran out) is returned with ``certified=False`` and its
+    true excess, never silently.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -375,9 +306,26 @@ def optimize_full(
         if polished is not None:
             w = polished
         iterations += 1
-    candidate = _polish(spec, h_matrix, p_blocks, w, tol)
-    if candidate is not None:
-        return _result_from_design(spec, candidate, iterations, tol)
-    return _result_from_design(
-        spec, _design_from_floats(spec, w), iterations, tol, polished=False
+    kept = {j + 1: float(weight) for j, weight in enumerate(w) if weight > _PRUNE_EPS}
+    report = _snap_to_exact(spec, kept)
+    if report is None:
+        total = sum(kept.values())
+        floats = DepthDesign({d: weight / total for d, weight in kept.items()}, spec)
+        report = kw_certify(floats, tol=tol)
+    design = DepthDesign(report.weights, spec)
+    result = OptimResult(
+        design=design,
+        log_det=log_det(mix_h(design)),
+        kw_excess=float(report.max_excess),
+        iterations=iterations,
+        support=design.support,
+        certified=report.optimal and report.support_ok,
+        tol=tol,
     )
+    if result.certified:
+        # V(d) - p is a quartic in d, so a true optimum weights at most four depths
+        assert len(result.support) <= _MAX_SUPPORT, (
+            f"certified design on {len(result.support)} depths; "
+            "at most four can satisfy the support condition"
+        )
+    return result

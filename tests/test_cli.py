@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pairdesign
 from pairdesign import (
     ComparisonPair,
     DepthDesign,
@@ -162,6 +167,20 @@ class TestOptimize:
         rows = json.loads(out)["explicit_rows"]
         assert len(rows) == len(path.read_text().splitlines()) - 1
 
+    @pytest.mark.parametrize("k,s,exact", [(6, 6, True), (8, 6, False)])
+    def test_json_weights_keep_their_kind(self, capsys, k, s, exact):
+        code, out, _ = run(capsys, "optimize", "--k", str(k), "--s", str(s), "--json")
+        assert code == 0
+        document = json.loads(out)
+        cells = document["depth_weights"].values()
+        assert all(("fraction" in cell) == exact for cell in cells)
+        design = cli.DesignDocument.from_json_dict(document).depth_design()
+        assert design.is_exact == exact
+        if not exact:
+            assert list(design.weights.values()) == [
+                cell["decimal"] for cell in cells
+            ]
+
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "optimize", "--k", "4", "--s", "3")
         assert code == 2
@@ -261,6 +280,23 @@ class TestVerify:
         block_line = [l for l in out.splitlines() if "block deviation" in l][0]
         assert float(block_line.rsplit(":", 1)[1]) <= 1e-12
 
+    def test_csv_pairs_built_once(self, capsys, tmp_path, monkeypatch):
+        plan = tmp_path / "plan.csv"
+        code, _, _ = run(capsys, "optimize", "--k", "5", "--s", "4", "--export", str(plan))
+        assert code == 0
+        n_rows = len(plan.read_text().splitlines()) - 1
+        built = []
+        pair = cli.ComparisonPair
+
+        def counting(first, second):
+            built.append(1)
+            return pair(first, second)
+
+        monkeypatch.setattr(cli, "ComparisonPair", counting)
+        code, out, _ = run(capsys, "verify", str(plan), "--oracle")
+        assert code == 0 and "verdict: optimal" in out
+        assert len(built) == n_rows
+
 
 class TestExactCsvRoundTrip:
     def test_exported_plan_keeps_exact_proof(self, capsys, tmp_path):
@@ -330,3 +366,20 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+def test_closed_stdout_exits_1_quietly():
+    src = str(Path(pairdesign.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # 17 920 rows, far more than a pipe buffer holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pairdesign.cli", "enumerate", "--k", "8", "--s", "8", "--d", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"pair_id,")
+    proc.stdout.readline()
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert stderr == b""

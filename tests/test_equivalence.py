@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pairdesign import (
     DepthDesign,
@@ -77,6 +79,32 @@ class TestVarianceProfile:
     def test_depth_zero_constant(self, spec44):
         info = mix_h(four_depth_optimum(spec44))
         assert variance_from_blocks(info, 0) == 0
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_profile_matches_paper_display(data):
+    """The gradient form equals the paper's expanded q3/q4 display on exact mixtures."""
+    k = data.draw(st.integers(4, 14))
+    s = data.draw(st.integers(4, k))
+    counts = data.draw(st.lists(st.integers(0, 9), min_size=s, max_size=s))
+    assume(sum(counts) > 0)
+    spec = ModelSpec(k, s)
+    design = DepthDesign(
+        {d: Fraction(c, sum(counts)) for d, c in enumerate(counts, start=1) if c}, spec
+    )
+    info = mix_h(design)
+    assume(not info.is_singular)
+    h1, h2, h3, h4 = info.values
+    profile = variance_profile(design)
+    for d in spec.depths:
+        q3 = 3 * s * s - 6 * d * s + 4 * d * d - 3 * s + 2
+        q4 = 2 * d * d - 2 * s * d + s * s - 3 * s + 4
+        display = (4 * d) * (
+            1 / h1 + (s - d) / h2 + q3 / (6 * h3) + (s - d) * q4 / (6 * h4)
+        )
+        assert profile.values[d] == display
+        assert variance_from_blocks(info, d) == display
 
 
 class TestVarianceUniform:

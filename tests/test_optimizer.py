@@ -164,6 +164,16 @@ class TestOptimizeFull:
             assert report.optimal
             assert report.support_ok
 
+    @pytest.mark.parametrize("k,s,exact", [(6, 6, True), (4, 4, True), (8, 6, False), (7, 6, False)])
+    def test_result_is_the_kw_certify_report(self, k, s, exact):
+        result = optimize_full(ModelSpec(k, s))
+        assert result.design.is_exact == exact
+        report = kw_certify(result.design, tol=result.tol)
+        assert result.kw_excess == float(report.max_excess)
+        assert result.certified == (report.optimal and report.support_ok)
+        assert result.certified
+        assert result.log_det == log_det(mix_h(result.design))
+
     @pytest.mark.parametrize("k,s", [(5, 4), (6, 4), (8, 5), (10, 7), (12, 4), (12, 12)])
     def test_partial_profiles_certify_with_small_support(self, k, s):
         result = optimize_full(ModelSpec(k, s))
