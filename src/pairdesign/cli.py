@@ -20,21 +20,24 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .design_space import (
-    ComparisonPair,
     DepthDesign,
     ExplicitDesign,
     ModelSpec,
-    Profile,
     Weight,
+    _orbit_blocks,
+    _weight_column,
     count_pairs,
-    enumerate_orbit,
     param_dims,
     realize_design,
 )
@@ -106,9 +109,12 @@ class DesignDocument:
             "depth_weights": weights,
         }
         if self.explicit is not None:
+            explicit = self.explicit
             document["explicit_rows"] = [
-                [list(pair.first.levels), list(pair.second.levels), float(w)]
-                for pair, w in self.explicit.entries
+                list(row)
+                for row in zip(
+                    explicit.firsts.tolist(), explicit.seconds.tolist(), _weight_cells(explicit)
+                )
             ]
         if self.certification is not None:
             document["certification"] = self.certification
@@ -122,8 +128,13 @@ class DesignDocument:
             weights[int(key)] = _parse_weight(value)
         explicit = None
         if document.get("explicit_rows") is not None:
-            rows = ((i, j, float(w)) for i, j, w in document["explicit_rows"])
-            explicit = ExplicitDesign(_pair_entries(rows), spec)
+            rows = [(i, j, w) for i, j, w in document["explicit_rows"]]
+            if not rows:
+                raise ValueError("explicit_rows holds no rows")
+            firsts, seconds, cells = zip(*rows)
+            explicit = _plan_design(
+                np.array(firsts, dtype=np.int64), np.array(seconds, dtype=np.int64), cells, spec
+            )
         return cls(spec, weights, explicit, document.get("certification"))
 
     def depth_design(self) -> DepthDesign:
@@ -134,11 +145,6 @@ class DesignDocument:
         if self.explicit is None:
             return realize_design(self.depth_design())
         return self.explicit
-
-
-def _pair_entries(rows) -> tuple[tuple[ComparisonPair, Weight], ...]:
-    """Rows ``(first levels, second levels, weight)`` as validated weighted pairs."""
-    return tuple((ComparisonPair(Profile(i), Profile(j)), w) for i, j, w in rows)
 
 
 def _parse_weight(value) -> Weight:
@@ -160,7 +166,7 @@ def _fraction_label(weight: Weight) -> str:
 
 
 def _weight_text(weight: Weight) -> str:
-    """CSV weight cell: fraction text for exact weights, 17 digits otherwise."""
+    """Plan weight cell: fraction text for exact weights, 17 digits otherwise."""
     if isinstance(weight, (int, Fraction)):
         return str(Fraction(weight))
     return f"{float(weight):.17g}"
@@ -173,8 +179,32 @@ def _parse_weight_text(text: str) -> Weight:
     return float(text)
 
 
-def _write_plan_csv(handle, n_attributes: int, rows) -> int:
-    """Write plan rows ``(first levels, second levels, weight)``; returns the row count."""
+def _weight_cells(explicit: ExplicitDesign) -> list[str]:
+    """``_weight_text`` of every row's weight, formatted once per distinct weight."""
+    _, first_rows, index = np.unique(
+        explicit.weights, return_index=True, return_inverse=True
+    )
+    texts = [_weight_text(explicit.weight_at(row)) for row in first_rows.tolist()]
+    return [texts[i] for i in index.ravel().tolist()]
+
+
+def _plan_design(firsts, seconds, cells, spec: ModelSpec) -> ExplicitDesign:
+    """Plan rows as an ExplicitDesign; each distinct weight cell is parsed once.
+
+    Text cells read as ``_weight_text`` writes them; a bare JSON number is a
+    float weight.
+    """
+    codes: dict = {}
+    index = np.array([codes.setdefault(cell, len(codes)) for cell in cells], dtype=np.intp)
+    values = [
+        _parse_weight_text(cell) if isinstance(cell, str) else float(cell) for cell in codes
+    ]
+    weights, denominator = _weight_column(values, index)
+    return ExplicitDesign.from_arrays(firsts, seconds, weights, spec, denominator)
+
+
+def _write_plan_csv(handle, n_attributes: int, blocks) -> int:
+    """Write plan blocks ``(firsts, seconds, weight cells)``; returns the row count."""
     writer = csv.writer(handle)
     writer.writerow(
         ["pair_id"]
@@ -183,33 +213,34 @@ def _write_plan_csv(handle, n_attributes: int, rows) -> int:
         + ["weight"]
     )
     n_rows = 0
-    for n_rows, (first, second, weight) in enumerate(rows, start=1):
-        writer.writerow([n_rows, *first, *second, _weight_text(weight)])
+    for firsts, seconds, cells in blocks:
+        levels = np.concatenate([firsts, seconds], axis=1).tolist()
+        writer.writerows(
+            [row_id, *row, cell]
+            for row_id, row, cell in zip(itertools.count(n_rows + 1), levels, cells)
+        )
+        n_rows += len(levels)
     return n_rows
 
 
 def _read_plan_csv(path: str) -> DesignDocument:
     """Re-ingest an exported plan: infers K from the header, S from the rows."""
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
+        header = next(csv.reader([handle.readline()]), [])
         i_cols = [c for c in header if c.startswith("i_")]
         j_cols = [c for c in header if c.startswith("j_")]
         if not i_cols or len(i_cols) != len(j_cols) or header[-1] != "weight":
             raise ValueError(f"{path} does not look like an exported plan")
         k = len(i_cols)
-        entries = _pair_entries(
-            (row[1 : 1 + k], row[1 + k : 1 + 2 * k], _parse_weight_text(row[1 + 2 * k]))
-            for row in reader
-        )
-    if not entries:
+        lines = handle.read().splitlines()
+    if not lines:
         raise ValueError(f"{path} contains no rows")
-    spec = ModelSpec(k, entries[0][0].first.strength)
-    # starts at int 0 so all-exact weights sum to exact depth weights
-    weights: dict[int, Weight] = {}
-    for pair, w in entries:
-        weights[pair.depth] = weights.get(pair.depth, 0) + w
-    return DesignDocument(spec, weights, ExplicitDesign(entries, spec))
+    options = dict(delimiter=",", quotechar='"', comments=None)
+    levels = np.loadtxt(lines, usecols=range(1, 1 + 2 * k), dtype=np.int64, ndmin=2, **options)
+    cells = np.loadtxt(lines, usecols=[1 + 2 * k], dtype=str, ndmin=1, **options)
+    spec = ModelSpec(k, int(np.count_nonzero(levels[0, :k])))
+    explicit = _plan_design(levels[:, :k], levels[:, k:], cells.tolist(), spec)
+    return DesignDocument(spec, explicit.depth_weights(), explicit)
 
 
 def load_design_document(path: str) -> DesignDocument:
@@ -230,7 +261,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _print_optimize_text(spec: ModelSpec, result: OptimResult, report) -> None:
+def _print_optimize_text(spec: ModelSpec, result: OptimResult) -> None:
     print(f"K={spec.n_attributes} S={spec.strength} p={spec.n_params}")
     print("support: " + " ".join(str(d) for d in result.support))
     for depth in result.support:
@@ -240,7 +271,7 @@ def _print_optimize_text(spec: ModelSpec, result: OptimResult, report) -> None:
     if result.certified:
         print(
             f"certified D-optimal: max excess {result.kw_excess:.3e} "
-            f"(tol {report.tol:g} relative to p)"
+            f"(tol {result.report.tol:g} relative to p)"
         )
     else:
         print(
@@ -252,29 +283,25 @@ def _print_optimize_text(spec: ModelSpec, result: OptimResult, report) -> None:
 def cmd_optimize(args: argparse.Namespace) -> int:
     try:
         spec = ModelSpec(args.k, args.s)
+        result = optimize_full(spec, tol=args.tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result = optimize_full(spec, tol=args.tol)
-    report = kw_certify(result.design)
     explicit = None
     if args.export:
         explicit = realize_design(result.design)
-        rows = (
-            (pair.first.levels, pair.second.levels, weight)
-            for pair, weight in explicit.entries
-        )
+        block = (explicit.firsts, explicit.seconds, _weight_cells(explicit))
         with open(args.export, "w", newline="") as handle:
-            n_rows = _write_plan_csv(handle, spec.n_attributes, rows)
+            n_rows = _write_plan_csv(handle, spec.n_attributes, [block])
         if not args.json:
             print(f"exported {n_rows} rows to {args.export}")
     if args.json:
         document = DesignDocument(
-            spec, dict(result.design.weights), explicit, report.to_dict()
+            spec, dict(result.design.weights), explicit, result.report.to_dict()
         )
         print(json.dumps(document.to_json_dict(), indent=2, sort_keys=True))
     else:
-        _print_optimize_text(spec, result, report)
+        _print_optimize_text(spec, result)
     return EXIT_OK if result.certified else EXIT_NONCONVERGED
 
 
@@ -384,6 +411,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        print(f"error: --tol must be finite and at least 0, got {args.tol}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         document = load_design_document(args.design)
         design = document.depth_design()
@@ -394,7 +424,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if document.explicit is None:
             n_pairs = sum(count_pairs(design.spec, d) for d in design.support)
         else:
-            n_pairs = len(document.explicit.entries)
+            n_pairs = len(document.explicit.weights)
         try:
             _check_oracle_gate(design.spec, n_pairs)
         except ValueError as exc:
@@ -424,16 +454,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    weight = Fraction(1, n_pairs)
-    rows = (
-        (pair.first.levels, pair.second.levels, weight)
-        for pair in enumerate_orbit(spec, args.d)
+    cell = _weight_text(Fraction(1, n_pairs))
+    blocks = (
+        (firsts, seconds, itertools.repeat(cell))
+        for firsts, seconds in _orbit_blocks(spec, args.d)
     )
     if args.out:
         with open(args.out, "w", newline="") as handle:
-            _write_plan_csv(handle, args.k, rows)
+            _write_plan_csv(handle, args.k, blocks)
     else:
-        _write_plan_csv(sys.stdout, args.k, rows)
+        _write_plan_csv(sys.stdout, args.k, blocks)
     return EXIT_OK
 
 
@@ -465,7 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
     optimize = subparsers.add_parser("optimize", help="compute a D-optimal design")
     optimize.add_argument("--k", type=int, required=True, help="number of attributes")
     optimize.add_argument("--s", type=int, required=True, help="profile strength")
-    optimize.add_argument("--tol", type=float, default=1e-9, help="optimizer tolerance")
+    optimize.add_argument(
+        "--tol", type=float, default=1e-9,
+        help="optimizer tolerance, relative to p (positive and finite)",
+    )
     optimize.add_argument("--json", action="store_true", help="emit a JSON design document")
     optimize.add_argument("--export", metavar="FILE", help="write explicit pair rows as CSV")
     optimize.set_defaults(handler=cmd_optimize)
@@ -477,7 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subparsers.add_parser("verify", help="certify a design file")
     verify.add_argument("design", help="JSON document or exported CSV plan")
-    verify.add_argument("--tol", type=float, default=DEFAULT_CERTIFY_TOL)
+    verify.add_argument(
+        "--tol", type=float, default=DEFAULT_CERTIFY_TOL,
+        help="certificate tolerance, relative to p (0 is the exact proof)",
+    )
     verify.add_argument(
         "--oracle", action="store_true",
         help="also cross-check closed forms against the brute-force oracle",

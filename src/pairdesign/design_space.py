@@ -9,16 +9,24 @@ exactly d of the shown attributes form one orbit of the symmetry group
 profiles), and every design that is invariant under that group is a mixture
 of uniform designs on these orbits, so it is fully described by a weight per
 comparison depth.
+
+An explicit design spells such a design out pair by pair.  It is held as
+int8 level arrays, one row per ordered pair, with the row weights as int64
+numerators over one common denominator when they are exact (floats
+otherwise); ``realize_design`` builds it from the orbits' level blocks
+without making a pair object.  ``Profile`` and ``ComparisonPair`` remain the
+single-pair API, and ``ExplicitDesign.entries`` shows the rows as pairs on
+demand.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -41,6 +49,8 @@ __all__ = [
 Weight = Fraction | float | int
 
 _WEIGHT_SUM_TOL = 1e-12
+# Exact row weights are stored as int64 numerators over a denominator up to this.
+_MAX_EXACT_DENOMINATOR = 10**12
 # Rows per block when orbits stream as level arrays (oracle and sweep).
 _ORACLE_CHUNK = 1 << 16
 
@@ -303,52 +313,220 @@ class DepthDesign:
         return all(isinstance(w, (int, Fraction)) for w in self.weights.values())
 
 
-@dataclass(frozen=True)
-class ExplicitDesign:
-    """Design as weighted ordered pairs over one problem's design region."""
+def _weight_column(
+    values: Sequence[Weight], index: np.ndarray
+) -> tuple[np.ndarray, int | None]:
+    """Row weights ``values[index]`` in ExplicitDesign's storage form.
 
-    entries: tuple[tuple[ComparisonPair, Weight], ...]
+    When all values are exact and their least common denominator D is at
+    most _MAX_EXACT_DENOMINATOR, the rows get int64 numerators over D;
+    otherwise float64 weights.  Values outside [0, 2] always go the float
+    way, so a numerator cannot overflow before validation rejects the design.
+    """
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        fractions = [Fraction(v) for v in values]
+        denominator = math.lcm(*(f.denominator for f in fractions))
+        if denominator <= _MAX_EXACT_DENOMINATOR and all(0 <= f <= 2 for f in fractions):
+            numerators = [f.numerator * (denominator // f.denominator) for f in fractions]
+            return np.array(numerators, dtype=np.int64)[index], denominator
+    return np.array([float(v) for v in values], dtype=float)[index], None
+
+
+def _first_row(bad: np.ndarray) -> int | None:
+    rows = np.flatnonzero(bad)
+    return int(rows[0]) if len(rows) else None
+
+
+class _EntryView(Sequence):
+    """Read-only ``(ComparisonPair, Weight)`` rows of an ExplicitDesign.
+
+    Nothing is stored: indexing, slicing and iteration build each pair and
+    weight from the design's arrays on demand, and ``len`` is O(1).
+    """
+
+    __slots__ = ("_design",)
+
+    def __init__(self, design: "ExplicitDesign") -> None:
+        self._design = design
+
+    def __len__(self) -> int:
+        return len(self._design.weights)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[row] for row in range(*index.indices(len(self))))
+        design = self._design
+        pair = ComparisonPair(
+            Profile(design.firsts[index].tolist()), Profile(design.seconds[index].tolist())
+        )
+        return pair, design.weight_at(index)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class ExplicitDesign:
+    """Design as weighted ordered pairs over one problem's design region.
+
+    Row x compares the int8 level rows ``firsts[x]`` and ``seconds[x]`` (shape
+    (n, K) each).  With exact weights ``weights`` holds int64 numerators over
+    their least common ``denominator`` (at most 10^12); otherwise it holds
+    float64 weights and ``denominator`` is None.  ``ExplicitDesign(entries,
+    spec)`` converts ``(ComparisonPair, weight)`` tuples once,
+    ``from_arrays`` takes the arrays themselves, and ``entries`` shows the
+    rows as such tuples again.  Both constructors validate every row: both
+    profiles show the same attributes, S of the K, at levels -1/0/+1, and
+    the weights are non-negative and sum to 1.
+    """
+
+    firsts: np.ndarray
+    seconds: np.ndarray
+    weights: np.ndarray
+    denominator: int | None
     spec: ModelSpec
 
-    def __post_init__(self) -> None:
-        entries = tuple((pair, weight) for pair, weight in self.entries)
-        k, s = self.spec.n_attributes, self.spec.strength
-        total = 0.0
-        for pair, weight in entries:
-            if len(pair.first.levels) != k:
+    def __init__(self, entries, spec: ModelSpec) -> None:
+        entries = tuple(entries)
+        firsts = np.array([pair.first.levels for pair, _ in entries], dtype=np.int8)
+        seconds = np.array([pair.second.levels for pair, _ in entries], dtype=np.int8)
+        weights, denominator = _weight_column(
+            [w for _, w in entries], np.arange(len(entries))
+        )
+        self._set(firsts, seconds, weights, denominator, spec)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        firsts: np.ndarray,
+        seconds: np.ndarray,
+        weights: np.ndarray,
+        spec: ModelSpec,
+        denominator: int | None = None,
+    ) -> "ExplicitDesign":
+        """Design from level arrays and row weights, copied and validated.
+
+        With ``denominator`` the weights are integer numerators over it (at
+        most 10^12 once reduced); without it they are float weights.
+        """
+        design = object.__new__(cls)
+        design._set(firsts, seconds, weights, denominator, spec)
+        return design
+
+    def _set(self, firsts, seconds, weights, denominator, spec: ModelSpec) -> None:
+        k, s = spec.n_attributes, spec.strength
+        weights = np.asarray(weights)
+        if weights.ndim != 1:
+            raise ValueError(f"row weights have shape {weights.shape}, expected one axis")
+        n = len(weights)
+        for name, levels in (("first", firsts), ("second", seconds)):
+            levels = np.asarray(levels)
+            if levels.shape != (n, k):
                 raise ValueError(
-                    f"pair {pair.to_text()} has {len(pair.first.levels)} attributes, "
-                    f"spec has {k}"
+                    f"{name} profiles have shape {levels.shape}, expected {n} rows "
+                    f"of the spec's {k} attributes"
                 )
-            if pair.first.strength != s:
+            bad = _first_row(np.any((levels < -1) | (levels > 1), axis=1))
+            if bad is not None:
                 raise ValueError(
-                    f"pair {pair.to_text()} has strength {pair.first.strength}, "
-                    f"spec has {s}"
+                    f"row {bad}: levels must be -1, 0 or +1, got {levels[bad].tolist()}"
                 )
-            if weight < 0:
-                raise ValueError(f"negative weight {weight}")
-            total += float(weight)
-        if abs(total - 1.0) > max(_WEIGHT_SUM_TOL, 1e-15 * len(entries)):
+        firsts = np.array(firsts, dtype=np.int8)
+        seconds = np.array(seconds, dtype=np.int8)
+        shown = firsts != 0
+        bad = _first_row(np.any(shown != (seconds != 0), axis=1))
+        if bad is not None:
+            raise InvalidPairError(f"row {bad}: profiles do not show the same attributes")
+        strengths = np.count_nonzero(shown, axis=1)
+        bad = _first_row(strengths != s)
+        if bad is not None:
+            raise ValueError(f"row {bad} has strength {strengths[bad]}, spec has {s}")
+        if denominator is None:
+            weights = np.array(weights, dtype=float)
+            floats = weights
+        else:
+            if weights.dtype.kind not in "iu" or denominator < 1:
+                raise ValueError(
+                    "exact weights need integer numerators and a positive denominator"
+                )
+            weights = np.array(weights, dtype=np.int64)
+            floats = weights / denominator
+        bad = _first_row(floats < 0)
+        if bad is not None:
+            raise ValueError(f"negative weight {floats[bad]} in row {bad}")
+        # a sequential sum, as the rows would be added one at a time
+        total = float(np.cumsum(floats)[-1]) if n else 0.0
+        if abs(total - 1.0) > max(_WEIGHT_SUM_TOL, 1e-15 * n):
             raise ValueError(f"weights sum to {total!r}, not 1")
-        object.__setattr__(self, "entries", entries)
+        if denominator is not None:
+            common = math.gcd(int(denominator), int(np.gcd.reduce(weights)))
+            weights //= common
+            denominator = int(denominator) // common
+            if denominator > _MAX_EXACT_DENOMINATOR:
+                raise ValueError(
+                    f"exact weights need a denominator of at most {_MAX_EXACT_DENOMINATOR}, "
+                    f"got {denominator}; pass float weights instead"
+                )
+        for array in (firsts, seconds, weights):
+            array.flags.writeable = False
+        object.__setattr__(self, "firsts", firsts)
+        object.__setattr__(self, "seconds", seconds)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "spec", spec)
+
+    @property
+    def entries(self) -> Sequence[tuple[ComparisonPair, Weight]]:
+        """The rows as ``(ComparisonPair, Weight)`` tuples, built on demand."""
+        return _EntryView(self)
+
+    @property
+    def is_exact(self) -> bool:
+        """True when the weights are held as exact numerators."""
+        return self.denominator is not None
+
+    def depth_weights(self) -> dict[int, Weight]:
+        """Total weight per comparison depth present, exact when the rows are.
+
+        Float weights are added in row order.
+        """
+        depths = np.count_nonzero(self.firsts != self.seconds, axis=1)
+        totals: dict[int, Weight] = {}
+        for depth in np.unique(depths).tolist():
+            weights = self.weights[depths == depth]
+            if self.denominator is None:
+                totals[depth] = float(np.cumsum(weights)[-1])
+            else:
+                totals[depth] = Fraction(int(weights.sum()), self.denominator)
+        return totals
+
+    def weight_at(self, row: int) -> Weight:
+        """Weight of one row: a Fraction when exact, else a float."""
+        if self.denominator is None:
+            return float(self.weights[row])
+        return Fraction(int(self.weights[row]), self.denominator)
 
 
 def realize_design(design: DepthDesign) -> ExplicitDesign:
     """Spell an invariant design out as explicit pairs.
 
-    Each supported depth contributes its whole orbit with per-pair weight
-    w_d / N_d; exact weights stay exact.
+    Each supported depth contributes its whole orbit, in ``enumerate_orbit``'s
+    order, with per-pair weight w_d / N_d; exact weights stay exact.
     """
-    entries: list[tuple[ComparisonPair, Weight]] = []
-    for depth in design.support:
+    spec = design.spec
+    support = design.support
+    blocks = [block for depth in support for block in _orbit_blocks(spec, depth)]
+    counts = [count_pairs(spec, depth) for depth in support]
+    shares = []
+    for depth, n_pairs in zip(support, counts):
         weight = design.weights[depth]
-        n_pairs = count_pairs(design.spec, depth)
-        if isinstance(weight, (int, Fraction)):
-            row_weight: Weight = Fraction(weight) / n_pairs
-        else:
-            row_weight = weight / n_pairs
-        entries.extend((pair, row_weight) for pair in enumerate_orbit(design.spec, depth))
-    return ExplicitDesign(tuple(entries), design.spec)
+        exact = isinstance(weight, (int, Fraction))
+        shares.append(Fraction(weight) / n_pairs if exact else weight / n_pairs)
+    weights, denominator = _weight_column(shares, np.repeat(np.arange(len(counts)), counts))
+    return ExplicitDesign.from_arrays(
+        np.concatenate([firsts for firsts, _ in blocks]),
+        np.concatenate([seconds for _, seconds in blocks]),
+        weights,
+        spec,
+        denominator,
+    )
 
 
 @lru_cache(maxsize=None)

@@ -27,6 +27,7 @@ from .design_space import (
     ExplicitDesign,
     ModelSpec,
     Weight,
+    _MAX_EXACT_DENOMINATOR,  # the exact oracle's limit, applied where weights are stored
     _ORACLE_CHUNK,
     _regression_matrix,
 )
@@ -45,7 +46,6 @@ __all__ = [
 
 _MAX_ORACLE_PARAMS = 500
 _MAX_ORACLE_PAIRS = 10_000_000
-_MAX_EXACT_DENOMINATOR = 10**12
 
 
 class SingularDesignError(Exception):
@@ -237,10 +237,11 @@ def _check_oracle_gate(spec: ModelSpec, n_pairs: int) -> None:
 def info_matrix_exact(design: ExplicitDesign) -> DenseInfo:
     """Brute-force information matrix sum_x w_x (f(i)-f(j))(f(i)-f(j))^T.
 
-    Runs in exact arithmetic over the least common weight denominator D
-    whenever every weight is rational and D <= 1e12; otherwise accumulates
-    float weights.  Refuses problems past the oracle gate (p <= 500, <= 1e7
-    pairs) instead of degrading silently.
+    Runs in exact arithmetic over the design's common weight denominator D
+    whenever it holds exact weights (every weight rational and
+    D <= _MAX_EXACT_DENOMINATOR, 1e12); otherwise accumulates float weights.
+    Refuses problems past the oracle gate (p <= 500, <= 1e7 pairs) instead
+    of degrading silently.
 
     The exact path holds the integer counts c_x = D w_x as float64 so the
     products run in BLAS, and it is still exact: both profiles of a pair show
@@ -252,38 +253,28 @@ def info_matrix_exact(design: ExplicitDesign) -> DenseInfo:
     the result to int64 ``exact_num`` is checked afterwards.
     """
     spec = design.spec
-    _check_oracle_gate(spec, len(design.entries))
-    weights = [w for _, w in design.entries]
-    exact = all(isinstance(w, (int, Fraction)) for w in weights)
-    counts = None
-    denominator = None
-    if exact:
-        fractions = [Fraction(w) for w in weights]
-        denominator = math.lcm(*(f.denominator for f in fractions)) if fractions else 1
-        if denominator <= _MAX_EXACT_DENOMINATOR:
-            counts = [f.numerator * (denominator // f.denominator) for f in fractions]
-    if counts is not None:
-        if 4 * sum(counts) >= 2**53:
-            raise ArithmeticError("exact oracle: 4 * sum of counts reaches 2^53")
-        row_weights = np.array(counts, dtype=float)
-    else:
-        row_weights = np.array([float(w) for w in weights])
+    n_rows = len(design.weights)
+    _check_oracle_gate(spec, n_rows)
+    if design.is_exact and 4 * int(design.weights.sum()) >= 2**53:
+        raise ArithmeticError("exact oracle: 4 * sum of counts reaches 2^53")
+    row_weights = design.weights.astype(float)
     k, p = spec.n_attributes, spec.n_params
     total = np.zeros((p, p), dtype=float)
-    for start in range(0, len(design.entries), _ORACLE_CHUNK):
-        chunk = design.entries[start : start + _ORACLE_CHUNK]
-        firsts = np.array([pair.first.levels for pair, _ in chunk], dtype=np.int8)
-        seconds = np.array([pair.second.levels for pair, _ in chunk], dtype=np.int8)
-        diffs = (_regression_matrix(firsts, k) - _regression_matrix(seconds, k)).astype(float)
-        total += diffs.T @ (diffs * row_weights[start : start + len(chunk), None])
-    if counts is not None:
+    for start in range(0, n_rows, _ORACLE_CHUNK):
+        rows = slice(start, start + _ORACLE_CHUNK)
+        diffs = (
+            _regression_matrix(design.firsts[rows], k)
+            - _regression_matrix(design.seconds[rows], k)
+        ).astype(float)
+        total += diffs.T @ (diffs * row_weights[rows, None])
+    if design.is_exact:
         exact_num = total.astype(np.int64)
         if not np.array_equal(exact_num, total):
             raise ArithmeticError("exact oracle: float64 accumulation left the integers")
         return DenseInfo(
-            entries=exact_num / denominator,
+            entries=exact_num / design.denominator,
             spec=spec,
             exact_num=exact_num,
-            exact_den=denominator,
+            exact_den=design.denominator,
         )
     return DenseInfo(entries=(total + total.T) / 2.0, spec=spec)

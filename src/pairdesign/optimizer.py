@@ -13,7 +13,8 @@ snap to small rationals, at tol otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,9 @@ class OptimResult:
     support: tuple[int, ...]
     certified: bool
     tol: float
+    # the kw_certify report the fields above were read from; its tol is the
+    # proof's: 0 for exact weights, ``tol`` for float ones
+    report: CertificationReport = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         record = {
@@ -279,8 +283,8 @@ def optimize_full(
     because the budget ran out) is returned with ``certified=False`` and its
     true excess, never silently.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     s, p = spec.strength, spec.n_params
     h_matrix = _h_matrix(spec)
     p_blocks = np.array(spec.block_dims, dtype=float)
@@ -321,6 +325,7 @@ def optimize_full(
         support=design.support,
         certified=report.optimal and report.support_ok,
         tol=tol,
+        report=report,
     )
     if result.certified:
         # V(d) - p is a quartic in d, so a true optimum weights at most four depths

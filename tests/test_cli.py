@@ -186,6 +186,63 @@ class TestOptimize:
         assert code == 2
         assert "strength" in err
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tol_exits_2(self, capsys, tol):
+        code, out, err = run(capsys, "optimize", "--k", "4", "--s", "4", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "tol" in err
+
+    def test_one_certificate_per_optimize(self, capsys, monkeypatch):
+        from pairdesign import optimizer
+
+        calls = []
+        certify = optimizer.kw_certify
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("tol"))
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "kw_certify", counting)
+        monkeypatch.setattr(cli, "kw_certify", counting)
+        code, out, _ = run(capsys, "optimize", "--k", "6", "--s", "6", "--json")
+        assert code == 0
+        assert calls == [0]
+        assert json.loads(out)["certification"]["tol"] == 0
+
+    @pytest.mark.parametrize("k,s,tol_text", [(6, 6, "tol 0"), (8, 6, "tol 1e-09")])
+    def test_tol_line_is_the_proofs(self, capsys, k, s, tol_text):
+        code, out, _ = run(capsys, "optimize", "--k", str(k), "--s", str(s))
+        assert code == 0
+        assert out.splitlines()[-1].endswith(f"({tol_text} relative to p)")
+
+    def test_json_rows_keep_exact_weights(self, capsys, tmp_path):
+        plan, doc = tmp_path / "plan.csv", tmp_path / "doc.json"
+        code, out, _ = run(
+            capsys, "optimize", "--k", "6", "--s", "6", "--json", "--export", str(plan)
+        )
+        assert code == 0
+        doc.write_text(out)
+        rows = json.loads(out)["explicit_rows"]
+        assert {row[2] for row in rows} == {"1/1344"}
+        plan_cells = [line.rsplit(",", 1)[1] for line in plan.read_text().splitlines()[1:]]
+        assert [row[2] for row in rows] == plan_cells
+        explicit = cli.load_design_document(str(doc)).explicit
+        assert explicit.is_exact and explicit.denominator == 1344
+        code, out, _ = run(capsys, "verify", str(doc), "--oracle")
+        assert code == 0
+        assert "oracle block deviation: 0.000e+00" in out.splitlines()
+
+    def test_json_rows_keep_float_weights(self, capsys):
+        code, out, _ = run(
+            capsys, "optimize", "--k", "7", "--s", "6", "--json", "--export", os.devnull
+        )
+        assert code == 0
+        document = json.loads(out)
+        explicit = cli.DesignDocument.from_json_dict(document).explicit
+        assert not explicit.is_exact
+        assert explicit.weights.tolist() == [float(row[2]) for row in document["explicit_rows"]]
+
 
 class TestTables:
     def test_table_1_check(self, capsys):
@@ -281,21 +338,64 @@ class TestVerify:
         assert float(block_line.rsplit(":", 1)[1]) <= 1e-12
 
     def test_csv_pairs_built_once(self, capsys, tmp_path, monkeypatch):
+        # the plan stays in level arrays: no per-row pair objects at all
         plan = tmp_path / "plan.csv"
         code, _, _ = run(capsys, "optimize", "--k", "5", "--s", "4", "--export", str(plan))
         assert code == 0
-        n_rows = len(plan.read_text().splitlines()) - 1
         built = []
-        pair = cli.ComparisonPair
+        post_init = ComparisonPair.__post_init__
 
-        def counting(first, second):
+        def counting(self):
             built.append(1)
-            return pair(first, second)
+            post_init(self)
 
-        monkeypatch.setattr(cli, "ComparisonPair", counting)
+        monkeypatch.setattr(ComparisonPair, "__post_init__", counting)
         code, out, _ = run(capsys, "verify", str(plan), "--oracle")
         assert code == 0 and "verdict: optimal" in out
-        assert len(built) == n_rows
+        assert len(built) == 0
+
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tol_exits_2(self, capsys, tmp_path, tol):
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps({"K": 5, "S": 5, "depth_weights": {"2": "2/3", "4": "1/3"}}))
+        code, out, err = run(capsys, "verify", str(path), "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "tol" in err
+
+    def test_zero_tol_is_the_exact_proof(self, capsys, tmp_path):
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps({"K": 5, "S": 5, "depth_weights": {"2": "2/3", "4": "1/3"}}))
+        code, out, _ = run(capsys, "verify", str(path), "--tol", "0")
+        assert code == 0
+        assert "max excess: 0.000e+00 (tol 0 relative to p)" in out.splitlines()
+        assert "verdict: optimal" in out.splitlines()
+
+    @pytest.mark.parametrize(
+        "column,value",
+        [("j_1", "0"), ("i_2", "2"), ("i_5", "1")],
+        ids=["shown-attributes-differ", "level-2", "wrong-strength"],
+    )
+    def test_malformed_csv_exits_2(self, capsys, tmp_path, column, value):
+        plan = tmp_path / "plan.csv"
+        code, _, _ = run(capsys, "optimize", "--k", "5", "--s", "4", "--export", str(plan))
+        assert code == 0
+        with open(plan, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        # the first row shows attributes 1..4; for wrong-strength, show 5 in both
+        assert [rows[0][f"i_{n}"] != "0" for n in range(1, 6)] == [True] * 4 + [False]
+        rows[1][column] = value
+        if column == "i_5":
+            rows[1]["j_5"] = value
+        with open(plan, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        code, out, err = run(capsys, "verify", str(plan), "--oracle")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot parse {plan}")
 
 
 class TestExactCsvRoundTrip:

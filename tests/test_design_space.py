@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pairdesign import (
     comparison_depth,
     count_pairs,
     enumerate_orbit,
+    optimize_full,
     param_dims,
     realize_design,
     regression_vector,
@@ -324,6 +326,117 @@ class TestDesigns:
             ExplicitDesign(((pair44, 0.5),), spec44)  # weights must sum to 1
         with pytest.raises(ValueError):
             ExplicitDesign(((pair44, 1.0),), spec54)  # wrong attribute count
+
+
+class TestExplicitDesignArrays:
+    """Both constructors accept and reject the same rows."""
+
+    FIRST = (1, 1, 1, 1, 0)
+    SECOND = (-1, 1, 1, 1, 0)
+
+    def build(self, spec, firsts, seconds, weights):
+        """The design through both constructors; one of them raising fails both."""
+        by_arrays = ExplicitDesign.from_arrays(
+            np.array(firsts), np.array(seconds), np.array(weights, dtype=float), spec
+        )
+        pairs = [ComparisonPair(Profile(i), Profile(j)) for i, j in zip(firsts, seconds)]
+        by_pairs = ExplicitDesign(tuple(zip(pairs, weights)), spec)
+        return by_arrays, by_pairs
+
+    def test_accepts_depth_zero_pairs(self, spec54):
+        for design in self.build(spec54, [self.FIRST] * 2, [self.FIRST, self.SECOND], [0.5, 0.5]):
+            assert len(design.entries) == 2
+            assert [pair.depth for pair, _ in design.entries] == [0, 1]
+            assert design.depth_weights() == {0: 0.5, 1: 0.5}
+
+    @pytest.mark.parametrize(
+        "second,error",
+        [((-1, 1, 1, 0, 1), InvalidPairError), ((-1, 1, 1, 2, 0), ValueError)],
+        ids=["shown-attributes-differ", "level-2"],
+    )
+    def test_rejects_bad_levels(self, spec54, second, error):
+        with pytest.raises(error):
+            ExplicitDesign.from_arrays(
+                np.array([self.FIRST]), np.array([second]), np.array([1.0]), spec54
+            )
+        # a pair object refuses the same rows on construction
+        with pytest.raises(error):
+            ComparisonPair(Profile(self.FIRST), Profile(second))
+
+    @pytest.mark.parametrize(
+        "rows,weights",
+        [
+            ([((1, 1, 1, 1, 1), (-1, 1, 1, 1, 1))], [1.0]),  # strength 5, spec has 4
+            ([((1, 1, 1, 1), (-1, 1, 1, 1))], [1.0]),  # 4 attributes, spec has 5
+            ([(FIRST, SECOND)] * 2, [1.5, -0.5]),  # negative weight
+            ([(FIRST, SECOND)] * 2, [0.5, 0.4]),  # sum 0.9
+            ([], []),  # no rows, sum 0
+        ],
+        ids=["strength", "attributes", "negative", "sum", "empty"],
+    )
+    def test_rejects_bad_rows_and_weights(self, spec54, rows, weights):
+        firsts = [i for i, _ in rows]
+        seconds = [j for _, j in rows]
+        with pytest.raises(ValueError):
+            ExplicitDesign.from_arrays(
+                np.array(firsts, dtype=np.int8).reshape(len(rows), -1),
+                np.array(seconds, dtype=np.int8).reshape(len(rows), -1),
+                np.array(weights, dtype=float),
+                spec54,
+            )
+        pairs = [ComparisonPair(Profile(i), Profile(j)) for i, j in rows]
+        with pytest.raises(ValueError):
+            ExplicitDesign(tuple(zip(pairs, weights)), spec54)
+
+    def test_weight_sum_tolerance_grows_with_rows(self, spec54):
+        n = 4000
+        firsts, seconds = [self.FIRST] * n, [self.SECOND] * n
+        # within 1e-15 per row of 1, past 1e-12
+        self.build(spec54, firsts, seconds, [1 / n] * (n - 1) + [1 / n + 3e-12])
+        with pytest.raises(ValueError):
+            self.build(spec54, firsts, seconds, [1 / n] * (n - 1) + [1 / n + 5e-12])
+
+    def test_exact_weights_share_one_denominator(self, spec54):
+        pair = ComparisonPair(Profile(self.FIRST), Profile(self.SECOND))
+        weights = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
+        design = ExplicitDesign(tuple((pair, w) for w in weights), spec54)
+        assert design.is_exact and design.denominator == 6
+        assert design.weights.dtype == np.int64 and design.weights.tolist() == [1, 2, 3]
+        assert design.firsts.dtype == np.int8 and design.firsts.shape == (3, 5)
+        # numerators over a larger common denominator are reduced
+        scaled = ExplicitDesign.from_arrays(
+            design.firsts, design.seconds, design.weights * 7, spec54, denominator=42
+        )
+        assert scaled.denominator == 6 and scaled.weights.tolist() == [1, 2, 3]
+        with pytest.raises(ValueError):
+            design.firsts[0, 0] = -1
+
+    def test_realized_entries_match_the_pair_tuple(self):
+        spec = ModelSpec(5, 4)
+        design = optimize_full(spec).design
+        assert design.is_exact
+        expected = []
+        for depth in design.support:
+            share = Fraction(design.weights[depth]) / count_pairs(spec, depth)
+            expected.extend((pair, share) for pair in enumerate_orbit(spec, depth))
+        entries = realize_design(design).entries
+        assert len(entries) == len(expected) == 640
+        for (pair, weight), (want_pair, want_weight) in zip(entries, expected):
+            assert pair == want_pair
+            assert weight == want_weight and type(weight) is Fraction
+        assert entries[-1] == expected[-1]
+        assert entries[10:13] == tuple(expected[10:13])
+        with pytest.raises(IndexError):
+            entries[len(expected)]
+
+    def test_float_weights_stay_float(self, spec44):
+        design = DepthDesign({1: 0.25, 3: 0.75}, spec44)
+        explicit = realize_design(design)
+        assert not explicit.is_exact and explicit.denominator is None
+        assert explicit.weights.dtype == np.float64
+        _, weight = explicit.entries[0]
+        assert type(weight) is float and weight == 0.25 / count_pairs(spec44, 1)
+        assert explicit.depth_weights() == pytest.approx({1: 0.25, 3: 0.75}, abs=1e-15)
 
 
 @given(

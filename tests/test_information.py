@@ -260,6 +260,20 @@ class TestExactOracleInFloat64:
         assert np.array_equal(dense.exact_num, want)
         assert np.array_equal(dense.entries, dense.exact_num / dense.exact_den)
 
+    def test_k9_full_profile_optimum_equals_closed_form_integers(self):
+        # p = 255 and 61 440 rows: both orbits of the optimum, no variance sweep
+        spec = ModelSpec(9, 9)
+        design = optimize_full(spec).design
+        assert design.weights == {3: Fraction(7, 10), 7: Fraction(3, 10)}
+        explicit = realize_design(design)
+        assert spec.n_params == 255 and len(explicit.entries) == 61_440
+        dense = info_matrix_exact(explicit)
+        assert dense.is_exact and dense.exact_den == 61_440
+        scaled = [Fraction(h) * dense.exact_den for h in mix_h(design).values]
+        assert all(v.denominator == 1 for v in scaled)
+        want = np.diag(np.repeat([int(v) for v in scaled], spec.block_dims))
+        assert np.array_equal(dense.exact_num, want)
+
     @pytest.mark.parametrize(
         "denominator,exact",
         [(_MAX_EXACT_DENOMINATOR, True), (_MAX_EXACT_DENOMINATOR + 1, False)],

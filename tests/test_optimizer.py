@@ -232,6 +232,20 @@ class TestOptimizeFull:
         with pytest.raises(ValueError):
             optimize_full(spec44, tol=0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_tol(self, spec44, tol):
+        with pytest.raises(ValueError, match="tol"):
+            optimize_full(spec44, tol=tol)
+
+    @pytest.mark.parametrize("k,s,proof_tol", [(6, 6, 0), (8, 6, 1e-9)])
+    def test_result_carries_its_report(self, k, s, proof_tol):
+        result = optimize_full(ModelSpec(k, s), tol=1e-9)
+        report = result.report
+        assert report.tol == proof_tol
+        assert report.weights == result.design.weights
+        assert result.kw_excess == float(report.max_excess)
+        assert result.certified == (report.optimal and report.support_ok)
+
 
 def test_import_does_not_load_scipy():
     src = str(Path(pairdesign.__file__).resolve().parents[1])
