@@ -332,9 +332,8 @@ def _table_3() -> dict[int, tuple[tuple[float, ...], tuple[int, ...]]]:
     for k in range(5, 13):
         spec = ModelSpec(k, k)
         design = conjectured_design(spec)
-        profile = variance_profile(design)
-        row = tuple(float(profile.values[d]) / spec.n_params for d in spec.depths)
-        table[k] = (row, design.support)
+        normalized = variance_profile(design).normalized()
+        table[k] = (tuple(normalized[d] for d in spec.depths), design.support)
     return table
 
 

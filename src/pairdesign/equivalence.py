@@ -18,13 +18,16 @@ which ``variance_uniform`` keeps, for point masses, as an independent check.
 
 By the Kiefer-Wolfowitz equivalence theorem a design is D-optimal exactly when
 V(d) <= p for every depth, with equality at every depth it actually weights.
-The certificate below reports the worst excess max_d V(d) - p; with rational
-weights the whole check runs in exact arithmetic, so a verdict of "optimal"
-at tol 0 is a proof, not an approximation.
+The certificate below reports the worst excess max_d V(d) - p, read off the
+profile's one max; with rational weights the whole check runs in exact
+arithmetic, so a verdict of "optimal" at tol 0 is a proof, not an
+approximation.  A design with some h_r = 0 is neither: it raises the one
+"not identifiable" SingularDesignError of information.py.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -46,8 +49,8 @@ from .information import (
     BlockInfo,
     DenseInfo,
     SingularDesignError,
-    _check_spec,
     _h_denominators,
+    _require_identifiable,
     h_numerators,
     h_values,
     info_matrix_exact,
@@ -67,20 +70,10 @@ __all__ = [
 
 DEFAULT_CERTIFY_TOL = 1e-6
 
-_ARGMAX_TOL = 1e-9
-
-
-def _raise_singular(info: BlockInfo) -> None:
-    zeros = info.zero_blocks
-    raise SingularDesignError(
-        "not identifiable: " + "=".join(zeros) + "=0", zeros
-    )
-
 
 def _gradient_coefficients(info: BlockInfo) -> tuple[Weight, ...]:
     """c_r = p_r / (den_r h_r), so that V(d) = sum_r c_r h_numerators(S, d)[r]."""
-    if info.is_singular:
-        _raise_singular(info)
+    _require_identifiable(info)
     dens = _h_denominators(info.spec.n_attributes)
     return tuple(
         p / (den * h) for p, den, h in zip(info.spec.block_dims, dens, info.values)
@@ -110,29 +103,21 @@ class VarianceProfile:
     values: dict[int, Weight]
     p: int
     max_value: Weight = field(init=False)
-    argmax_depths: frozenset[int] = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("empty variance profile")
-        top = max(self.values.values())
-        argmax = frozenset(
-            d for d, v in self.values.items() if abs(float(v - top)) <= _ARGMAX_TOL
-        )
-        object.__setattr__(self, "max_value", top)
-        object.__setattr__(self, "argmax_depths", argmax)
+        object.__setattr__(self, "max_value", max(self.values.values()))
 
     def normalized(self) -> dict[int, float]:
         """V(d)/p per depth, as floats."""
         return {d: float(v) / self.p for d, v in self.values.items()}
 
 
-def variance_profile(
-    design: DepthDesign, spec: ModelSpec | None = None
-) -> VarianceProfile:
+def variance_profile(design: DepthDesign) -> VarianceProfile:
     """Evaluate the variance function of an invariant design at every depth."""
-    spec = _check_spec(design, spec)
-    coefficients = _gradient_coefficients(mix_h(design, spec))
+    spec = design.spec
+    coefficients = _gradient_coefficients(mix_h(design))
     values = {d: _dot(coefficients, h_numerators(spec.strength, d)) for d in spec.depths}
     return VarianceProfile(values=values, p=spec.n_params)
 
@@ -154,9 +139,7 @@ def variance_uniform(depth: int, design_depth: int, spec: ModelSpec) -> Fraction
     for name, value in (("depth", d), ("design depth", dd)):
         if not 1 <= value <= s:
             raise ValueError(f"{name} must lie in 1..{s}, got {value}")
-    base = h_values(spec, dd)
-    if base.is_singular:
-        _raise_singular(base)
+    _require_identifiable(h_values(spec, dd))
     p1, p2, p3, p4 = spec.block_dims
 
     def q3(x: int) -> int:
@@ -195,19 +178,25 @@ def variance_exact(
     return float(diff @ solution)
 
 
-def _orbit_variances(info: DenseInfo, depth: int) -> Iterator[np.ndarray]:
-    """Oracle variances of the depth orbit, one array per ``_orbit_blocks`` block.
-
-    With M = L L^T the variance of a difference row x is |L^{-1} x|^2, so M
-    is factored once and each block costs one regression-matrix build and one
-    matrix product; values follow ``enumerate_orbit``'s order.
-    """
-    k = info.spec.n_attributes
+def _whitening(info: DenseInfo) -> np.ndarray:
+    """L^{-T} for the Cholesky factor M = L L^T, so x^T M^{-1} x = |x L^{-T}|^2."""
     try:
-        whitening = np.linalg.inv(np.linalg.cholesky(info.entries)).T
+        return np.linalg.inv(np.linalg.cholesky(info.entries)).T
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError("oracle information matrix is singular") from exc
-    for firsts, seconds in _orbit_blocks(info.spec, depth):
+
+
+def _orbit_variances(
+    spec: ModelSpec, depth: int, whitening: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Oracle variances of the depth orbit, one array per ``_orbit_blocks`` block.
+
+    ``whitening`` is ``_whitening`` of the oracle matrix, factored once per
+    sweep; each block costs one regression-matrix build and one matrix
+    product.  Values follow ``enumerate_orbit``'s order.
+    """
+    k = spec.n_attributes
+    for firsts, seconds in _orbit_blocks(spec, depth):
         diffs = _regression_matrix(firsts, k) - _regression_matrix(seconds, k)
         whitened = diffs.astype(float) @ whitening
         yield np.einsum("ij,ij->i", whitened, whitened)
@@ -229,10 +218,11 @@ def variance_sweep_max_deviation(
     if info is None:
         info = info_matrix_exact(realize_design(design) if explicit is None else explicit)
     closed = variance_profile(design)
+    whitening = _whitening(info)
     worst = 0.0
     for depth in design.spec.depths:
         target = float(closed.values[depth])
-        for values in _orbit_variances(info, depth):
+        for values in _orbit_variances(design.spec, depth, whitening):
             worst = max(worst, float(np.max(np.abs(values - target))))
     return worst
 
@@ -290,22 +280,21 @@ class CertificationReport:
         return "\n".join(lines)
 
 
-def kw_certify(
-    design: DepthDesign,
-    spec: ModelSpec | None = None,
-    tol: float = DEFAULT_CERTIFY_TOL,
-) -> CertificationReport:
+def kw_certify(design: DepthDesign, *, tol: float = DEFAULT_CERTIFY_TOL) -> CertificationReport:
     """Certify D-optimality of an invariant design.
 
     Optimal means max_d V(d) - p <= tol * p over all depths 1..S.  The report
     also flags the support condition: every weighted depth must sit within
-    tol * p of p itself.  Singular designs raise SingularDesignError, they are
-    neither optimal nor suboptimal.
+    tol * p of p itself.  ``tol`` must be finite and at least 0 (ValueError
+    otherwise).  Singular designs raise SingularDesignError, they are neither
+    optimal nor suboptimal.
     """
-    spec = _check_spec(design, spec)
-    profile = variance_profile(design, spec)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and at least 0, got {tol}")
+    spec = design.spec
+    profile = variance_profile(design)
     p = spec.n_params
-    max_excess = max(v - p for v in profile.values.values())
+    max_excess = profile.max_value - p
     optimal = float(max_excess) <= tol * p
     support_ok = all(
         abs(float(profile.values[d] - p)) <= tol * p for d in design.support

@@ -8,8 +8,12 @@ matrix diag(h1 Id_p1, h2 Id_p2, h3 Id_p3, h4 Id_p4) with
     h3(d) = 4d(3S^2 - 6Sd + 4d^2 - 3S + 2) / (K(K-1)(K-2))
     h4(d) = 16d(S-d)(2d^2 - 2Sd + S^2 - 3S + 4) / (K(K-1)(K-2)(K-3))
 
-and mixing depth designs mixes the h values linearly.  The closed form is what
-the optimizer runs on; the dense oracle accumulates
+and mixing depth designs mixes the h values linearly.  Every closed-form
+quantity is built from the integer numerators ``h_numerators(S, d)`` over the
+K-only denominators, and a design with some h_r = 0 is "not identifiable":
+log det, the variance function and the certificate all raise the same
+SingularDesignError naming the dead blocks.  The closed form is what the
+optimizer runs on; the dense oracle accumulates
 sum_x w_x (f(i)-f(j))(f(i)-f(j))^T over explicit pairs and exists to verify
 the closed form, never to replace it.
 """
@@ -135,25 +139,21 @@ def h_values(spec: ModelSpec, depth: int) -> BlockInfo:
     return BlockInfo(*(Fraction(n, m) for n, m in zip(nums, dens)), spec=spec)
 
 
-def _check_spec(design, spec: ModelSpec | None) -> ModelSpec:
-    if spec is None:
-        return design.spec
-    if spec != design.spec:
-        raise ValueError(
-            f"specification mismatch: design has K={design.spec.n_attributes} "
-            f"S={design.spec.strength}, got K={spec.n_attributes} S={spec.strength}"
-        )
-    return spec
-
-
-def mix_h(design: DepthDesign, spec: ModelSpec | None = None) -> BlockInfo:
+def mix_h(design: DepthDesign) -> BlockInfo:
     """Block informations of a depth mixture: h_r = sum_d w_d h_r(d)."""
-    spec = _check_spec(design, spec)
+    spec = design.spec
     totals: list[Weight] = [0, 0, 0, 0]
     for depth, weight in design.weights.items():
         for r, h in enumerate(h_values(spec, depth).values):
             totals[r] = totals[r] + weight * h
     return BlockInfo(*totals, spec=spec)
+
+
+def _require_identifiable(info: BlockInfo) -> None:
+    """The one singular check: raise "not identifiable: h2=h4=0" unless all h_r > 0."""
+    if info.is_singular:
+        zeros = info.zero_blocks
+        raise SingularDesignError("not identifiable: " + "=".join(zeros) + "=0", zeros)
 
 
 def log_det(info: BlockInfo) -> float:
@@ -163,19 +163,15 @@ def log_det(info: BlockInfo) -> float:
     the dead blocks; a singular design is "not identifiable", which is a
     different verdict from "not optimal".
     """
-    if info.is_singular:
-        zeros = info.zero_blocks
-        raise SingularDesignError(
-            "singular information matrix: " + "=".join(zeros) + "=0", zeros
-        )
+    _require_identifiable(info)
     return float(
         sum(p * math.log(float(h)) for p, h in zip(info.spec.block_dims, info.values))
     )
 
 
-def is_identifiable(design: DepthDesign, spec: ModelSpec | None = None) -> bool:
+def is_identifiable(design: DepthDesign) -> bool:
     """True when the mixed information matrix is nonsingular (all h_r > 0)."""
-    return not mix_h(design, spec).is_singular
+    return not mix_h(design).is_singular
 
 
 @dataclass(frozen=True)

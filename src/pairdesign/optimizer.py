@@ -7,8 +7,9 @@ the depth weights and depends on them only through h in R^4, so an optimum
 needs at most four depths.  optimize_full therefore works on a small active
 set of depths with vertex-direction steps and a Newton polish, all stopping
 tests relative to p or |phi|.  Its results are certified by kw_certify, the
-one equivalence-theorem check: at tol 0 in exact arithmetic when the weights
-snap to small rationals, at tol otherwise.
+one equivalence-theorem check: at tol 0 in exact arithmetic when each weight
+snaps (limit_denominator(_SNAP_DENOMINATOR)) to a positive rational and the
+snapped weights sum to exactly 1, at tol otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .design_space import DepthDesign, ModelSpec
 from .equivalence import CertificationReport, kw_certify
-from .information import SingularDesignError, h_numerators, h_values, log_det, mix_h
+from .information import SingularDesignError, _h_denominators, h_numerators, log_det, mix_h
 
 __all__ = [
     "OptimResult",
@@ -151,12 +152,15 @@ class OptimResult:
 
 
 def _h_matrix(spec: ModelSpec) -> np.ndarray:
-    """Block informations h_r(d) as a 4 x S float matrix, columns d = 1..S."""
-    s = spec.strength
-    matrix = np.empty((4, s))
-    for j, depth in enumerate(range(1, s + 1)):
-        matrix[:, j] = [float(h) for h in h_values(spec, depth).values]
-    return matrix
+    """Block informations h_r(d) as a C-ordered 4 x S float matrix, columns d = 1..S.
+
+    Int true division n / den rounds correctly at any size, as
+    float(Fraction(n, den)) does.  C order matters: BLAS sums h_matrix @ w in
+    memory order, and the float optima depend on it in the last bits.
+    """
+    numerators = zip(*(h_numerators(spec.strength, d) for d in spec.depths))
+    dens = _h_denominators(spec.n_attributes)
+    return np.array([[n / den for n in row] for row, den in zip(numerators, dens)])
 
 
 def _phi(h: np.ndarray, p_blocks: np.ndarray) -> float:
@@ -240,27 +244,18 @@ def _newton_on_support(
 
 
 def _snap_to_exact(spec: ModelSpec, kept: dict[int, float]) -> CertificationReport | None:
-    """Read the pruned float weights as small rationals and certify them exactly.
+    """Snap each kept weight to limit_denominator(_SNAP_DENOMINATOR) and certify exactly.
 
-    Returns the tol-0 certificate only when it proves optimality: V(d) <= p
-    for every depth and V(d) = p on the support, in exact arithmetic.
+    None unless the snapped weights are all positive and sum to exactly 1,
+    and unless their tol-0 certificate proves optimality: V(d) <= p for every
+    depth and V(d) = p on the support, in exact arithmetic.
     """
-    exact: dict[int, Fraction] = {}
-    for depth, weight in kept.items():
-        candidate = Fraction(weight).limit_denominator(_SNAP_DENOMINATOR)
-        if candidate <= 0 or abs(float(candidate) - weight) > 1e-6:
-            return None
-        exact[depth] = candidate
-    total = sum(exact.values())
-    if total != 1:
-        # absorb the float residue into the heaviest depth (ties: smallest depth)
-        heaviest = min(exact, key=lambda d: (-exact[d], d))
-        exact[heaviest] += 1 - total
-        if exact[heaviest] <= 0:
-            return None
+    exact = {d: Fraction(w).limit_denominator(_SNAP_DENOMINATOR) for d, w in kept.items()}
+    if min(exact.values()) <= 0 or sum(exact.values()) != 1:
+        return None
     try:
         report = kw_certify(DepthDesign(exact, spec), tol=0)
-    except (ValueError, SingularDesignError):
+    except SingularDesignError:
         return None
     return report if report.optimal and report.support_ok else None
 

@@ -265,6 +265,22 @@ class TestTables:
         assert "1.000*" in out
         assert "check: OK" in out
 
+    @pytest.mark.parametrize(
+        "which,expected,key,value",
+        [
+            ("1", "EXPECTED_THIRD_ORDER_DEPTHS", 8, 3),
+            ("2", "EXPECTED_TWO_DEPTH_DESIGNS", 5, (2, 0.668, 4, 0.333)),
+            ("3", "EXPECTED_NORMALIZED_VARIANCES", 5, (0.937, 1.0, 0.938, 1.0, 0.938)),
+        ],
+    )
+    def test_check_drift_exits_1(self, capsys, monkeypatch, which, expected, key, value):
+        monkeypatch.setitem(getattr(cli, expected), key, value)
+        code, out, err = run(capsys, "tables", which, "--check")
+        assert code == 1
+        assert "check: OK" not in out
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("check FAILED: ")
+
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "tables", "3")
         _, second, _ = run(capsys, "tables", "3")

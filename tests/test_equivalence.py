@@ -23,7 +23,7 @@ from pairdesign import (
     variance_uniform,
 )
 from pairdesign import equivalence
-from pairdesign.equivalence import _orbit_variances
+from pairdesign.equivalence import _orbit_variances, _whitening
 from pairdesign.information import info_matrix_exact
 
 
@@ -38,7 +38,6 @@ class TestVarianceProfile:
     def test_constant_fifteen(self, spec44):
         profile = variance_profile(four_depth_optimum(spec44))
         assert profile.values == {1: 15, 2: 15, 3: 15, 4: 15}
-        assert profile.argmax_depths == frozenset({1, 2, 3, 4})
 
     def test_k5_two_depth_row(self, spec55):
         design = DepthDesign({2: Fraction(2, 3), 4: Fraction(1, 3)}, spec55)
@@ -194,7 +193,7 @@ class TestVarianceExact:
         closed = variance_profile(design)
         worst = 0.0
         for depth in spec.depths:
-            batched = np.concatenate(list(_orbit_variances(info, depth)))
+            batched = np.concatenate(list(_orbit_variances(spec, depth, _whitening(info))))
             looped = [
                 variance_exact(pair, explicit, info)
                 for pair in enumerate_orbit(spec, depth)
@@ -205,6 +204,21 @@ class TestVarianceExact:
         sweep = variance_sweep_max_deviation(design, info=info)
         assert sweep <= 1e-9 * spec.n_params
         assert abs(sweep - worst) <= 1e-12 * spec.n_params
+
+    def test_sweep_factors_once(self, monkeypatch):
+        spec = ModelSpec(5, 5)
+        design = DepthDesign({2: Fraction(2, 3), 4: Fraction(1, 3)}, spec)
+        info = info_matrix_exact(realize_design(design))
+        cholesky = np.linalg.cholesky
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return cholesky(matrix)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        assert variance_sweep_max_deviation(design, info=info) <= 1e-9 * spec.n_params
+        assert calls == [(spec.n_params, spec.n_params)]
 
     def test_sweep_reuses_given_oracle(self, spec54, monkeypatch):
         design = DepthDesign({1: Fraction(1, 4), 2: Fraction(3, 4)}, spec54)
@@ -259,6 +273,20 @@ class TestKWCertify:
         report = kw_certify(conjectured_design(spec), tol=1e-6)
         assert report.optimal
         assert report.support_ok
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_bad_tol_raises(self, spec44, tol):
+        with pytest.raises(ValueError, match="tol"):
+            kw_certify(four_depth_optimum(spec44), tol=tol)
+
+    def test_tol_zero_proves_optimum(self, spec44):
+        report = kw_certify(four_depth_optimum(spec44), tol=0)
+        assert report.optimal and report.support_ok
+        assert report.max_excess == 0
+
+    def test_tol_is_keyword_only(self, spec44):
+        with pytest.raises(TypeError):
+            kw_certify(four_depth_optimum(spec44), spec44)
 
     def test_singular_raises_not_suboptimal(self, spec44):
         with pytest.raises(SingularDesignError, match="not identifiable"):

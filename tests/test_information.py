@@ -209,11 +209,6 @@ class TestMixH:
         dense = info_matrix_exact(ExplicitDesign(tuple(entries), spec55))
         np.testing.assert_allclose(dense.entries, blended.as_matrix(), atol=1e-12)
 
-    def test_spec_mismatch(self, spec44, spec54):
-        design = DepthDesign.point_mass(spec44, 1)
-        with pytest.raises(ValueError, match="mismatch"):
-            mix_h(design, spec54)
-
 
 class TestLogDet:
     def test_identity(self, spec44):

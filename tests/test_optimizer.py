@@ -24,7 +24,8 @@ from pairdesign import (
     optimize_full,
     variance_profile,
 )
-from pairdesign.information import h_numerators
+from pairdesign.information import h_numerators, h_values
+from pairdesign.optimizer import _h_matrix
 
 THIRD_ORDER_REPORTED_DEPTH = {4: 1, 5: 1, 6: 1, 7: 1, 8: 2, 9: 2, 10: 2, 11: 3, 12: 3}
 
@@ -174,6 +175,17 @@ class TestOptimizeFull:
         assert result.certified
         assert result.log_det == log_det(mix_h(result.design))
 
+    # the only specs where the snap's closeness test or residue absorption fired
+    @pytest.mark.parametrize(
+        "k,s,support", [(6, 5, (1, 2, 4)), (16, 14, (4, 5, 10)), (27, 25, (9, 17))]
+    )
+    def test_float_optima_certified_at_tol(self, k, s, support):
+        result = optimize_full(ModelSpec(k, s))
+        assert not result.design.is_exact
+        assert result.support == support
+        assert result.certified
+        assert result.report.tol == result.tol
+
     @pytest.mark.parametrize("k,s", [(5, 4), (6, 4), (8, 5), (10, 7), (12, 4), (12, 12)])
     def test_partial_profiles_certify_with_small_support(self, k, s):
         result = optimize_full(ModelSpec(k, s))
@@ -253,3 +265,15 @@ def test_import_does_not_load_scipy():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import sys, pairdesign; assert 'scipy' not in sys.modules, 'scipy imported'"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+@pytest.mark.parametrize("k,s", [(5, 5), (40, 17), (1000, 1000), (10_000, 10_000)])
+def test_h_matrix_matches_per_depth_fractions(k, s):
+    spec = ModelSpec(k, s)
+    matrix = _h_matrix(spec)
+    reference = np.empty((4, s))
+    for j, depth in enumerate(spec.depths):
+        reference[:, j] = [float(h) for h in h_values(spec, depth).values]
+    assert matrix.flags.c_contiguous
+    assert matrix.dtype == reference.dtype and matrix.shape == reference.shape
+    assert matrix.tobytes() == reference.tobytes()
