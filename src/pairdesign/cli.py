@@ -10,10 +10,11 @@ Subcommands:
   hvalues    print the per-depth block informations as exact fractions
 
 Exit codes: 0 ok, 1 ``tables --check`` drift or a reader that closed stdout
-early (nothing is printed to stderr then), 2 usage or parse failure (also a
-``verify --oracle`` request past the oracle gate), 3 optimizer
-non-convergence, 4 singular (non-identifiable) design.  All output is
-deterministic.
+early (nothing is printed to stderr then), 2 usage or parse failure, a
+malformed design file, a file that cannot be read or written, or a
+``verify --oracle`` request past the oracle gate (one ``error:`` line on
+stderr), 3 optimizer non-convergence, 4 singular (non-identifiable) design.
+All output is deterministic.
 """
 
 from __future__ import annotations
@@ -90,7 +91,11 @@ EXPECTED_NORMALIZED_VARIANCES = {
 
 @dataclass
 class DesignDocument:
-    """Serializable design: spec, depth weights, optional explicit pairs and report."""
+    """Design file contents: spec, depth weights, the CSV plan's pairs, report.
+
+    A JSON document holds ``K``, ``S``, ``depth_weights`` and
+    ``certification`` only; explicit pairs travel as a CSV plan.
+    """
 
     spec: ModelSpec
     depth_weights: dict[int, Weight]
@@ -108,43 +113,22 @@ class DesignDocument:
             "S": self.spec.strength,
             "depth_weights": weights,
         }
-        if self.explicit is not None:
-            explicit = self.explicit
-            document["explicit_rows"] = [
-                list(row)
-                for row in zip(
-                    explicit.firsts.tolist(), explicit.seconds.tolist(), _weight_cells(explicit)
-                )
-            ]
         if self.certification is not None:
             document["certification"] = self.certification
         return document
 
     @classmethod
     def from_json_dict(cls, document: dict) -> "DesignDocument":
-        spec = ModelSpec(int(document["K"]), int(document["S"]))
-        weights: dict[int, Weight] = {}
-        for key, value in document["depth_weights"].items():
-            weights[int(key)] = _parse_weight(value)
-        explicit = None
-        if document.get("explicit_rows") is not None:
-            rows = [(i, j, w) for i, j, w in document["explicit_rows"]]
-            if not rows:
-                raise ValueError("explicit_rows holds no rows")
-            firsts, seconds, cells = zip(*rows)
-            explicit = _plan_design(
-                np.array(firsts, dtype=np.int64), np.array(seconds, dtype=np.int64), cells, spec
+        if "explicit_rows" in document:
+            raise ValueError(
+                "explicit_rows are not read; verify the plan exported as CSV instead"
             )
-        return cls(spec, weights, explicit, document.get("certification"))
+        spec = ModelSpec(int(document["K"]), int(document["S"]))
+        weights = {int(key): _parse_weight(v) for key, v in document["depth_weights"].items()}
+        return cls(spec, weights, certification=document.get("certification"))
 
     def depth_design(self) -> DepthDesign:
         return DepthDesign(self.depth_weights, self.spec)
-
-    def explicit_design(self) -> ExplicitDesign:
-        """Explicit form: the pairs read with the document, else realized from weights."""
-        if self.explicit is None:
-            return realize_design(self.depth_design())
-        return self.explicit
 
 
 def _parse_weight(value) -> Weight:
@@ -179,28 +163,25 @@ def _parse_weight_text(text: str) -> Weight:
     return float(text)
 
 
-def _weight_cells(explicit: ExplicitDesign) -> list[str]:
-    """``_weight_text`` of every row's weight, formatted once per distinct weight."""
-    _, first_rows, index = np.unique(
-        explicit.weights, return_index=True, return_inverse=True
-    )
-    texts = [_weight_text(explicit.weight_at(row)) for row in first_rows.tolist()]
-    return [texts[i] for i in index.ravel().tolist()]
+def _plan_blocks(spec: ModelSpec, depth_weights: dict[int, Weight]):
+    """Plan blocks ``(firsts, seconds, weight cells)``, depth by depth ascending.
 
-
-def _plan_design(firsts, seconds, cells, spec: ModelSpec) -> ExplicitDesign:
-    """Plan rows as an ExplicitDesign; each distinct weight cell is parsed once.
-
-    Text cells read as ``_weight_text`` writes them; a bare JSON number is a
-    float weight.
+    Each depth's orbit streams from ``_orbit_blocks`` with the one cell
+    w_d / N_d, exact when w_d is: the rows of ``realize_design``, one
+    ``_ORACLE_CHUNK`` block at a time.  Bad depths raise before any block.
     """
-    codes: dict = {}
-    index = np.array([codes.setdefault(cell, len(codes)) for cell in cells], dtype=np.intp)
-    values = [
-        _parse_weight_text(cell) if isinstance(cell, str) else float(cell) for cell in codes
-    ]
-    weights, denominator = _weight_column(values, index)
-    return ExplicitDesign.from_arrays(firsts, seconds, weights, spec, denominator)
+    cells = {
+        depth: _weight_text(
+            (Fraction(weight) if isinstance(weight, (int, Fraction)) else weight)
+            / count_pairs(spec, depth)
+        )
+        for depth, weight in sorted(depth_weights.items())
+    }
+    return (
+        (firsts, seconds, itertools.repeat(cell))
+        for depth, cell in cells.items()
+        for firsts, seconds in _orbit_blocks(spec, depth)
+    )
 
 
 def _write_plan_csv(handle, n_attributes: int, blocks) -> int:
@@ -239,7 +220,11 @@ def _read_plan_csv(path: str) -> DesignDocument:
     levels = np.loadtxt(lines, usecols=range(1, 1 + 2 * k), dtype=np.int64, ndmin=2, **options)
     cells = np.loadtxt(lines, usecols=[1 + 2 * k], dtype=str, ndmin=1, **options)
     spec = ModelSpec(k, int(np.count_nonzero(levels[0, :k])))
-    explicit = _plan_design(levels[:, :k], levels[:, k:], cells.tolist(), spec)
+    # each distinct weight cell is parsed once
+    codes: dict[str, int] = {}
+    index = np.array([codes.setdefault(cell, len(codes)) for cell in cells.tolist()])
+    weights, denominator = _weight_column([_parse_weight_text(c) for c in codes], index)
+    explicit = ExplicitDesign.from_arrays(levels[:, :k], levels[:, k:], weights, spec, denominator)
     return DesignDocument(spec, explicit.depth_weights(), explicit)
 
 
@@ -252,12 +237,7 @@ def load_design_document(path: str) -> DesignDocument:
 
 
 def cmd_dims(args: argparse.Namespace) -> int:
-    try:
-        dims = param_dims(args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(" ".join(str(v) for v in dims))
+    print(" ".join(str(v) for v in param_dims(args.k)))
     return EXIT_OK
 
 
@@ -281,23 +261,18 @@ def _print_optimize_text(spec: ModelSpec, result: OptimResult) -> None:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    try:
-        spec = ModelSpec(args.k, args.s)
-        result = optimize_full(spec, tol=args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    explicit = None
+    spec = ModelSpec(args.k, args.s)
+    result = optimize_full(spec, tol=args.tol)
+    design = result.design
     if args.export:
-        explicit = realize_design(result.design)
-        block = (explicit.firsts, explicit.seconds, _weight_cells(explicit))
+        blocks = _plan_blocks(spec, {d: design.weights[d] for d in design.support})
         with open(args.export, "w", newline="") as handle:
-            n_rows = _write_plan_csv(handle, spec.n_attributes, [block])
+            n_rows = _write_plan_csv(handle, spec.n_attributes, blocks)
         if not args.json:
             print(f"exported {n_rows} rows to {args.export}")
     if args.json:
         document = DesignDocument(
-            spec, dict(result.design.weights), explicit, result.report.to_dict()
+            spec, dict(design.weights), certification=result.report.to_dict()
         )
         print(json.dumps(document.to_json_dict(), indent=2, sort_keys=True))
     else:
@@ -411,12 +386,11 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
-        print(f"error: --tol must be finite and at least 0, got {args.tol}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--tol must be finite and at least 0, got {args.tol}")
     try:
         document = load_design_document(args.design)
         design = document.depth_design()
-    except (OSError, ValueError, KeyError, IndexError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, ArithmeticError, LookupError, TypeError, AttributeError) as exc:
         print(f"error: cannot parse {args.design}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.oracle:
@@ -424,11 +398,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             n_pairs = sum(count_pairs(design.spec, d) for d in design.support)
         else:
             n_pairs = len(document.explicit.weights)
-        try:
-            _check_oracle_gate(design.spec, n_pairs)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        _check_oracle_gate(design.spec, n_pairs)
     try:
         report = kw_certify(design, tol=args.tol)
     except SingularDesignError as exc:
@@ -436,7 +406,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_SINGULAR
     print(report.to_text())
     if args.oracle:
-        explicit = document.explicit_design()
+        # a CSV plan brings its pairs; a JSON document's are realized from its weights
+        explicit = document.explicit or realize_design(design)
         dense = info_matrix_exact(explicit)
         block = mix_h(design).as_matrix()
         block_dev = float(abs(dense.entries - block).max())
@@ -447,17 +418,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    try:
-        spec = ModelSpec(args.k, args.s)
-        n_pairs = count_pairs(spec, args.d)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    cell = _weight_text(Fraction(1, n_pairs))
-    blocks = (
-        (firsts, seconds, itertools.repeat(cell))
-        for firsts, seconds in _orbit_blocks(spec, args.d)
-    )
+    blocks = _plan_blocks(ModelSpec(args.k, args.s), {args.d: 1})
     if args.out:
         with open(args.out, "w", newline="") as handle:
             _write_plan_csv(handle, args.k, blocks)
@@ -467,11 +428,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_hvalues(args: argparse.Namespace) -> int:
-    try:
-        spec = ModelSpec(args.k, args.s)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = ModelSpec(args.k, args.s)
     print(f"K={spec.n_attributes} S={spec.strength}")
     print("d   " + "".join(f"{name:>10s}" for name in ("h1", "h2", "h3", "h4")))
     for depth in range(0, spec.strength + 1):
@@ -544,6 +501,10 @@ def main(argv: list[str] | None = None) -> int:
         # flush at interpreter exit cannot raise a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (ValueError, OSError) as exc:
+        # after BrokenPipeError, which is an OSError too
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

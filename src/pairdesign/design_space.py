@@ -293,7 +293,7 @@ class DepthDesign:
                 raise ValueError(f"negative weight {weight} at depth {depth}")
             cleaned[depth] = weight
         total = sum(cleaned.values())
-        if abs(float(total) - 1.0) > _WEIGHT_SUM_TOL:
+        if not abs(float(total) - 1.0) <= _WEIGHT_SUM_TOL:  # a NaN weight fails too
             raise ValueError(f"weights sum to {float(total)!r}, not 1")
         object.__setattr__(self, "weights", cleaned)
 
@@ -453,7 +453,7 @@ class ExplicitDesign:
             raise ValueError(f"negative weight {floats[bad]} in row {bad}")
         # a sequential sum, as the rows would be added one at a time
         total = float(np.cumsum(floats)[-1]) if n else 0.0
-        if abs(total - 1.0) > max(_WEIGHT_SUM_TOL, 1e-15 * n):
+        if not abs(total - 1.0) <= max(_WEIGHT_SUM_TOL, 1e-15 * n):  # NaN fails too
             raise ValueError(f"weights sum to {total!r}, not 1")
         if denominator is not None:
             common = math.gcd(int(denominator), int(np.gcd.reduce(weights)))

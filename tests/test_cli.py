@@ -1,6 +1,7 @@
 """Command line behavior: output formats, exit codes, file round trips."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -21,8 +22,10 @@ from pairdesign import (
     count_pairs,
     info_matrix_exact,
     mix_h,
+    optimize_full,
+    realize_design,
 )
-from pairdesign import cli
+from pairdesign import cli, design_space
 from pairdesign.cli import main
 
 
@@ -149,7 +152,7 @@ class TestOptimize:
         ).as_matrix()
         assert np.max(np.abs(dense.entries - block)) <= 1e-12
 
-    def test_export_realizes_once(self, capsys, tmp_path, monkeypatch):
+    def test_export_realizes_nothing(self, capsys, tmp_path, monkeypatch):
         calls = []
         realize = cli.realize_design
 
@@ -163,9 +166,10 @@ class TestOptimize:
             capsys, "optimize", "--k", "5", "--s", "4", "--json", "--export", str(path)
         )
         assert code == 0
-        assert len(calls) == 1
-        rows = json.loads(out)["explicit_rows"]
-        assert len(rows) == len(path.read_text().splitlines()) - 1
+        assert calls == []
+        weights = json.loads(out)["depth_weights"]
+        n_rows = sum(count_pairs(ModelSpec(5, 4), int(d)) for d in weights)
+        assert len(path.read_text().splitlines()) == 1 + n_rows
 
     @pytest.mark.parametrize("k,s,exact", [(6, 6, True), (8, 6, False)])
     def test_json_weights_keep_their_kind(self, capsys, k, s, exact):
@@ -216,32 +220,19 @@ class TestOptimize:
         assert code == 0
         assert out.splitlines()[-1].endswith(f"({tol_text} relative to p)")
 
-    def test_json_rows_keep_exact_weights(self, capsys, tmp_path):
+    def test_json_document_runs_the_exact_oracle(self, capsys, tmp_path):
         plan, doc = tmp_path / "plan.csv", tmp_path / "doc.json"
         code, out, _ = run(
             capsys, "optimize", "--k", "6", "--s", "6", "--json", "--export", str(plan)
         )
         assert code == 0
         doc.write_text(out)
-        rows = json.loads(out)["explicit_rows"]
-        assert {row[2] for row in rows} == {"1/1344"}
-        plan_cells = [line.rsplit(",", 1)[1] for line in plan.read_text().splitlines()[1:]]
-        assert [row[2] for row in rows] == plan_cells
-        explicit = cli.load_design_document(str(doc)).explicit
-        assert explicit.is_exact and explicit.denominator == 1344
+        assert set(json.loads(out)) == {"K", "S", "depth_weights", "certification"}
+        plan_cells = {line.rsplit(",", 1)[1] for line in plan.read_text().splitlines()[1:]}
+        assert plan_cells == {"1/1344"}
         code, out, _ = run(capsys, "verify", str(doc), "--oracle")
         assert code == 0
         assert "oracle block deviation: 0.000e+00" in out.splitlines()
-
-    def test_json_rows_keep_float_weights(self, capsys):
-        code, out, _ = run(
-            capsys, "optimize", "--k", "7", "--s", "6", "--json", "--export", os.devnull
-        )
-        assert code == 0
-        document = json.loads(out)
-        explicit = cli.DesignDocument.from_json_dict(document).explicit
-        assert not explicit.is_exact
-        assert explicit.weights.tolist() == [float(row[2]) for row in document["explicit_rows"]]
 
 
 class TestTables:
@@ -413,6 +404,45 @@ class TestVerify:
         assert out == ""
         assert err.startswith(f"error: cannot parse {plan}")
 
+    def test_document_with_rows_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "old.json"
+        row = [[1, 1, 1, 1], [-1, 1, 1, 1], "1"]
+        path.write_text(
+            json.dumps({"K": 4, "S": 4, "depth_weights": {"1": "1"}, "explicit_rows": [row]})
+        )
+        code, out, err = run(capsys, "verify", str(path), "--oracle")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot parse {path}") and "CSV" in err
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("nan.json", '{"K": 5, "S": 4, "depth_weights": {"1": NaN, "2": 1.0}}'),
+            ("nan-decimal.json", '{"K": 5, "S": 4, "depth_weights": {"2": {"decimal": NaN}}}'),
+            ("nan-cell.csv", None),
+            ("weights-list.json", '{"K": 5, "S": 4, "depth_weights": [["2", "1"]]}'),
+            ("k-overflow.json", '{"K": 1e400, "S": 4, "depth_weights": {"2": "1"}}'),
+            ("one-over-zero.json", '{"K": 5, "S": 4, "depth_weights": {"2": {"fraction": "1/0"}}}'),
+        ],
+        ids=["nan", "nan-decimal", "nan-cell", "weights-list", "k-overflow", "one-over-zero"],
+    )
+    def test_malformed_design_file_exits_2(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        if text is None:
+            code, _, _ = run(capsys, "optimize", "--k", "5", "--s", "4", "--export", str(path))
+            assert code == 0
+            lines = path.read_text().splitlines()
+            lines[1] = lines[1].rsplit(",", 1)[0] + ",nan"
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            path.write_text(text)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot parse {path}")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestExactCsvRoundTrip:
     def test_exported_plan_keeps_exact_proof(self, capsys, tmp_path):
@@ -466,6 +496,71 @@ class TestOracleGate:
         # without --oracle the closed-form certificate still runs
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0 and "K=11 S=4 p=561" in out
+
+
+def reference_plan(k: int, s: int) -> bytes:
+    """The CSV plan of the (k, s) optimum written row by row from realize_design."""
+    explicit = realize_design(optimize_full(ModelSpec(k, s)).design)
+    handle = io.StringIO()
+    writer = csv.writer(handle)
+    columns = [f"{side}_{n}" for side in "ij" for n in range(1, k + 1)]
+    writer.writerow(["pair_id", *columns, "weight"])
+    for row in range(len(explicit.weights)):
+        writer.writerow(
+            [row + 1, *explicit.firsts[row].tolist(), *explicit.seconds[row].tolist(),
+             cli._weight_text(explicit.weight_at(row))]
+        )
+    return handle.getvalue().encode()
+
+
+class TestPlanStream:
+    @pytest.mark.parametrize("k,s", [(4, 4), (6, 6), (7, 5), (8, 6)])
+    def test_export_equals_realized_rows(self, capsys, tmp_path, k, s):
+        plan = tmp_path / "plan.csv"
+        code, out, _ = run(capsys, "optimize", "--k", str(k), "--s", str(s), "--export", str(plan))
+        assert code == 0
+        expected = reference_plan(k, s)
+        assert plan.read_bytes() == expected
+        n_rows = len(expected.splitlines()) - 1
+        assert f"exported {n_rows} rows to {plan}" in out.splitlines()
+
+    def test_export_streams_one_chunk_at_a_time(self, capsys, tmp_path, monkeypatch):
+        whole = tmp_path / "whole.csv"
+        assert run(capsys, "optimize", "--k", "6", "--s", "6", "--export", str(whole))[0] == 0
+        sizes = []
+        write = cli._write_plan_csv
+
+        def recording(handle, n_attributes, blocks):
+            def counted():
+                for firsts, seconds, cells in blocks:
+                    sizes.append(len(firsts))
+                    yield firsts, seconds, cells
+
+            return write(handle, n_attributes, counted())
+
+        monkeypatch.setattr(cli, "_write_plan_csv", recording)
+        monkeypatch.setattr(design_space, "_ORACLE_CHUNK", 64)
+        chunked = tmp_path / "chunked.csv"
+        assert run(capsys, "optimize", "--k", "6", "--s", "6", "--export", str(chunked))[0] == 0
+        assert max(sizes) <= 64 and sum(sizes) == 1344
+        assert chunked.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("optimize", "--k", "4", "--s", "4", "--export"),
+            ("optimize", "--k", "4", "--s", "4", "--json", "--export"),
+            ("enumerate", "--k", "4", "--s", "4", "--d", "2", "--out"),
+        ],
+        ids=["export", "json-export", "enumerate-out"],
+    )
+    def test_unwritable_path_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "plan.csv"
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(path) in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestDeterminism:

@@ -304,6 +304,14 @@ class TestDesigns:
         with pytest.raises(ValueError):
             DepthDesign({1: 0.5, 2: 0.6}, spec44)
 
+    @pytest.mark.parametrize(
+        "weights",
+        [{1: float("nan"), 2: 1.0}, {2: float("nan")}, {1: Fraction(1, 2), 2: float("nan")}],
+    )
+    def test_depth_design_rejects_nan(self, spec44, weights):
+        with pytest.raises(ValueError, match="sum"):
+            DepthDesign(weights, spec44)
+
     def test_support_and_exactness(self, spec44):
         from fractions import Fraction
 
@@ -371,8 +379,9 @@ class TestExplicitDesignArrays:
             ([(FIRST, SECOND)] * 2, [1.5, -0.5]),  # negative weight
             ([(FIRST, SECOND)] * 2, [0.5, 0.4]),  # sum 0.9
             ([], []),  # no rows, sum 0
+            ([(FIRST, SECOND)] * 2, [float("nan"), 1.0]),  # NaN passes w < 0
         ],
-        ids=["strength", "attributes", "negative", "sum", "empty"],
+        ids=["strength", "attributes", "negative", "sum", "empty", "nan"],
     )
     def test_rejects_bad_rows_and_weights(self, spec54, rows, weights):
         firsts = [i for i, _ in rows]

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pairdesign
 from pairdesign import (
@@ -203,6 +205,26 @@ class TestOptimizeFull:
         assert result.design.weights[d_low] == Fraction(d_high, s + 1)
         assert result.design.weights[d_high] == Fraction(d_low, s + 1)
         assert kw_certify(result.design, tol=0).optimal
+
+    def assert_full_profile_law(self, s):
+        """K=S: support {d, S+1-d} with weights ((S+1-d)/(S+1), d/(S+1)), proved at tol 0."""
+        result = optimize_full(ModelSpec(s, s))
+        d_low = result.support[0]
+        assert result.support == (d_low, s + 1 - d_low)
+        assert result.design.weights == {
+            d_low: Fraction(s + 1 - d_low, s + 1), s + 1 - d_low: Fraction(d_low, s + 1)
+        }
+        assert result.certified and result.report.tol == 0
+
+    @given(st.integers(min_value=5, max_value=458))
+    @settings(max_examples=30, deadline=None)
+    def test_full_profile_law(self, s):
+        self.assert_full_profile_law(s)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("s", [459, 648, 2000, 3500])
+    def test_full_profile_law_misses(self, s):
+        self.assert_full_profile_law(s)
 
     def test_budget_exhaustion_reports_best_iterate(self, spec44):
         result = optimize_full(spec44, max_iter=0)
