@@ -11,15 +11,17 @@ Subcommands:
 
 Exit codes: 0 ok, 1 ``tables --check`` drift or a reader that closed stdout
 early (nothing is printed to stderr then), 2 usage or parse failure, a
-malformed design file, a file that cannot be read or written, or a
-``verify --oracle`` request past the oracle gate (one ``error:`` line on
-stderr), 3 optimizer non-convergence, 4 singular (non-identifiable) design.
-All output is deterministic.
+malformed design file (a CSV plan must be whole orbits in export order), a
+file that cannot be read or written, or a ``verify --oracle`` request past
+the oracle gate (one ``error:`` line on stderr), 3 optimizer non-convergence,
+4 singular (non-identifiable) design, from any subcommand.  All output is
+deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -33,11 +35,9 @@ import numpy as np
 
 from .design_space import (
     DepthDesign,
-    ExplicitDesign,
     ModelSpec,
     Weight,
     _orbit_blocks,
-    _weight_column,
     count_pairs,
     param_dims,
     realize_design,
@@ -91,7 +91,7 @@ EXPECTED_NORMALIZED_VARIANCES = {
 
 @dataclass
 class DesignDocument:
-    """Design file contents: spec, depth weights, the CSV plan's pairs, report.
+    """Design file contents: spec, depth weights, report.
 
     A JSON document holds ``K``, ``S``, ``depth_weights`` and
     ``certification`` only; explicit pairs travel as a CSV plan.
@@ -99,7 +99,6 @@ class DesignDocument:
 
     spec: ModelSpec
     depth_weights: dict[int, Weight]
-    explicit: ExplicitDesign | None = None
     certification: dict | None = None
 
     def to_json_dict(self) -> dict:
@@ -123,12 +122,12 @@ class DesignDocument:
             raise ValueError(
                 "explicit_rows are not read; verify the plan exported as CSV instead"
             )
-        spec = ModelSpec(int(document["K"]), int(document["S"]))
+        for key in ("K", "S"):
+            if type(document[key]) is not int:  # bool is an int subclass
+                raise ValueError(f"{key} must be a JSON integer, got {document[key]!r}")
+        spec = ModelSpec(document["K"], document["S"])
         weights = {int(key): _parse_weight(v) for key, v in document["depth_weights"].items()}
         return cls(spec, weights, certification=document.get("certification"))
-
-    def depth_design(self) -> DepthDesign:
-        return DepthDesign(self.depth_weights, self.spec)
 
 
 def _parse_weight(value) -> Weight:
@@ -204,36 +203,57 @@ def _write_plan_csv(handle, n_attributes: int, blocks) -> int:
     return n_rows
 
 
-def _read_plan_csv(path: str) -> DesignDocument:
-    """Re-ingest an exported plan: infers K from the header, S from the rows."""
+def _plan_segments(path: str):
+    """Read an exported plan: yield its spec, then ``(depth, weight)`` per segment.
+
+    K comes from the header and S from the first row, yielded before the
+    second row is read.  Each depth segment, in ascending order, must equal
+    ``_orbit_blocks(spec, depth)`` row for row, one block at a time, with one
+    weight cell c: it is the depth weight c * N_d, exact when c is.
+    """
+    opts = dict(delimiter=",", quotechar='"', comments=None)
     with open(path, newline="") as handle:
         header = next(csv.reader([handle.readline()]), [])
-        i_cols = [c for c in header if c.startswith("i_")]
-        j_cols = [c for c in header if c.startswith("j_")]
-        if not i_cols or len(i_cols) != len(j_cols) or header[-1] != "weight":
+        k = sum(1 for c in header if c.startswith("i_"))
+        if not k or k != sum(1 for c in header if c.startswith("j_")) or header[-1] != "weight":
             raise ValueError(f"{path} does not look like an exported plan")
-        k = len(i_cols)
-        lines = handle.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path} contains no rows")
-    options = dict(delimiter=",", quotechar='"', comments=None)
-    levels = np.loadtxt(lines, usecols=range(1, 1 + 2 * k), dtype=np.int64, ndmin=2, **options)
-    cells = np.loadtxt(lines, usecols=[1 + 2 * k], dtype=str, ndmin=1, **options)
-    spec = ModelSpec(k, int(np.count_nonzero(levels[0, :k])))
-    # each distinct weight cell is parsed once
-    codes: dict[str, int] = {}
-    index = np.array([codes.setdefault(cell, len(codes)) for cell in cells.tolist()])
-    weights, denominator = _weight_column([_parse_weight_text(c) for c in codes], index)
-    explicit = ExplicitDesign.from_arrays(levels[:, :k], levels[:, k:], weights, spec, denominator)
-    return DesignDocument(spec, explicit.depth_weights(), explicit)
+        n_read, previous, spec = 0, -1, None
+        while line := handle.readline():
+            levels = np.array(line.split(",")[1 : 1 + 2 * k], dtype=np.int64)
+            if spec is None:
+                spec = ModelSpec(k, int(np.count_nonzero(levels[:k])))
+                yield spec
+            depth = int(np.count_nonzero(levels[:k] != levels[k:]))
+            if depth <= previous:
+                raise ValueError(f"row {n_read + 1}: depth {depth} segment after depth {previous}")
+            rows, cell = itertools.chain([line], handle), None
+            for firsts, seconds in _orbit_blocks(spec, depth):
+                block = list(itertools.islice(rows, len(firsts)))
+                if len(block) < len(firsts):
+                    raise ValueError(f"the depth {depth} segment stops inside its orbit")
+                levels = np.loadtxt(block, usecols=range(1, 1 + 2 * k), dtype=int, ndmin=2, **opts)
+                cells = np.loadtxt(block, usecols=[1 + 2 * k], dtype=str, ndmin=1, **opts)
+                cell = cells[0] if cell is None else cell
+                wrong = np.any(levels != np.hstack([firsts, seconds]), axis=1) | (cells != cell)
+                if wrong.any():
+                    row = n_read + int(np.argmax(wrong)) + 1
+                    raise ValueError(
+                        f"row {row} is not the depth {depth} orbit's next row at weight {cell}"
+                    )
+                n_read += len(block)
+            yield depth, _parse_weight_text(str(cell)) * count_pairs(spec, depth)
+            previous = depth
+        if spec is None:
+            raise ValueError(f"{path} contains no rows")
 
 
-def load_design_document(path: str) -> DesignDocument:
-    """Load a design from a JSON document or an exported CSV plan."""
-    if path.endswith(".csv"):
-        return _read_plan_csv(path)
-    with open(path) as handle:
-        return DesignDocument.from_json_dict(json.load(handle))
+@contextlib.contextmanager
+def _parsing(path: str):
+    """Re-raise a failure to read a design file as ValueError ``cannot parse PATH``."""
+    try:
+        yield
+    except (OSError, ValueError, ArithmeticError, LookupError, TypeError, AttributeError) as exc:
+        raise ValueError(f"cannot parse {path}: {exc}") from exc
 
 
 def cmd_dims(args: argparse.Namespace) -> int:
@@ -387,28 +407,22 @@ def cmd_tables(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be finite and at least 0, got {args.tol}")
-    try:
-        document = load_design_document(args.design)
-        design = document.depth_design()
-    except (OSError, ValueError, ArithmeticError, LookupError, TypeError, AttributeError) as exc:
-        print(f"error: cannot parse {args.design}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.oracle:
-        if document.explicit is None:
-            n_pairs = sum(count_pairs(design.spec, d) for d in design.support)
+    with _parsing(args.design):
+        if args.design.endswith(".csv"):
+            weights = _plan_segments(args.design)
+            spec = next(weights)
         else:
-            n_pairs = len(document.explicit.weights)
-        _check_oracle_gate(design.spec, n_pairs)
-    try:
-        report = kw_certify(design, tol=args.tol)
-    except SingularDesignError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SINGULAR
-    print(report.to_text())
+            with open(args.design) as handle:
+                document = DesignDocument.from_json_dict(json.load(handle))
+            spec, weights = document.spec, document.depth_weights.items()
+    if args.oracle:  # for a plan, before its second row is read
+        _check_oracle_gate(spec)
+    with _parsing(args.design):
+        design = DepthDesign(dict(weights), spec)
+    print(kw_certify(design, tol=args.tol).to_text())
     if args.oracle:
-        # a CSV plan brings its pairs; a JSON document's are realized from its weights
-        explicit = document.explicit or realize_design(design)
-        dense = info_matrix_exact(explicit)
+        # an accepted plan's rows are the realized rows, in the file's order
+        dense = info_matrix_exact(realize_design(design))
         block = mix_h(design).as_matrix()
         block_dev = float(abs(dense.entries - block).max())
         variance_dev = variance_sweep_max_deviation(design, info=dense)
@@ -505,6 +519,9 @@ def main(argv: list[str] | None = None) -> int:
         # after BrokenPipeError, which is an OSError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SingularDesignError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_SINGULAR
     return code
 
 

@@ -313,13 +313,11 @@ class DepthDesign:
         return all(isinstance(w, (int, Fraction)) for w in self.weights.values())
 
 
-def _weight_column(
-    values: Sequence[Weight], index: np.ndarray
-) -> tuple[np.ndarray, int | None]:
-    """Row weights ``values[index]`` in ExplicitDesign's storage form.
+def _weight_column(values: Sequence[Weight]) -> tuple[np.ndarray, int | None]:
+    """Weights ``values`` in ExplicitDesign's storage form, one per value.
 
     When all values are exact and their least common denominator D is at
-    most _MAX_EXACT_DENOMINATOR, the rows get int64 numerators over D;
+    most _MAX_EXACT_DENOMINATOR, they become int64 numerators over D;
     otherwise float64 weights.  Values outside [0, 2] always go the float
     way, so a numerator cannot overflow before validation rejects the design.
     """
@@ -328,8 +326,8 @@ def _weight_column(
         denominator = math.lcm(*(f.denominator for f in fractions))
         if denominator <= _MAX_EXACT_DENOMINATOR and all(0 <= f <= 2 for f in fractions):
             numerators = [f.numerator * (denominator // f.denominator) for f in fractions]
-            return np.array(numerators, dtype=np.int64)[index], denominator
-    return np.array([float(v) for v in values], dtype=float)[index], None
+            return np.array(numerators, dtype=np.int64), denominator
+    return np.array([float(v) for v in values], dtype=float), None
 
 
 def _first_row(bad: np.ndarray) -> int | None:
@@ -387,9 +385,7 @@ class ExplicitDesign:
         entries = tuple(entries)
         firsts = np.array([pair.first.levels for pair, _ in entries], dtype=np.int8)
         seconds = np.array([pair.second.levels for pair, _ in entries], dtype=np.int8)
-        weights, denominator = _weight_column(
-            [w for _, w in entries], np.arange(len(entries))
-        )
+        weights, denominator = _weight_column([w for _, w in entries])
         self._set(firsts, seconds, weights, denominator, spec)
 
     @classmethod
@@ -482,21 +478,6 @@ class ExplicitDesign:
         """True when the weights are held as exact numerators."""
         return self.denominator is not None
 
-    def depth_weights(self) -> dict[int, Weight]:
-        """Total weight per comparison depth present, exact when the rows are.
-
-        Float weights are added in row order.
-        """
-        depths = np.count_nonzero(self.firsts != self.seconds, axis=1)
-        totals: dict[int, Weight] = {}
-        for depth in np.unique(depths).tolist():
-            weights = self.weights[depths == depth]
-            if self.denominator is None:
-                totals[depth] = float(np.cumsum(weights)[-1])
-            else:
-                totals[depth] = Fraction(int(weights.sum()), self.denominator)
-        return totals
-
     def weight_at(self, row: int) -> Weight:
         """Weight of one row: a Fraction when exact, else a float."""
         if self.denominator is None:
@@ -519,11 +500,11 @@ def realize_design(design: DepthDesign) -> ExplicitDesign:
         weight = design.weights[depth]
         exact = isinstance(weight, (int, Fraction))
         shares.append(Fraction(weight) / n_pairs if exact else weight / n_pairs)
-    weights, denominator = _weight_column(shares, np.repeat(np.arange(len(counts)), counts))
+    weights, denominator = _weight_column(shares)
     return ExplicitDesign.from_arrays(
         np.concatenate([firsts for firsts, _ in blocks]),
         np.concatenate([seconds for _, seconds in blocks]),
-        weights,
+        np.repeat(weights, counts),
         spec,
         denominator,
     )

@@ -215,11 +215,12 @@ class DenseInfo:
         )
 
 
-def _check_oracle_gate(spec: ModelSpec, n_pairs: int) -> None:
+def _check_oracle_gate(spec: ModelSpec, n_pairs: int = 0) -> None:
     """Refuse oracle work past p <= 500 parameters or 1e7 pairs.
 
     Callers check before they build anything, so an oversize request fails
-    fast instead of after realizing every pair.
+    fast instead of after realizing every pair.  The CLI gates on p alone:
+    p <= 500 means K <= 10, and no K <= 10 design region holds 3e6 pairs.
     """
     if spec.n_params > _MAX_ORACLE_PARAMS:
         raise ValueError(

@@ -19,6 +19,7 @@ from pairdesign import (
     ExplicitDesign,
     ModelSpec,
     Profile,
+    SingularDesignError,
     count_pairs,
     info_matrix_exact,
     mix_h,
@@ -178,7 +179,8 @@ class TestOptimize:
         document = json.loads(out)
         cells = document["depth_weights"].values()
         assert all(("fraction" in cell) == exact for cell in cells)
-        design = cli.DesignDocument.from_json_dict(document).depth_design()
+        loaded = cli.DesignDocument.from_json_dict(document)
+        design = DepthDesign(loaded.depth_weights, loaded.spec)
         assert design.is_exact == exact
         if not exact:
             assert list(design.weights.values()) == [
@@ -424,8 +426,16 @@ class TestVerify:
             ("weights-list.json", '{"K": 5, "S": 4, "depth_weights": [["2", "1"]]}'),
             ("k-overflow.json", '{"K": 1e400, "S": 4, "depth_weights": {"2": "1"}}'),
             ("one-over-zero.json", '{"K": 5, "S": 4, "depth_weights": {"2": {"fraction": "1/0"}}}'),
+            ("k-float.json", '{"K": 6.9, "S": 6, "depth_weights": {"2": "5/7", "5": "2/7"}}'),
+            ("k-whole-float.json", '{"K": 6.0, "S": 6, "depth_weights": {"2": "5/7", "5": "2/7"}}'),
+            ("k-string.json", '{"K": "6", "S": 6, "depth_weights": {"2": "5/7", "5": "2/7"}}'),
+            ("k-bool.json", '{"K": true, "S": 6, "depth_weights": {"2": "5/7", "5": "2/7"}}'),
+            ("s-float.json", '{"K": 6, "S": 6.9, "depth_weights": {"2": "5/7", "5": "2/7"}}'),
         ],
-        ids=["nan", "nan-decimal", "nan-cell", "weights-list", "k-overflow", "one-over-zero"],
+        ids=[
+            "nan", "nan-decimal", "nan-cell", "weights-list", "k-overflow", "one-over-zero",
+            "k-float", "k-whole-float", "k-string", "k-bool", "s-float",
+        ],
     )
     def test_malformed_design_file_exits_2(self, capsys, tmp_path, name, text):
         path = tmp_path / name
@@ -444,6 +454,85 @@ class TestVerify:
         assert len(err.strip().splitlines()) == 1
 
 
+    def test_singular_oracle_exits_4(self, capsys, tmp_path, monkeypatch):
+        def singular(*args, **kwargs):
+            raise SingularDesignError("oracle information matrix is singular")
+
+        monkeypatch.setattr(cli, "variance_sweep_max_deviation", singular)
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps({"K": 5, "S": 5, "depth_weights": {"2": "2/3", "4": "1/3"}}))
+        code, out, err = run(capsys, "verify", str(path), "--oracle")
+        assert code == 4
+        assert "verdict: optimal" in out
+        assert err == "oracle information matrix is singular\n"
+
+
+def k6_plan_lines(capsys, tmp_path) -> list[str]:
+    """Lines of the exported K=S=6 optimum: header, 960 depth-2 rows, 384 depth-5 rows."""
+    plan = tmp_path / "plan.csv"
+    assert run(capsys, "optimize", "--k", "6", "--s", "6", "--export", str(plan))[0] == 0
+    return plan.read_text().splitlines()
+
+
+def with_cell(line: str, cell: str) -> str:
+    return line.rsplit(",", 1)[0] + "," + cell
+
+
+class TestPlanReader:
+    """A CSV plan verifies only as whole orbits, in export order, one weight cell per depth."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: [lines[0], with_cell(lines[1], "5/7"), with_cell(lines[961], "2/7")],
+            lambda lines: lines[:1] + lines[2:3] + lines[2:],
+            lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:],
+            lambda lines: (
+                lines[:1] + [with_cell(lines[1], "1/672"), with_cell(lines[2], "0")] + lines[3:]
+            ),
+            lambda lines: lines[:1] + lines[961:] + lines[1:961],
+        ],
+        ids=["two-rows", "duplicated-row", "swapped-rows", "reweighted-rows", "segments-reversed"],
+    )
+    def test_edited_plan_exits_2(self, capsys, tmp_path, edit):
+        path = tmp_path / "edited.csv"
+        path.write_text("\n".join(edit(k6_plan_lines(capsys, tmp_path))) + "\n")
+        for extra in ((), ("--oracle",)):
+            code, out, err = run(capsys, "verify", str(path), *extra)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: cannot parse {path}: ") and "depth" in err
+            assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("k,s", [(4, 4), (6, 6), (7, 5), (6, 5), (7, 6), (8, 6)])
+    def test_plan_verifies_as_its_document(self, capsys, tmp_path, k, s):
+        plan, doc = tmp_path / "plan.csv", tmp_path / "doc.json"
+        code, out, _ = run(
+            capsys, "optimize", "--k", str(k), "--s", str(s), "--json", "--export", str(plan)
+        )
+        assert code == 0
+        doc.write_text(out)
+        for extra in ((), ("--oracle",)):
+            from_plan = run(capsys, "verify", str(plan), *extra)
+            assert from_plan == run(capsys, "verify", str(doc), *extra)
+            assert from_plan[0] == 0 and "verdict: optimal" in from_plan[1]
+
+    def test_oracle_gate_reads_only_the_first_row(self, capsys, tmp_path):
+        spec = ModelSpec(11, 4)
+        plan = tmp_path / "big.csv"
+        blocks = cli._plan_blocks(spec, {1: 1})
+        with open(plan, "w", newline="") as handle:
+            cli._write_plan_csv(handle, 11, [next(blocks)])
+        lines = plan.read_text().splitlines()
+        plan.write_text("\n".join(lines[:2] + ["garbage"] + lines[3:]) + "\n")
+        code, out, err = run(capsys, "verify", str(plan), "--oracle")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: oracle gate: p=561 exceeds 500")
+        code, _, err = run(capsys, "verify", str(plan))
+        assert code == 2 and err.startswith(f"error: cannot parse {plan}")
+
+
 class TestExactCsvRoundTrip:
     def test_exported_plan_keeps_exact_proof(self, capsys, tmp_path):
         plan = tmp_path / "plan.csv"
@@ -453,8 +542,9 @@ class TestExactCsvRoundTrip:
         assert lines[0].split(",")[0] == "pair_id" and lines[0].endswith(",weight")
         assert len(lines) == 1 + 1344
         assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"1/1344"}
-        document = cli.load_design_document(str(plan))
-        assert document.depth_weights == {2: Fraction(5, 7), 5: Fraction(2, 7)}
+        segments = cli._plan_segments(str(plan))
+        assert next(segments) == ModelSpec(6, 6)
+        assert dict(segments) == {2: Fraction(5, 7), 5: Fraction(2, 7)}
         code, out, _ = run(capsys, "verify", str(plan), "--oracle")
         assert code == 0
         assert "max excess: 0.000e+00 (tol 1e-06 relative to p)" in out.splitlines()
@@ -466,8 +556,9 @@ class TestExactCsvRoundTrip:
         assert code == 0
         cells = {line.rsplit(",", 1)[1] for line in plan.read_text().splitlines()[1:]}
         assert not any("/" in cell for cell in cells)
-        document = cli.load_design_document(str(plan))
-        assert all(isinstance(w, float) for w in document.depth_weights.values())
+        segments = cli._plan_segments(str(plan))
+        assert next(segments) == ModelSpec(7, 6)
+        assert all(isinstance(w, float) for _, w in segments)
         code, out, _ = run(capsys, "verify", str(plan))
         assert code == 0 and "verdict: optimal" in out
 

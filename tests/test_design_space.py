@@ -355,7 +355,6 @@ class TestExplicitDesignArrays:
         for design in self.build(spec54, [self.FIRST] * 2, [self.FIRST, self.SECOND], [0.5, 0.5]):
             assert len(design.entries) == 2
             assert [pair.depth for pair, _ in design.entries] == [0, 1]
-            assert design.depth_weights() == {0: 0.5, 1: 0.5}
 
     @pytest.mark.parametrize(
         "second,error",
@@ -445,7 +444,6 @@ class TestExplicitDesignArrays:
         assert explicit.weights.dtype == np.float64
         _, weight = explicit.entries[0]
         assert type(weight) is float and weight == 0.25 / count_pairs(spec44, 1)
-        assert explicit.depth_weights() == pytest.approx({1: 0.25, 3: 0.75}, abs=1e-15)
 
 
 @given(
