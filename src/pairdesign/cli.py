@@ -209,7 +209,8 @@ def _plan_segments(path: str):
     K comes from the header and S from the first row, yielded before the
     second row is read.  Each depth segment, in ascending order, must equal
     ``_orbit_blocks(spec, depth)`` row for row, one block at a time, with one
-    weight cell c: it is the depth weight c * N_d, exact when c is.
+    weight cell c: it is the depth weight c * N_d, exact when c is.  A row's
+    weight cell is its text after the last comma.
     """
     opts = dict(delimiter=",", quotechar='"', comments=None)
     with open(path, newline="") as handle:
@@ -232,7 +233,7 @@ def _plan_segments(path: str):
                 if len(block) < len(firsts):
                     raise ValueError(f"the depth {depth} segment stops inside its orbit")
                 levels = np.loadtxt(block, usecols=range(1, 1 + 2 * k), dtype=int, ndmin=2, **opts)
-                cells = np.loadtxt(block, usecols=[1 + 2 * k], dtype=str, ndmin=1, **opts)
+                cells = np.array([line.rpartition(",")[2].rstrip("\r\n") for line in block])
                 cell = cells[0] if cell is None else cell
                 wrong = np.any(levels != np.hstack([firsts, seconds]), axis=1) | (cells != cell)
                 if wrong.any():

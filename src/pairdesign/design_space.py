@@ -536,6 +536,22 @@ def _regression_matrix(levels: np.ndarray, n_attributes: int) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
+def _subset_terms(subsets: Sequence[Sequence[int]], n_attributes: int) -> np.ndarray:
+    """Model columns of the terms inside each shown subset, one row per subset.
+
+    All subsets have the same size S.  Row n lists, in model order, the p_S
+    terms whose attributes all lie in ``subsets[n]``: exactly the columns of
+    ``_regression_matrix(levels[:, subsets[n]], S)`` for sorted subsets, so a
+    row showing only that subset scatters its S-attribute regression row
+    into them and is zero everywhere else.
+    """
+    subsets = np.asarray(subsets, dtype=np.intp)
+    inside = np.zeros((len(subsets), n_attributes), dtype=bool)
+    np.put_along_axis(inside, subsets, True, axis=1)
+    terms = [inside] + [inside[:, idx].all(axis=2) for idx in _combo_indices(n_attributes)]
+    return np.nonzero(np.concatenate(terms, axis=1))[1].reshape(len(subsets), -1)
+
+
 def regression_vector(profile: Profile, spec: ModelSpec) -> np.ndarray:
     """Model row f(i): the K levels, then all two-, three- and four-way products.
 

@@ -27,6 +27,7 @@ approximation.  A design with some h_r = 0 is neither: it raises the one
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,6 +43,7 @@ from .design_space import (
     Weight,
     _orbit_blocks,
     _regression_matrix,
+    _subset_terms,
     realize_design,
     regression_vector,
 )
@@ -189,17 +191,23 @@ def _whitening(info: DenseInfo) -> np.ndarray:
 def _orbit_variances(
     spec: ModelSpec, depth: int, whitening: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """Oracle variances of the depth orbit, one array per ``_orbit_blocks`` block.
+    """Oracle variances of the depth orbit, one array per block and shown subset.
 
     ``whitening`` is ``_whitening`` of the oracle matrix, factored once per
-    sweep; each block costs one regression-matrix build and one matrix
-    product.  Values follow ``enumerate_orbit``'s order.
+    sweep.  The depth-d orbit at (K, S) is one copy of the full-profile orbit
+    on S attributes per shown subset, and a pair's f(i)-f(j) is zero outside
+    the subset's terms, so each block of ``_orbit_blocks((S, S), depth)``
+    builds its p_S-column differences once and meets, per subset, only the
+    whitening rows of that subset's terms.  Every pair is evaluated once, but
+    the values do not follow ``enumerate_orbit``'s order unless K = S.
     """
-    k = spec.n_attributes
-    for firsts, seconds in _orbit_blocks(spec, depth):
-        diffs = _regression_matrix(firsts, k) - _regression_matrix(seconds, k)
-        whitened = diffs.astype(float) @ whitening
-        yield np.einsum("ij,ij->i", whitened, whitened)
+    k, s = spec.n_attributes, spec.strength
+    terms = _subset_terms(list(itertools.combinations(range(k), s)), k)
+    for firsts, seconds in _orbit_blocks((s, s), depth):
+        diffs = (_regression_matrix(firsts, s) - _regression_matrix(seconds, s)).astype(float)
+        for columns in terms:
+            whitened = diffs @ whitening[columns]
+            yield np.einsum("ij,ij->i", whitened, whitened)
 
 
 def variance_sweep_max_deviation(
@@ -213,8 +221,14 @@ def variance_sweep_max_deviation(
     support, streaming each orbit in level blocks.  Pass the oracle matrix as
     ``info`` when the caller already holds it; otherwise it is built from
     ``explicit`` (realized from ``design`` if absent), subject to the oracle
-    gate, so intended for small attribute counts.
+    gate, so intended for small attribute counts.  An ``explicit`` or
+    ``info`` built for another spec raises ValueError.
     """
+    for given in (explicit, info):
+        if given is not None and given.spec != design.spec:
+            raise ValueError(
+                f"oracle input is for {given.spec}, the design is for {design.spec}"
+            )
     if info is None:
         info = info_matrix_exact(realize_design(design) if explicit is None else explicit)
     closed = variance_profile(design)

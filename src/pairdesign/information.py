@@ -34,6 +34,7 @@ from .design_space import (
     _MAX_EXACT_DENOMINATOR,  # the exact oracle's limit, applied where weights are stored
     _ORACLE_CHUNK,
     _regression_matrix,
+    _subset_terms,
 )
 
 __all__ = [
@@ -240,14 +241,21 @@ def info_matrix_exact(design: ExplicitDesign) -> DenseInfo:
     Refuses problems past the oracle gate (p <= 500, <= 1e7 pairs) instead
     of degrading silently.
 
+    Only the terms inside a pair's shown attributes can be non-zero in
+    f(i)-f(j), so the rows are grouped by their shown subset, in any row
+    order: each group accumulates a p_S x p_S block on those terms
+    (p_S = S + C(S,2) + C(S,3) + C(S,4)), which is added into the p x p
+    matrix at the subset's model columns.  Full profiles are one group.
+
     The exact path holds the integer counts c_x = D w_x as float64 so the
     products run in BLAS, and it is still exact: both profiles of a pair show
     the same attributes, so every entry of f(i)-f(j) lies in {-2, 0, 2}, every
     product term is an integer of magnitude <= 4 c_x, and every partial sum in
-    any summation order is an integer of magnitude <= 4 sum_x c_x.  While that
-    bound is below 2^53 each of these integers is a float64 and no operation
-    rounds; the bound is checked before the products and the conversion of
-    the result to int64 ``exact_num`` is checked afterwards.
+    any summation order, within a block or across blocks, is an integer of
+    magnitude <= 4 sum_x c_x.  While that bound is below 2^53 each of these
+    integers is a float64 and no operation rounds; the bound is checked before
+    the products and the conversion of the result to int64 ``exact_num`` is
+    checked afterwards.
     """
     spec = design.spec
     n_rows = len(design.weights)
@@ -255,15 +263,24 @@ def info_matrix_exact(design: ExplicitDesign) -> DenseInfo:
     if design.is_exact and 4 * int(design.weights.sum()) >= 2**53:
         raise ArithmeticError("exact oracle: 4 * sum of counts reaches 2^53")
     row_weights = design.weights.astype(float)
-    k, p = spec.n_attributes, spec.n_params
+    k, s, p = spec.n_attributes, spec.strength, spec.n_params
+    # one integer key per shown subset, its attribute bits (K <= 10 under the gate)
+    keys = (design.firsts != 0) @ (1 << np.arange(k))
+    order = np.argsort(keys, kind="stable")
     total = np.zeros((p, p), dtype=float)
-    for start in range(0, n_rows, _ORACLE_CHUNK):
-        rows = slice(start, start + _ORACLE_CHUNK)
-        diffs = (
-            _regression_matrix(design.firsts[rows], k)
-            - _regression_matrix(design.seconds[rows], k)
-        ).astype(float)
-        total += diffs.T @ (diffs * row_weights[rows, None])
+    for group in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+        shown = np.flatnonzero(design.firsts[group[0]])
+        columns = _subset_terms([shown], k)[0]
+        block = np.zeros((len(columns), len(columns)), dtype=float)
+        for start in range(0, len(group), _ORACLE_CHUNK):
+            rows = group[start : start + _ORACLE_CHUNK]
+            firsts, seconds = (
+                levels.take(rows, axis=0).take(shown, axis=1)
+                for levels in (design.firsts, design.seconds)
+            )
+            diffs = (_regression_matrix(firsts, s) - _regression_matrix(seconds, s)).astype(float)
+            block += diffs.T @ (diffs * row_weights[rows, None])
+        total[np.ix_(columns, columns)] += block
     if design.is_exact:
         exact_num = total.astype(np.int64)
         if not np.array_equal(exact_num, total):

@@ -26,7 +26,7 @@ from pairdesign import (
 )
 
 from pairdesign import design_space
-from pairdesign.design_space import _orbit_blocks
+from pairdesign.design_space import _orbit_blocks, _regression_matrix, _subset_terms
 
 from conftest import reference_pairs, reference_regression
 
@@ -125,6 +125,22 @@ class TestRegressionVector:
                 assert value == 0
             else:
                 assert value in (-1, 1)
+
+    @pytest.mark.parametrize(
+        "subset", [(0, 1, 2, 3), (0, 2, 4, 6), (1, 2, 3, 5, 6), (0, 1, 3, 4, 5, 6), tuple(range(7))]
+    )
+    def test_subset_terms_are_the_shown_terms(self, subset):
+        spec = ModelSpec(7, len(subset))
+        levels = np.zeros(7, dtype=np.int64)
+        levels[list(subset)] = [(-1) ** n for n in range(len(subset))]
+        row = regression_vector(Profile(tuple(levels)), spec)
+        columns = _subset_terms([subset], 7)[0]
+        assert columns.tolist() == np.flatnonzero(row).tolist()
+        every = list(itertools.combinations(range(7), len(subset)))
+        assert _subset_terms(every, 7)[every.index(subset)].tolist() == columns.tolist()
+        # the S-attribute regression row scatters into exactly these columns
+        shown = _regression_matrix(levels[None, list(subset)], len(subset))[0]
+        assert row[columns].tolist() == shown.tolist()
 
     def test_wrong_length(self, spec44):
         with pytest.raises(ValueError):

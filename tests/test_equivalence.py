@@ -15,6 +15,7 @@ from pairdesign import (
     h_values,
     kw_certify,
     mix_h,
+    optimize_full,
     realize_design,
     variance_exact,
     variance_from_blocks,
@@ -230,6 +231,36 @@ class TestVarianceExact:
         monkeypatch.setattr(equivalence, "info_matrix_exact", refuse)
         monkeypatch.setattr(equivalence, "realize_design", refuse)
         assert variance_sweep_max_deviation(design, info=info) <= 1e-10
+
+
+    @pytest.mark.parametrize(
+        "k,s,floats,depths",
+        [(6, 4, False, range(1, 5)), (7, 5, True, (1, 5))],
+        ids=["k6-s4", "k7-s5-float"],
+    )
+    def test_subset_sweep_matches_per_pair_solves(self, k, s, floats, depths):
+        # more than one shown subset: the sweep's values come per block and subset;
+        # at K=7 S=5 two depths (4 032 pairs, all 21 subsets) keep the solves short
+        spec = ModelSpec(k, s)
+        design = optimize_full(spec).design
+        if floats:
+            design = DepthDesign({d: float(w) for d, w in design.weights.items()}, spec)
+        explicit = realize_design(design)
+        info = info_matrix_exact(explicit)
+        whitening = _whitening(info)
+        for depth in depths:
+            batched = np.concatenate(list(_orbit_variances(spec, depth, whitening)))
+            looped = [variance_exact(pair, explicit, info) for pair in enumerate_orbit(spec, depth)]
+            np.testing.assert_allclose(np.sort(batched), np.sort(looped), rtol=1e-12, atol=0)
+
+    def test_sweep_refuses_a_foreign_oracle(self):
+        design = optimize_full(ModelSpec(7, 5)).design
+        other = realize_design(optimize_full(ModelSpec(7, 6)).design)
+        assert other.spec.n_params == design.spec.n_params == 98
+        with pytest.raises(ValueError, match="oracle input"):
+            variance_sweep_max_deviation(design, explicit=other)
+        with pytest.raises(ValueError, match="oracle input"):
+            variance_sweep_max_deviation(design, info=info_matrix_exact(other))
 
 
 class TestQuarticShape:

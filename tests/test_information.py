@@ -22,6 +22,8 @@ from pairdesign import (
     optimize_full,
     realize_design,
 )
+from pairdesign import information
+from pairdesign.design_space import _regression_matrix
 from pairdesign.information import _MAX_EXACT_DENOMINATOR
 
 from conftest import reference_uniform_info
@@ -282,3 +284,60 @@ class TestExactOracleInFloat64:
         floats = ExplicitDesign(tuple(zip(pairs, map(float, weights))), spec44)
         reference = info_matrix_exact(floats).entries
         assert np.max(np.abs(dense.entries - reference)) <= 1e-12
+
+
+def full_width_info(explicit):
+    """Reference accumulation over every model column, one pass over all rows."""
+    k = explicit.spec.n_attributes
+    diffs = (
+        _regression_matrix(explicit.firsts, k) - _regression_matrix(explicit.seconds, k)
+    ).astype(float)
+    return diffs.T @ (diffs * explicit.weights.astype(float)[:, None])
+
+
+class TestOracleBySubset:
+    """The oracle accumulates per shown subset; K=7 S=5 has 21 of them."""
+
+    @pytest.fixture(scope="class")
+    def optimum(self):
+        return optimize_full(ModelSpec(7, 5)).design
+
+    @staticmethod
+    def shuffled(explicit, seed=7):
+        rows = np.random.default_rng(seed).permutation(len(explicit.weights))
+        return ExplicitDesign.from_arrays(
+            explicit.firsts[rows], explicit.seconds[rows], explicit.weights[rows],
+            explicit.spec, explicit.denominator,
+        )
+
+    def test_exact_path_equals_full_width_reference(self, optimum):
+        assert optimum.is_exact
+        explicit = realize_design(optimum)
+        dense = info_matrix_exact(explicit)
+        assert dense.is_exact
+        reference = full_width_info(explicit)
+        assert np.array_equal(dense.exact_num, reference.astype(np.int64))
+        shuffled = self.shuffled(explicit)
+        assert not np.array_equal(shuffled.firsts != 0, explicit.firsts != 0)
+        again = info_matrix_exact(shuffled)
+        assert again.exact_den == dense.exact_den
+        assert np.array_equal(again.exact_num, dense.exact_num)
+
+    def test_float_path_matches_full_width_reference(self, optimum):
+        floats = DepthDesign({d: float(w) for d, w in optimum.weights.items()}, optimum.spec)
+        for explicit in (realize_design(floats), self.shuffled(realize_design(floats))):
+            dense = info_matrix_exact(explicit)
+            assert not dense.is_exact
+            reference = full_width_info(explicit)
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(dense.entries - reference)) <= 1e-12 * scale
+
+    def test_chunking_leaves_exact_result_unchanged(self, optimum, monkeypatch):
+        explicit = realize_design(optimum)
+        assert len(explicit.weights) > 64 * 21  # every subset's rows span chunks
+        whole = info_matrix_exact(explicit)
+        monkeypatch.setattr(information, "_ORACLE_CHUNK", 64)
+        for design in (explicit, self.shuffled(explicit)):
+            chunked = info_matrix_exact(design)
+            assert chunked.exact_den == whole.exact_den
+            assert np.array_equal(chunked.exact_num, whole.exact_num)
