@@ -53,6 +53,7 @@ from .information import (
     _check_oracle_gate,
     h_values,
     info_matrix_exact,
+    log_det,
     mix_h,
 )
 from .optimizer import OptimResult, optimize_full
@@ -131,14 +132,19 @@ class DesignDocument:
 
 
 def _parse_weight(value) -> Weight:
-    """Accept a bare number, a fraction string, or {"fraction":..., "decimal":...}."""
+    """Accept a bare number, a fraction string, or {"fraction":..., "decimal":...}.
+
+    A boolean is refused in every form, as it is for K and S.
+    """
     if isinstance(value, dict):
-        if "fraction" in value:
-            return Fraction(value["fraction"])
-        return float(value["decimal"])
-    if isinstance(value, str):
-        return Fraction(value)
-    return float(value)
+        value, parse = (
+            (value["fraction"], Fraction) if "fraction" in value else (value["decimal"], float)
+        )
+    else:
+        parse = Fraction if isinstance(value, str) else float
+    if isinstance(value, bool):
+        raise ValueError(f"a depth weight must be a number or a fraction, got {json.dumps(value)}")
+    return parse(value)
 
 
 def _fraction_label(weight: Weight) -> str:
@@ -209,8 +215,8 @@ def _plan_segments(path: str):
     K comes from the header and S from the first row, yielded before the
     second row is read.  Each depth segment, in ascending order, must equal
     ``_orbit_blocks(spec, depth)`` row for row, one block at a time, with one
-    weight cell c: it is the depth weight c * N_d, exact when c is.  A row's
-    weight cell is its text after the last comma.
+    weight cell c: it is the depth weight c * N_d, exact when c is.  Every row
+    has 2 + 2K fields, and its weight cell is its text after the last comma.
     """
     opts = dict(delimiter=",", quotechar='"', comments=None)
     with open(path, newline="") as handle:
@@ -218,8 +224,16 @@ def _plan_segments(path: str):
         k = sum(1 for c in header if c.startswith("i_"))
         if not k or k != sum(1 for c in header if c.startswith("j_")) or header[-1] != "weight":
             raise ValueError(f"{path} does not look like an exported plan")
+
+        def check_fields(lines: list[str], first_row: int) -> None:
+            counts = np.array([line.count(",") + 1 for line in lines])
+            if np.any(counts != 2 + 2 * k):
+                bad = int(np.argmax(counts != 2 + 2 * k))
+                raise ValueError(f"row {first_row + bad} has {counts[bad]} fields, not {2 + 2 * k}")
+
         n_read, previous, spec = 0, -1, None
         while line := handle.readline():
+            check_fields([line], n_read + 1)
             levels = np.array(line.split(",")[1 : 1 + 2 * k], dtype=np.int64)
             if spec is None:
                 spec = ModelSpec(k, int(np.count_nonzero(levels[:k])))
@@ -232,6 +246,7 @@ def _plan_segments(path: str):
                 block = list(itertools.islice(rows, len(firsts)))
                 if len(block) < len(firsts):
                     raise ValueError(f"the depth {depth} segment stops inside its orbit")
+                check_fields(block, n_read + 1)
                 levels = np.loadtxt(block, usecols=range(1, 1 + 2 * k), dtype=int, ndmin=2, **opts)
                 cells = np.array([line.rpartition(",")[2].rstrip("\r\n") for line in block])
                 cell = cells[0] if cell is None else cell
@@ -268,17 +283,13 @@ def _print_optimize_text(spec: ModelSpec, result: OptimResult) -> None:
     for depth in result.support:
         weight = result.design.weights[depth]
         print(f"  d={depth}  w={float(weight):.3f}{_fraction_label(weight)}")
-    print(f"log det: {result.log_det:.12f}")
-    if result.certified:
-        print(
-            f"certified D-optimal: max excess {result.kw_excess:.3e} "
-            f"(tol {result.report.tol:g} relative to p)"
-        )
+    print(f"log det: {log_det(mix_h(result.design)):.12f}")
+    report = result.report
+    excess = f"max excess {float(report.max_excess):.3e}"
+    if report.certified:
+        print(f"certified D-optimal: {excess} (tol {report.tol:g} relative to p)")
     else:
-        print(
-            f"NOT certified within iteration budget: best iterate shown, "
-            f"max excess {result.kw_excess:.3e}"
-        )
+        print(f"NOT certified within iteration budget: best iterate shown, {excess}")
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:

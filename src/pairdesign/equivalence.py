@@ -18,11 +18,12 @@ which ``variance_uniform`` keeps, for point masses, as an independent check.
 
 By the Kiefer-Wolfowitz equivalence theorem a design is D-optimal exactly when
 V(d) <= p for every depth, with equality at every depth it actually weights.
-The certificate below reports the worst excess max_d V(d) - p, read off the
-profile's one max; with rational weights the whole check runs in exact
-arithmetic, so a verdict of "optimal" at tol 0 is a proof, not an
-approximation.  A design with some h_r = 0 is neither: it raises the one
-"not identifiable" SingularDesignError of information.py.
+The certificate below holds the design it checked and reports the worst
+excess max_d V(d) - p, read off the profile's one max; ``certified`` is its
+one verdict, optimal with the support condition.  With rational weights the
+whole check runs in exact arithmetic, so a verdict of "optimal" at tol 0 is a
+proof, not an approximation.  A design with some h_r = 0 is neither: it
+raises the one "not identifiable" SingularDesignError of information.py.
 """
 
 from __future__ import annotations
@@ -243,10 +244,9 @@ def variance_sweep_max_deviation(
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of the equivalence-theorem check for one invariant design."""
+    """Outcome of the equivalence-theorem check for the invariant design it holds."""
 
-    spec: ModelSpec
-    weights: dict[int, Weight]
+    design: DepthDesign
     profile: VarianceProfile
     tol: float
     max_excess: Weight
@@ -258,14 +258,20 @@ class CertificationReport:
         return self.profile.p
 
     @property
+    def certified(self) -> bool:
+        """Optimal and the support condition holds: the theorem's whole verdict."""
+        return self.optimal and self.support_ok
+
+    @property
     def verdict(self) -> str:
         return "optimal" if self.optimal else "not optimal"
 
     def to_dict(self) -> dict:
+        spec = self.design.spec
         return {
-            "K": self.spec.n_attributes,
-            "S": self.spec.strength,
-            "weights": {str(d): float(w) for d, w in self.weights.items()},
+            "K": spec.n_attributes,
+            "S": spec.strength,
+            "weights": {str(d): float(w) for d, w in self.design.weights.items()},
             "V_by_depth": {str(d): float(v) for d, v in self.profile.values.items()},
             "p": self.p,
             "max_excess": float(self.max_excess),
@@ -276,7 +282,7 @@ class CertificationReport:
 
     def to_text(self) -> str:
         """Human-readable block: normalized variances with supported depths starred."""
-        support = {d for d, w in self.weights.items() if w > 0}
+        spec, support = self.design.spec, set(self.design.support)
         normalized = self.profile.normalized()
         header = "depth " + "".join(f"{d:>9d}" for d in sorted(normalized))
         row = "V/p   " + "".join(
@@ -284,7 +290,7 @@ class CertificationReport:
             for d in sorted(normalized)
         )
         lines = [
-            f"K={self.spec.n_attributes} S={self.spec.strength} p={self.p}",
+            f"K={spec.n_attributes} S={spec.strength} p={self.p}",
             header,
             row,
             f"max excess: {float(self.max_excess):.3e} (tol {self.tol:g} relative to p)",
@@ -299,23 +305,21 @@ def kw_certify(design: DepthDesign, *, tol: float = DEFAULT_CERTIFY_TOL) -> Cert
 
     Optimal means max_d V(d) - p <= tol * p over all depths 1..S.  The report
     also flags the support condition: every weighted depth must sit within
-    tol * p of p itself.  ``tol`` must be finite and at least 0 (ValueError
-    otherwise).  Singular designs raise SingularDesignError, they are neither
-    optimal nor suboptimal.
+    tol * p of p itself; ``certified`` asks for both.  ``tol`` must be finite
+    and at least 0 (ValueError otherwise).  Singular designs raise
+    SingularDesignError, they are neither optimal nor suboptimal.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and at least 0, got {tol}")
-    spec = design.spec
     profile = variance_profile(design)
-    p = spec.n_params
+    p = design.spec.n_params
     max_excess = profile.max_value - p
     optimal = float(max_excess) <= tol * p
     support_ok = all(
         abs(float(profile.values[d] - p)) <= tol * p for d in design.support
     )
     return CertificationReport(
-        spec=spec,
-        weights=dict(design.weights),
+        design=design,
         profile=profile,
         tol=tol,
         max_excess=max_excess,

@@ -113,19 +113,6 @@ class BlockInfo:
         diag = np.repeat([float(h) for h in self.values], self.spec.block_dims)
         return np.diag(diag)
 
-    def to_dict(self) -> dict:
-        """Serializable record with the h values as exact fraction strings."""
-        record = {"K": self.spec.n_attributes, "S": self.spec.strength}
-        for name, h in zip(("h1", "h2", "h3", "h4"), self.values):
-            record[name] = _fraction_string(h)
-        return record
-
-
-def _fraction_string(value: Weight) -> str:
-    if isinstance(value, (int, Fraction)):
-        return str(Fraction(value))
-    return repr(float(value))
-
 
 def _h_denominators(n_attributes: int) -> tuple[int, int, int, int]:
     """Denominators of the four block informations: h_r(d) = numerator_r(d) / these."""
@@ -208,12 +195,6 @@ class DenseInfo:
         if self.exact_num is None or self.exact_den is None:
             raise ValueError("matrix was accumulated in floating point")
         return Fraction(int(self.exact_num[row, col]), self.exact_den)
-
-    def to_text(self) -> str:
-        """Row-major, tab-separated dense text form."""
-        return "\n".join(
-            "\t".join(repr(v) for v in row) for row in self.entries.tolist()
-        )
 
 
 def _check_oracle_gate(spec: ModelSpec, n_pairs: int = 0) -> None:

@@ -9,7 +9,9 @@ set of depths with vertex-direction steps and a Newton polish, all stopping
 tests relative to p or |phi|.  Its results are certified by kw_certify, the
 one equivalence-theorem check: at tol 0 in exact arithmetic when each weight
 snaps (limit_denominator(_SNAP_DENOMINATOR)) to a positive rational and the
-snapped weights sum to exactly 1, at tol otherwise.
+snapped weights sum to exactly 1, at tol otherwise.  An OptimResult is the
+design, that certificate and the iteration count; the excess, the proof's tol
+and the verdict are read from the certificate, never copied.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .design_space import DepthDesign, ModelSpec
 from .equivalence import CertificationReport, kw_certify
-from .information import SingularDesignError, _h_denominators, h_numerators, log_det, mix_h
+from .information import SingularDesignError, _h_denominators, h_numerators
 
 __all__ = [
     "OptimResult",
@@ -124,31 +126,20 @@ class OptimResult:
     """Outcome of one D-optimality run over the depth simplex."""
 
     design: DepthDesign
-    log_det: float
-    kw_excess: float
-    iterations: int
-    support: tuple[int, ...]
-    certified: bool
-    tol: float
-    # the kw_certify report the fields above were read from; its tol is the
-    # proof's: 0 for exact weights, ``tol`` for float ones
+    # the kw_certify report of ``design``; its tol is the proof's: 0 for
+    # exact weights, the run's ``tol`` for float ones
     report: CertificationReport = field(repr=False, compare=False)
+    iterations: int
 
-    def to_dict(self) -> dict:
-        record = {
-            "K": self.design.spec.n_attributes,
-            "S": self.design.spec.strength,
-            "support": list(self.support),
-            "weights": [float(self.design.weights[d]) for d in self.support],
-            "logdet": self.log_det,
-            "kw_excess": self.kw_excess,
-            "certified": self.certified,
-        }
-        if self.design.is_exact:
-            record["weights_exact"] = [
-                str(Fraction(self.design.weights[d])) for d in self.support
-            ]
-        return record
+    @property
+    def support(self) -> tuple[int, ...]:
+        """``design.support``: the depths carrying positive weight."""
+        return self.design.support
+
+    @property
+    def certified(self) -> bool:
+        """``report.certified``: optimal with the support condition."""
+        return self.report.certified
 
 
 def _h_matrix(spec: ModelSpec) -> np.ndarray:
@@ -257,7 +248,7 @@ def _snap_to_exact(spec: ModelSpec, kept: dict[int, float]) -> CertificationRepo
         report = kw_certify(DepthDesign(exact, spec), tol=0)
     except SingularDesignError:
         return None
-    return report if report.optimal and report.support_ok else None
+    return report if report.certified else None
 
 
 def optimize_full(
@@ -272,9 +263,9 @@ def optimize_full(
     active set, until max_d V(d) - p <= _FLOAT_RTOL * p.  Weights at most
     _PRUNE_EPS are then dropped.  The result carries exact weights when the
     snap to small rationals passes ``kw_certify`` at tol 0; otherwise the
-    pruned float weights go through ``kw_certify`` at ``tol``.  ``certified``
-    is that report's verdict together with its support condition, and
-    ``kw_excess`` its max excess, so a result that does not certify (say,
+    pruned float weights go through ``kw_certify`` at ``tol``.  The result
+    carries that report: ``certified`` comes from it, and so do the max
+    excess and the proof's tol, so a result that does not certify (say,
     because the budget ran out) is returned with ``certified=False`` and its
     true excess, never silently.
     """
@@ -311,21 +302,11 @@ def optimize_full(
         total = sum(kept.values())
         floats = DepthDesign({d: weight / total for d, weight in kept.items()}, spec)
         report = kw_certify(floats, tol=tol)
-    design = DepthDesign(report.weights, spec)
-    result = OptimResult(
-        design=design,
-        log_det=log_det(mix_h(design)),
-        kw_excess=float(report.max_excess),
-        iterations=iterations,
-        support=design.support,
-        certified=report.optimal and report.support_ok,
-        tol=tol,
-        report=report,
-    )
-    if result.certified:
+    design = report.design
+    if report.certified:
         # V(d) - p is a quartic in d, so a true optimum weights at most four depths
-        assert len(result.support) <= _MAX_SUPPORT, (
-            f"certified design on {len(result.support)} depths; "
+        assert len(design.support) <= _MAX_SUPPORT, (
+            f"certified design on {len(design.support)} depths; "
             "at most four can satisfy the support condition"
         )
-    return result
+    return OptimResult(design=design, report=report, iterations=iterations)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -431,10 +432,15 @@ class TestVerify:
             ("k-string.json", '{"K": "6", "S": 6, "depth_weights": {"2": "5/7", "5": "2/7"}}'),
             ("k-bool.json", '{"K": true, "S": 6, "depth_weights": {"2": "5/7", "5": "2/7"}}'),
             ("s-float.json", '{"K": 6, "S": 6.9, "depth_weights": {"2": "5/7", "5": "2/7"}}'),
+            ("weight-true.json", '{"K": 6, "S": 6, "depth_weights": {"2": true}}'),
+            ("decimal-true.json", '{"K": 6, "S": 6, "depth_weights": {"2": {"decimal": true}}}'),
+            ("fraction-true.json", '{"K": 6, "S": 6, "depth_weights": {"2": {"fraction": true}}}'),
+            ("weight-false.json", '{"K": 6, "S": 6, "depth_weights": {"2": false, "5": "1"}}'),
         ],
         ids=[
             "nan", "nan-decimal", "nan-cell", "weights-list", "k-overflow", "one-over-zero",
             "k-float", "k-whole-float", "k-string", "k-bool", "s-float",
+            "weight-true", "decimal-true", "fraction-true", "weight-false",
         ],
     )
     def test_malformed_design_file_exits_2(self, capsys, tmp_path, name, text):
@@ -503,6 +509,25 @@ class TestPlanReader:
             assert out == ""
             assert err.startswith(f"error: cannot parse {path}: ") and "depth" in err
             assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "row,edit,n_fields",
+        [
+            (1, lambda line: line.rsplit(",", 1)[0], 13),
+            (961, lambda line: line.rsplit(",", 1)[0], 13),
+            (500, lambda line: with_cell(line, "1," + line.rsplit(",", 1)[1]), 15),
+        ],
+        ids=["row-1-without-weight", "segment-start-without-weight", "extra-field"],
+    )
+    def test_row_with_wrong_field_count_is_named(self, capsys, tmp_path, row, edit, n_fields):
+        lines = k6_plan_lines(capsys, tmp_path)
+        lines[row] = edit(lines[row])
+        path = tmp_path / "edited.csv"
+        path.write_text("\n".join(lines) + "\n")
+        for extra in ((), ("--oracle",)):
+            code, out, err = run(capsys, "verify", str(path), *extra)
+            assert (code, out) == (2, "")
+            assert err == f"error: cannot parse {path}: row {row} has {n_fields} fields, not 14\n"
 
     @pytest.mark.parametrize("k,s", [(4, 4), (6, 6), (7, 5), (6, 5), (7, 6), (8, 6)])
     def test_plan_verifies_as_its_document(self, capsys, tmp_path, k, s):
@@ -652,6 +677,95 @@ class TestPlanStream:
         assert out == ""
         assert err.startswith("error:") and str(path) in err
         assert len(err.strip().splitlines()) == 1
+
+
+GOLDEN_OPTIMIZE_66 = """\
+K=6 S=6 p=56
+support: 2 5
+  d=2  w=0.714 (5/7)
+  d=5  w=0.286 (2/7)
+log det: 42.465247405657
+certified D-optimal: max excess 0.000e+00 (tol 0 relative to p)
+"""
+
+GOLDEN_OPTIMIZE_44 = """\
+K=4 S=4 p=15
+support: 1 2 3 4
+  d=1  w=0.267 (4/15)
+  d=2  w=0.400 (2/5)
+  d=3  w=0.267 (4/15)
+  d=4  w=0.067 (1/15)
+log det: 11.365285525463
+certified D-optimal: max excess 0.000e+00 (tol 0 relative to p)
+"""
+
+GOLDEN_DOCUMENT_44 = {
+    "K": 4,
+    "S": 4,
+    "certification": {
+        "K": 4,
+        "S": 4,
+        "V_by_depth": {"1": 15.0, "2": 15.0, "3": 15.0, "4": 15.0},
+        "max_excess": 0.0,
+        "p": 15,
+        "support_ok": True,
+        "tol": 0,
+        "verdict": "optimal",
+        "weights": {
+            "1": 0.26666666666666666, "2": 0.4, "3": 0.26666666666666666, "4": 0.06666666666666667
+        },
+    },
+    "depth_weights": {
+        "1": {"decimal": 0.26666666666666666, "fraction": "4/15"},
+        "2": {"decimal": 0.4, "fraction": "2/5"},
+        "3": {"decimal": 0.26666666666666666, "fraction": "4/15"},
+        "4": {"decimal": 0.06666666666666667, "fraction": "1/15"},
+    },
+}
+
+GOLDEN_VERIFY_44 = """\
+K=4 S=4 p=15
+depth         1        2        3        4
+V/p      1.000*   1.000*   1.000*   1.000*
+max excess: 0.000e+00 (tol 1e-06 relative to p)
+verdict: optimal
+"""
+
+
+class TestGoldenOutput:
+    """Byte-for-byte stdout of exact optima; the float optimum up to its last digits."""
+
+    @pytest.mark.parametrize(
+        "k,expected", [(6, GOLDEN_OPTIMIZE_66), (4, GOLDEN_OPTIMIZE_44)], ids=["k6", "k4"]
+    )
+    def test_optimize_text(self, capsys, k, expected):
+        assert run(capsys, "optimize", "--k", str(k), "--s", str(k)) == (0, expected, "")
+
+    def test_json_document_and_its_verify(self, capsys, tmp_path):
+        code, out, err = run(capsys, "optimize", "--k", "4", "--s", "4", "--json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(GOLDEN_DOCUMENT_44, indent=2, sort_keys=True) + "\n"
+        path = tmp_path / "d44.json"
+        path.write_text(out)
+        assert run(capsys, "verify", str(path)) == (0, GOLDEN_VERIFY_44, "")
+
+    def test_float_three_depth_optimum(self, capsys):
+        code, out, err = run(capsys, "optimize", "--k", "6", "--s", "5")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[:5] == [
+            "K=6 S=5 p=56",
+            "support: 1 2 4",
+            "  d=1  w=0.321",
+            "  d=2  w=0.327",
+            "  d=4  w=0.352",
+        ]
+        assert re.fullmatch(r"log det: -?\d+\.\d{12}", lines[5])
+        assert re.fullmatch(
+            r"certified D-optimal: max excess \d\.\d{3}e[+-]\d{2} \(tol 1e-09 relative to p\)",
+            lines[6],
+        )
+        assert len(lines) == 7
 
 
 class TestDeterminism:

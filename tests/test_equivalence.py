@@ -337,3 +337,18 @@ class TestKWCertify:
         report = kw_certify(DepthDesign({1: 0.5, 2: 0.5}, spec55))
         assert not report.optimal
         assert not report.support_ok
+
+    def test_report_holds_its_design(self, spec44):
+        design = four_depth_optimum(spec44)
+        report = kw_certify(design, tol=0)
+        assert report.design is design
+        assert report.certified
+
+    def test_dust_weight_is_optimal_but_not_certified(self, spec55):
+        # V(1) = 0.9375 p on the K=S=5 optimum, so weight there breaks the support condition
+        dust = Fraction(1, 10**9)
+        design = DepthDesign({1: dust, 2: Fraction(2, 3) - dust, 4: Fraction(1, 3)}, spec55)
+        report = kw_certify(design)
+        assert report.optimal
+        assert not report.support_ok
+        assert not report.certified

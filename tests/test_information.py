@@ -65,10 +65,6 @@ class TestHValues:
             assert n_here[1] == n_mirror[1]
             assert n_here[3] == n_mirror[3]
 
-    def test_to_dict_fraction_strings(self, spec44):
-        record = h_values(spec44, 2).to_dict()
-        assert record == {"K": 4, "S": 4, "h1": "2", "h2": "8/3", "h3": "2", "h4": "0"}
-
 
 class TestReferenceOracle:
     """Independent accumulation (conftest) against both library routes."""
@@ -158,13 +154,6 @@ class TestInfoMatrixExact:
     def test_nonnegative_definite(self, spec54):
         dense = info_matrix_exact(uniform_orbit_design(spec54, 2))
         assert np.linalg.eigvalsh(dense.entries).min() >= -1e-9
-
-    def test_to_text_round_trips(self, spec44):
-        dense = info_matrix_exact(uniform_orbit_design(spec44, 1))
-        parsed = np.array(
-            [[float(v) for v in line.split("\t")] for line in dense.to_text().splitlines()]
-        )
-        np.testing.assert_array_equal(parsed, dense.entries)
 
 
 class TestMixH:

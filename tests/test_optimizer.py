@@ -156,14 +156,14 @@ class TestOptimizeFull:
         spec = ModelSpec(s, s)
         result = optimize_full(spec)
         reference = log_det(mix_h(conjectured_design(spec)))
-        assert result.log_det >= reference - 1e-9
+        assert log_det(mix_h(result.design)) >= reference - 1e-9
 
     def test_output_passes_own_certificate(self):
         # (13, 8), (16, 10), (20, 7): dust weight on a depth with V < p fails support_ok
         for k, s in [(4, 4), (7, 7), (6, 4), (9, 5), (13, 8), (16, 10), (20, 7)]:
             result = optimize_full(ModelSpec(k, s))
             assert result.certified
-            report = kw_certify(result.design, tol=result.tol)
+            report = kw_certify(result.design, tol=result.report.tol)
             assert report.optimal
             assert report.support_ok
 
@@ -171,29 +171,29 @@ class TestOptimizeFull:
     def test_result_is_the_kw_certify_report(self, k, s, exact):
         result = optimize_full(ModelSpec(k, s))
         assert result.design.is_exact == exact
-        report = kw_certify(result.design, tol=result.tol)
-        assert result.kw_excess == float(report.max_excess)
-        assert result.certified == (report.optimal and report.support_ok)
+        report = kw_certify(result.design, tol=result.report.tol)
+        assert report == result.report
+        assert result.certified == report.certified == (report.optimal and report.support_ok)
         assert result.certified
-        assert result.log_det == log_det(mix_h(result.design))
 
     # the only specs where the snap's closeness test or residue absorption fired
     @pytest.mark.parametrize(
         "k,s,support", [(6, 5, (1, 2, 4)), (16, 14, (4, 5, 10)), (27, 25, (9, 17))]
     )
     def test_float_optima_certified_at_tol(self, k, s, support):
-        result = optimize_full(ModelSpec(k, s))
+        result = optimize_full(ModelSpec(k, s), tol=1e-9)
         assert not result.design.is_exact
         assert result.support == support
         assert result.certified
-        assert result.report.tol == result.tol
+        assert result.report.tol == 1e-9
 
     @pytest.mark.parametrize("k,s", [(5, 4), (6, 4), (8, 5), (10, 7), (12, 4), (12, 12)])
     def test_partial_profiles_certify_with_small_support(self, k, s):
         result = optimize_full(ModelSpec(k, s))
         assert result.certified
         assert len(result.support) <= 4
-        assert result.kw_excess <= result.tol * ModelSpec(k, s).n_params
+        report = result.report
+        assert float(report.max_excess) <= report.tol * ModelSpec(k, s).n_params
 
     @pytest.mark.parametrize("s,d_low", [(650, 303), (1000, 473)])
     def test_large_full_profile_exact_two_depth(self, s, d_low):
@@ -229,17 +229,10 @@ class TestOptimizeFull:
     def test_budget_exhaustion_reports_best_iterate(self, spec44):
         result = optimize_full(spec44, max_iter=0)
         assert not result.certified
-        assert result.kw_excess > 0
+        assert result.report.max_excess > 0
         assert result.iterations == 0
         # the reported design is still a valid weighting
         assert abs(sum(float(w) for w in result.design.weights.values()) - 1) <= 1e-12
-
-    def test_to_dict(self, spec44):
-        record = optimize_full(spec44).to_dict()
-        assert record["K"] == 4 and record["S"] == 4
-        assert record["support"] == [1, 2, 3, 4]
-        assert record["certified"] is True
-        assert record["weights_exact"] == ["4/15", "2/5", "4/15", "1/15"]
 
     def test_concavity_of_objective(self):
         spec = ModelSpec(7, 7)
@@ -276,9 +269,9 @@ class TestOptimizeFull:
         result = optimize_full(ModelSpec(k, s), tol=1e-9)
         report = result.report
         assert report.tol == proof_tol
-        assert report.weights == result.design.weights
-        assert result.kw_excess == float(report.max_excess)
-        assert result.certified == (report.optimal and report.support_ok)
+        assert report.design is result.design
+        assert result.support == report.design.support
+        assert result.certified == report.certified == (report.optimal and report.support_ok)
 
 
 def test_import_does_not_load_scipy():
