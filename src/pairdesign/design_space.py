@@ -51,8 +51,10 @@ Weight = Fraction | float | int
 _WEIGHT_SUM_TOL = 1e-12
 # Exact row weights are stored as int64 numerators over a denominator up to this.
 _MAX_EXACT_DENOMINATOR = 10**12
-# Rows per block when orbits stream as level arrays (oracle and sweep).
+# Rows per block when orbits stream as level arrays (realization and export).
 _ORACLE_CHUNK = 1 << 16
+# Float elements per block of the oracle (rows x p_S) and the sweep (rows x subsets x p_S).
+_BLOCK_FLOATS = 1 << 22
 
 
 class InvalidPairError(ValueError):
@@ -534,6 +536,18 @@ def _regression_matrix(levels: np.ndarray, n_attributes: int) -> np.ndarray:
             product = product * levels[:, column]
         blocks.append(product)
     return np.concatenate(blocks, axis=1)
+
+
+def _level_table(strength: int) -> np.ndarray:
+    """Model rows of all 2^S level patterns on S attributes, as floats.
+
+    Row i sets attribute j to +1 where bit j of i is set and to -1 elsewhere,
+    so a ±1 level row is table row sum_j [level_j = +1] 2^j.  At most 1024
+    rows under the oracle gate, built per call: a pair's f(i)-f(j) on its
+    shown terms is the difference of two of them.
+    """
+    bits = np.arange(2**strength)[:, None] >> np.arange(strength) & 1
+    return _regression_matrix((2 * bits - 1).astype(np.int8), strength).astype(float)
 
 
 def _subset_terms(subsets: Sequence[Sequence[int]], n_attributes: int) -> np.ndarray:

@@ -14,7 +14,8 @@ paper's display
     V(d) = 4d ( 1/h1 + (S-d)/h2 + (3S^2 - 6dS + 4d^2 - 3S + 2) / (6 h3)
                 + (S-d)(2d^2 - 2Sd + S^2 - 3S + 4) / (6 h4) )
 
-which ``variance_uniform`` keeps, for point masses, as an independent check.
+which ``variance_uniform`` keeps, for point masses, as an independent check;
+``variance_sweep_max_deviation`` checks V(d) on every pair against the oracle.
 
 By the Kiefer-Wolfowitz equivalence theorem a design is D-optimal exactly when
 V(d) <= p for every depth, with equality at every depth it actually weights.
@@ -42,8 +43,8 @@ from .design_space import (
     ExplicitDesign,
     ModelSpec,
     Weight,
-    _orbit_blocks,
-    _regression_matrix,
+    _BLOCK_FLOATS,
+    _level_table,
     _subset_terms,
     realize_design,
     regression_vector,
@@ -181,34 +182,36 @@ def variance_exact(
     return float(diff @ solution)
 
 
-def _whitening(info: DenseInfo) -> np.ndarray:
-    """L^{-T} for the Cholesky factor M = L L^T, so x^T M^{-1} x = |x L^{-T}|^2."""
+def _pair_variances(info: DenseInfo) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Oracle variances of every pair of every depth, each unordered pair once.
+
+    f(i)-f(j) is zero outside the p_S terms of the pair's shown subset, so a
+    pair of local level patterns, x and x with the positions D flipped, takes
+    its difference from ``_level_table`` once; on subset c its variance is
+    rowsum((diffs @ G_c) ⊙ diffs), G_c the block of M^-1 on c's terms.  Both
+    orders have one variance, so only x at +1 on D's first position is kept.
+    Yields ``(depth, firsts, seconds, values)`` per block of ``_BLOCK_FLOATS``
+    product floats: the pairs' table rows and one row of variances per subset.
+    """
+    k, s = info.spec.n_attributes, info.spec.strength
     try:
-        return np.linalg.inv(np.linalg.cholesky(info.entries)).T
+        lower = np.linalg.inv(np.linalg.cholesky(info.entries))
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError("oracle information matrix is singular") from exc
-
-
-def _orbit_variances(
-    spec: ModelSpec, depth: int, whitening: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Oracle variances of the depth orbit, one array per block and shown subset.
-
-    ``whitening`` is ``_whitening`` of the oracle matrix, factored once per
-    sweep.  The depth-d orbit at (K, S) is one copy of the full-profile orbit
-    on S attributes per shown subset, and a pair's f(i)-f(j) is zero outside
-    the subset's terms, so each block of ``_orbit_blocks((S, S), depth)``
-    builds its p_S-column differences once and meets, per subset, only the
-    whitening rows of that subset's terms.  Every pair is evaluated once, but
-    the values do not follow ``enumerate_orbit``'s order unless K = S.
-    """
-    k, s = spec.n_attributes, spec.strength
     terms = _subset_terms(list(itertools.combinations(range(k), s)), k)
-    for firsts, seconds in _orbit_blocks((s, s), depth):
-        diffs = (_regression_matrix(firsts, s) - _regression_matrix(seconds, s)).astype(float)
-        for columns in terms:
-            whitened = diffs @ whitening[columns]
-            yield np.einsum("ij,ij->i", whitened, whitened)
+    inverses = (lower.T @ lower)[terms[:, :, None], terms[:, None, :]]
+    table = _level_table(s)
+    rows_per_block = max(1, _BLOCK_FLOATS // (len(terms) * table.shape[1]))
+    for depth in info.spec.depths:
+        flips = np.array([mask for mask in range(2**s) if mask.bit_count() == depth])
+        which, firsts = np.nonzero(np.arange(2**s) & (flips & -flips)[:, None])
+        seconds = firsts ^ flips[which]
+        for start in range(0, len(firsts), rows_per_block):
+            rows = slice(start, start + rows_per_block)
+            diffs = table[firsts[rows]]
+            diffs -= table[seconds[rows]]
+            values = np.einsum("cij,ij->ci", diffs @ inverses, diffs)
+            yield depth, firsts[rows], seconds[rows], values
 
 
 def variance_sweep_max_deviation(
@@ -219,11 +222,12 @@ def variance_sweep_max_deviation(
     """Max |oracle variance - closed form| over every pair of every depth.
 
     Exhausts the whole design region of the spec, not just the design's
-    support, streaming each orbit in level blocks.  Pass the oracle matrix as
-    ``info`` when the caller already holds it; otherwise it is built from
+    support, each unordered pair once.  Pass the oracle matrix as ``info``
+    when the caller already holds it; otherwise it is built from
     ``explicit`` (realized from ``design`` if absent), subject to the oracle
     gate, so intended for small attribute counts.  An ``explicit`` or
-    ``info`` built for another spec raises ValueError.
+    ``info`` built for another spec raises ValueError.  A NaN variance makes
+    the result NaN, which passes no bound.
     """
     for given in (explicit, info):
         if given is not None and given.spec != design.spec:
@@ -232,14 +236,9 @@ def variance_sweep_max_deviation(
             )
     if info is None:
         info = info_matrix_exact(realize_design(design) if explicit is None else explicit)
-    closed = variance_profile(design)
-    whitening = _whitening(info)
-    worst = 0.0
-    for depth in design.spec.depths:
-        target = float(closed.values[depth])
-        for values in _orbit_variances(design.spec, depth, whitening):
-            worst = max(worst, float(np.max(np.abs(values - target))))
-    return worst
+    closed = variance_profile(design).values
+    deviations = [np.max(np.abs(v - float(closed[d]))) for d, _, _, v in _pair_variances(info)]
+    return float(np.max(deviations))  # unlike the builtin max, np.max keeps a NaN
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ K-only denominators, and a design with some h_r = 0 is "not identifiable":
 log det, the variance function and the certificate all raise the same
 SingularDesignError naming the dead blocks.  The closed form is what the
 optimizer runs on; the dense oracle accumulates
-sum_x w_x (f(i)-f(j))(f(i)-f(j))^T over explicit pairs and exists to verify
-the closed form, never to replace it.
+sum_x w_x (f(i)-f(j))(f(i)-f(j))^T over explicit pairs, each pair's rows read
+from one table of the 2^S level patterns, and exists to verify the closed
+form, never to replace it.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .design_space import (
     ModelSpec,
     Weight,
     _MAX_EXACT_DENOMINATOR,  # the exact oracle's limit, applied where weights are stored
-    _ORACLE_CHUNK,
-    _regression_matrix,
+    _BLOCK_FLOATS,
+    _level_table,
     _subset_terms,
 )
 
@@ -177,14 +178,17 @@ class DenseInfo:
     exact_den: int | None = None
 
     def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=float)
+        entries = np.array(self.entries, dtype=float)  # a copy the caller cannot change
         if entries.shape != (self.spec.n_params, self.spec.n_params):
             raise ValueError(
                 f"expected a {self.spec.n_params} x {self.spec.n_params} matrix, "
                 f"got shape {entries.shape}"
             )
+        if not np.all(np.isfinite(entries)):  # a NaN would pass the symmetry check
+            raise ValueError("information matrix has entries that are not finite")
         if np.max(np.abs(entries - entries.T), initial=0.0) > 1e-12:
             raise ValueError("information matrix is not symmetric")
+        entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -226,7 +230,10 @@ def info_matrix_exact(design: ExplicitDesign) -> DenseInfo:
     f(i)-f(j), so the rows are grouped by their shown subset, in any row
     order: each group accumulates a p_S x p_S block on those terms
     (p_S = S + C(S,2) + C(S,3) + C(S,4)), which is added into the p x p
-    matrix at the subset's model columns.  Full profiles are one group.
+    matrix at the subset's model columns.  Full profiles are one group.  A
+    profile's shown levels, read as S bits, pick its p_S-term row from one
+    ``_level_table`` of all 2^S level patterns, and a group's differences
+    are built in blocks of about ``_BLOCK_FLOATS`` floats.
 
     The exact path holds the integer counts c_x = D w_x as float64 so the
     products run in BLAS, and it is still exact: both profiles of a pair show
@@ -245,21 +252,26 @@ def info_matrix_exact(design: ExplicitDesign) -> DenseInfo:
         raise ArithmeticError("exact oracle: 4 * sum of counts reaches 2^53")
     row_weights = design.weights.astype(float)
     k, s, p = spec.n_attributes, spec.strength, spec.n_params
+    table = _level_table(s)
+    rows_per_block = max(1, _BLOCK_FLOATS // table.shape[1])
     # one integer key per shown subset, its attribute bits (K <= 10 under the gate)
     keys = (design.firsts != 0) @ (1 << np.arange(k))
+    # each profile's shown levels as a row of ``table``: bit j is set when the
+    # j-th shown attribute is at +1 (int16 holds the S <= 10 bits)
+    position = np.maximum(np.cumsum(design.firsts != 0, axis=1, dtype=np.int16) - 1, 0)
+    firsts, seconds = (
+        ((levels > 0) << position).sum(axis=1) for levels in (design.firsts, design.seconds)
+    )
     order = np.argsort(keys, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+    subsets = [np.flatnonzero(design.firsts[group[0]]) for group in groups]
     total = np.zeros((p, p), dtype=float)
-    for group in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
-        shown = np.flatnonzero(design.firsts[group[0]])
-        columns = _subset_terms([shown], k)[0]
+    for group, columns in zip(groups, _subset_terms(subsets, k)):
         block = np.zeros((len(columns), len(columns)), dtype=float)
-        for start in range(0, len(group), _ORACLE_CHUNK):
-            rows = group[start : start + _ORACLE_CHUNK]
-            firsts, seconds = (
-                levels.take(rows, axis=0).take(shown, axis=1)
-                for levels in (design.firsts, design.seconds)
-            )
-            diffs = (_regression_matrix(firsts, s) - _regression_matrix(seconds, s)).astype(float)
+        for start in range(0, len(group), rows_per_block):
+            rows = group[start : start + rows_per_block]
+            diffs = table[firsts[rows]]
+            diffs -= table[seconds[rows]]
             block += diffs.T @ (diffs * row_weights[rows, None])
         total[np.ix_(columns, columns)] += block
     if design.is_exact:

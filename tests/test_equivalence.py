@@ -1,5 +1,7 @@
 """Variance functions, trace identities and the optimality certificate."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pairdesign import (
+    DenseInfo,
     DepthDesign,
     ModelSpec,
     SingularDesignError,
@@ -24,8 +27,62 @@ from pairdesign import (
     variance_uniform,
 )
 from pairdesign import equivalence
-from pairdesign.equivalence import _orbit_variances, _whitening
+from pairdesign.equivalence import _pair_variances
 from pairdesign.information import info_matrix_exact
+
+
+def swept_pairs(info):
+    """``_pair_variances`` as {(depth, unordered pair of level tuples): variance}.
+
+    A pair met twice fails, so the dict holds each swept unordered pair once.
+    """
+    spec = info.spec
+    subsets = list(itertools.combinations(range(spec.n_attributes), spec.strength))
+
+    def levels(subset, pattern):
+        row = [0] * spec.n_attributes
+        for j, attribute in enumerate(subset):
+            row[attribute] = 1 if pattern >> j & 1 else -1
+        return tuple(row)
+
+    swept = {}
+    for depth, firsts, seconds, values in _pair_variances(info):
+        for subset, row in zip(subsets, values.tolist()):
+            for x, y, value in zip(firsts.tolist(), seconds.tolist(), row):
+                key = depth, frozenset((levels(subset, x), levels(subset, y)))
+                assert key not in swept
+                swept[key] = value
+    return swept
+
+
+def check_pair_variances(design, info, depths):
+    """Each swept variance against ``variance_exact`` of both orders.
+
+    Every ordered pair of ``depths`` must meet its unordered pair in the sweep
+    and no other pair of these depths may be swept.  Returns the brute-force
+    max |variance - closed form| over these depths.
+    """
+    spec = info.spec
+    explicit = realize_design(design)
+    swept = swept_pairs(info)
+    closed = variance_profile(design)
+    solved, looked_up = [], []
+    for depth in depths:
+        for pair in enumerate_orbit(spec, depth):
+            solved.append(variance_exact(pair, explicit, info) - float(closed.values[depth]))
+            key = depth, frozenset((pair.first.levels, pair.second.levels))
+            looked_up.append(swept[key] - float(closed.values[depth]))
+    assert 2 * sum(depth in depths for depth, _ in swept) == len(solved)
+    # same quadratic forms by another factorization: float64 rounding only
+    np.testing.assert_allclose(looked_up, solved, rtol=1e-12, atol=1e-12 * spec.n_params)
+    return max(abs(value) for value in solved)
+
+
+def random_spd_info(spec, seed):
+    """A well-conditioned SPD oracle matrix with no symmetry of the design region."""
+    a = np.random.default_rng(seed).standard_normal((spec.n_params, spec.n_params))
+    m = a @ a.T + spec.n_params * np.eye(spec.n_params)
+    return DenseInfo(entries=(m + m.T) / 2, spec=spec)
 
 
 def four_depth_optimum(spec44):
@@ -189,22 +246,51 @@ class TestVarianceExact:
     def test_batched_sweep_matches_per_pair_solves(self):
         spec = ModelSpec(5, 5)
         design = DepthDesign({2: Fraction(2, 3), 4: Fraction(1, 3)}, spec)
-        explicit = realize_design(design)
-        info = info_matrix_exact(explicit)
-        closed = variance_profile(design)
-        worst = 0.0
-        for depth in spec.depths:
-            batched = np.concatenate(list(_orbit_variances(spec, depth, _whitening(info))))
-            looped = [
-                variance_exact(pair, explicit, info)
-                for pair in enumerate_orbit(spec, depth)
-            ]
-            # same quadratic forms by another factorization: float64 rounding only
-            np.testing.assert_allclose(batched, looped, rtol=1e-12, atol=0)
-            worst = max(worst, max(abs(v - float(closed.values[depth])) for v in looped))
+        info = info_matrix_exact(realize_design(design))
+        worst = check_pair_variances(design, info, spec.depths)
         sweep = variance_sweep_max_deviation(design, info=info)
         assert sweep <= 1e-9 * spec.n_params
         assert abs(sweep - worst) <= 1e-12 * spec.n_params
+
+    @pytest.mark.parametrize("k,s", [(5, 5), (6, 4), (6, 6)])
+    def test_sweep_on_a_matrix_that_is_not_invariant(self, k, s):
+        # every pair has its own variance here, so a misplaced pair shows;
+        # under an invariant oracle each pair of a depth has the same one
+        spec = ModelSpec(k, s)
+        design = optimize_full(spec).design
+        info = random_spd_info(spec, seed=k * s)
+        worst = check_pair_variances(design, info, spec.depths)
+        sweep = variance_sweep_max_deviation(design, info=info)
+        assert worst > 1
+        assert abs(sweep - worst) <= 1e-12 * worst
+
+    def test_budget_leaves_swept_pairs_unchanged(self, monkeypatch):
+        # K=7 S=5: 21 subsets of p_S = 30 terms, so blocks of 7 pairs
+        spec = ModelSpec(7, 5)
+        info = info_matrix_exact(realize_design(optimize_full(spec).design))
+        whole = swept_pairs(info)
+        monkeypatch.setattr(equivalence, "_BLOCK_FLOATS", 7 * 21 * 30)
+        sizes = [len(firsts) for _, firsts, _, _ in _pair_variances(info)]
+        assert max(sizes) == 7 and len(sizes) > spec.strength  # a depth spans blocks
+        chunked = swept_pairs(info)
+        assert chunked.keys() == whole.keys()
+        np.testing.assert_allclose(
+            [chunked[key] for key in whole], list(whole.values()), rtol=1e-13
+        )
+
+    def test_sweep_never_reads_nan_as_agreement(self, monkeypatch):
+        spec = ModelSpec(5, 5)
+        design = DepthDesign({2: Fraction(2, 3), 4: Fraction(1, 3)}, spec)
+        info = info_matrix_exact(realize_design(design))
+        cholesky = np.linalg.cholesky
+
+        def with_nan(matrix):
+            factor = cholesky(matrix)
+            factor[-1, -1] = np.nan
+            return factor
+
+        monkeypatch.setattr(np.linalg, "cholesky", with_nan)
+        assert math.isnan(variance_sweep_max_deviation(design, info=info))
 
     def test_sweep_factors_once(self, monkeypatch):
         spec = ModelSpec(5, 5)
@@ -245,13 +331,8 @@ class TestVarianceExact:
         design = optimize_full(spec).design
         if floats:
             design = DepthDesign({d: float(w) for d, w in design.weights.items()}, spec)
-        explicit = realize_design(design)
-        info = info_matrix_exact(explicit)
-        whitening = _whitening(info)
-        for depth in depths:
-            batched = np.concatenate(list(_orbit_variances(spec, depth, whitening)))
-            looped = [variance_exact(pair, explicit, info) for pair in enumerate_orbit(spec, depth)]
-            np.testing.assert_allclose(np.sort(batched), np.sort(looped), rtol=1e-12, atol=0)
+        info = info_matrix_exact(realize_design(design))
+        check_pair_variances(design, info, depths)
 
     def test_sweep_refuses_a_foreign_oracle(self):
         design = optimize_full(ModelSpec(7, 5)).design

@@ -7,6 +7,7 @@ import pytest
 
 from pairdesign import (
     BlockInfo,
+    DenseInfo,
     DepthDesign,
     ExplicitDesign,
     ModelSpec,
@@ -100,6 +101,23 @@ class TestInfoMatrixExact:
         assert np.linalg.matrix_rank(dense.entries) == 1
         assert dense.entries.trace() == pytest.approx(float(diff @ diff))
         np.testing.assert_allclose(dense.entries, np.outer(diff, diff))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_entries_that_are_not_finite(self, spec44, bad):
+        # a NaN passes a symmetry check, and inf - inf is NaN
+        entries = np.eye(spec44.n_params)
+        entries[0, 1] = entries[1, 0] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            DenseInfo(entries=entries, spec=spec44)
+
+    def test_entries_are_a_read_only_copy(self, spec44):
+        # a NaN written after the checks cannot reach the validated matrix
+        entries = np.eye(spec44.n_params)
+        dense = DenseInfo(entries=entries, spec=spec44)
+        entries[0, 0] = np.nan
+        assert np.all(np.isfinite(dense.entries))
+        with pytest.raises(ValueError, match="read-only"):
+            dense.entries[0, 0] = np.nan
 
     def test_uniform_orbit_equals_blocks(self, spec44):
         dense = info_matrix_exact(uniform_orbit_design(spec44, 2))
@@ -325,8 +343,30 @@ class TestOracleBySubset:
         explicit = realize_design(optimum)
         assert len(explicit.weights) > 64 * 21  # every subset's rows span chunks
         whole = info_matrix_exact(explicit)
-        monkeypatch.setattr(information, "_ORACLE_CHUNK", 64)
+        # blocks of 64 rows of p_S = 30 terms
+        monkeypatch.setattr(information, "_BLOCK_FLOATS", 64 * 30)
         for design in (explicit, self.shuffled(explicit)):
             chunked = info_matrix_exact(design)
             assert chunked.exact_den == whole.exact_den
             assert np.array_equal(chunked.exact_num, whole.exact_num)
+
+    @pytest.mark.parametrize("k,s", [(7, 5), (6, 6)])
+    def test_random_rows_match_full_width_reference(self, k, s):
+        # rows that form no orbit, with distinct weights: a row read from the
+        # wrong pattern of the level table cannot cancel out
+        spec, n = ModelSpec(k, s), 600
+        rng = np.random.default_rng(k * s)
+        shown = np.argsort(rng.random((n, k)), axis=1)[:, :s]
+        firsts = np.zeros((n, k), dtype=np.int8)
+        np.put_along_axis(firsts, shown, rng.choice(np.array([-1, 1], np.int8), (n, s)), axis=1)
+        seconds = np.where(rng.random((n, k)) < 0.5, -firsts, firsts)
+        counts = rng.permutation(np.arange(1, n + 1))
+        exact = ExplicitDesign.from_arrays(firsts, seconds, counts, spec, int(counts.sum()))
+        dense = info_matrix_exact(exact)
+        assert dense.is_exact and dense.exact_den == counts.sum()
+        assert np.array_equal(dense.exact_num, full_width_info(exact).astype(np.int64))
+        floats = ExplicitDesign.from_arrays(firsts, seconds, counts / counts.sum(), spec)
+        dense = info_matrix_exact(floats)
+        assert not dense.is_exact
+        reference = full_width_info(floats)
+        assert np.max(np.abs(dense.entries - reference)) <= 1e-12 * np.max(np.abs(reference))
