@@ -21,25 +21,20 @@ from .design_space import (
     enumerate_orbit,
     param_dims,
     realize_design,
-    regression_vector,
 )
 from .equivalence import (
     CertificationReport,
     VarianceProfile,
     kw_certify,
-    variance_exact,
     variance_from_blocks,
     variance_profile,
-    variance_sweep_max_deviation,
     variance_uniform,
 )
 from .information import (
     BlockInfo,
-    DenseInfo,
     SingularDesignError,
     h_numerators,
     h_values,
-    info_matrix_exact,
     is_identifiable,
     log_det,
     mix_h,
@@ -52,6 +47,13 @@ from .optimizer import (
     optimal_depth_second_order,
     optimal_depth_third_order,
     optimize_full,
+)
+from .oracle import (
+    DenseInfo,
+    info_matrix_exact,
+    regression_vector,
+    variance_exact,
+    variance_sweep_max_deviation,
 )
 
 __version__ = "0.1.0"

@@ -46,17 +46,10 @@ from .equivalence import (
     DEFAULT_CERTIFY_TOL,
     kw_certify,
     variance_profile,
-    variance_sweep_max_deviation,
 )
-from .information import (
-    SingularDesignError,
-    _check_oracle_gate,
-    h_values,
-    info_matrix_exact,
-    log_det,
-    mix_h,
-)
+from .information import SingularDesignError, h_values, log_det, mix_h
 from .optimizer import OptimResult, optimize_full
+from .oracle import _check_oracle_gate, info_matrix_exact, variance_sweep_max_deviation
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -173,7 +166,7 @@ def _plan_blocks(spec: ModelSpec, depth_weights: dict[int, Weight]):
 
     Each depth's orbit streams from ``_orbit_blocks`` with the one cell
     w_d / N_d, exact when w_d is: the rows of ``realize_design``, one
-    ``_ORACLE_CHUNK`` block at a time.  Bad depths raise before any block.
+    ``_ORBIT_BLOCK_ROWS`` block at a time.  Bad depths raise before any block.
     """
     cells = {
         depth: _weight_text(

@@ -16,7 +16,7 @@ numerators over one common denominator when they are exact (floats
 otherwise); ``realize_design`` builds it from the orbits' level blocks
 without making a pair object.  ``Profile`` and ``ComparisonPair`` remain the
 single-pair API, and ``ExplicitDesign.entries`` shows the rows as pairs on
-demand.
+demand.  Model rows f(i) and the brute-force oracle live in ``oracle``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +42,6 @@ __all__ = [
     "enumerate_orbit",
     "param_dims",
     "realize_design",
-    "regression_vector",
 ]
 
 Weight = Fraction | float | int
@@ -51,10 +49,8 @@ Weight = Fraction | float | int
 _WEIGHT_SUM_TOL = 1e-12
 # Exact row weights are stored as int64 numerators over a denominator up to this.
 _MAX_EXACT_DENOMINATOR = 10**12
-# Rows per block when orbits stream as level arrays (realization and export).
-_ORACLE_CHUNK = 1 << 16
-# Float elements per block of the oracle (rows x p_S) and the sweep (rows x subsets x p_S).
-_BLOCK_FLOATS = 1 << 22
+# Rows per block when orbits stream as level arrays (realization, export, plan reading).
+_ORBIT_BLOCK_ROWS = 1 << 16
 
 
 class InvalidPairError(ValueError):
@@ -113,10 +109,10 @@ class Profile:
     levels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        levels = tuple(int(v) for v in self.levels)
-        if any(v not in (-1, 0, 1) for v in levels):
+        levels = tuple(self.levels)
+        if any(v not in (-1, 0, 1) for v in levels):  # 0.5 and NaN are not truncated
             raise ValueError(f"levels must be -1, 0 or +1, got {self.levels!r}")
-        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "levels", tuple(int(v) for v in levels))
 
     @property
     def strength(self) -> int:
@@ -214,18 +210,18 @@ def _orbit_blocks(
 
     Rows come in ``enumerate_orbit``'s order (attribute subsets, then
     first-profile levels, then flipped positions) in blocks of at most
-    ``_ORACLE_CHUNK`` rows.  Each block is the
-    broadcast product of a batch of subsets, a batch of level patterns and a
-    batch of flip masks; a batch of an outer factor holds more than one item
-    only when every inner factor fits whole, which keeps the order.
+    ``_ORBIT_BLOCK_ROWS`` rows.  Each block is the broadcast product of a
+    batch of subsets, a batch of level patterns and a batch of flip masks; a
+    batch of an outer factor holds more than one item only when every inner
+    factor fits whole, which keeps the order.
     """
     k, s = _dims_of(spec)
     if not 0 <= depth <= s:
         raise ValueError(f"depth must lie in 0..{s}, got {depth}")
     n_flips, n_levels = math.comb(s, depth), 2**s
-    flip_batch = min(n_flips, _ORACLE_CHUNK)
-    level_batch = min(n_levels, _ORACLE_CHUNK // flip_batch)
-    subset_batch = _ORACLE_CHUNK // (level_batch * flip_batch)
+    flip_batch = min(n_flips, _ORBIT_BLOCK_ROWS)
+    level_batch = min(n_levels, _ORBIT_BLOCK_ROWS // flip_batch)
+    subset_batch = _ORBIT_BLOCK_ROWS // (level_batch * flip_batch)
 
     def flip_signs() -> Iterator[np.ndarray]:
         for flips in _batches(itertools.combinations(range(s), depth), flip_batch):
@@ -284,6 +280,8 @@ class DepthDesign:
     def __post_init__(self) -> None:
         cleaned: dict[int, Weight] = {}
         for depth, weight in sorted(self.weights.items()):
+            if depth != int(depth):
+                raise ValueError(f"depth must be an integer, got {depth!r}")
             depth = int(depth)
             if depth == 0:
                 raise ValueError("depth 0 carries no information and cannot be weighted")
@@ -421,7 +419,7 @@ class ExplicitDesign:
                     f"{name} profiles have shape {levels.shape}, expected {n} rows "
                     f"of the spec's {k} attributes"
                 )
-            bad = _first_row(np.any((levels < -1) | (levels > 1), axis=1))
+            bad = _first_row(np.any((levels != -1) & (levels != 0) & (levels != 1), axis=1))
             if bad is not None:
                 raise ValueError(
                     f"row {bad}: levels must be -1, 0 or +1, got {levels[bad].tolist()}"
@@ -510,76 +508,3 @@ def realize_design(design: DepthDesign) -> ExplicitDesign:
         spec,
         denominator,
     )
-
-
-@lru_cache(maxsize=None)
-def _combo_indices(n_attributes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lexicographic index tuples for the two-, three- and four-way blocks."""
-    return tuple(
-        np.array(
-            list(itertools.combinations(range(n_attributes), r)), dtype=np.intp
-        ).reshape(-1, r)
-        for r in (2, 3, 4)
-    )
-
-
-def _regression_matrix(levels: np.ndarray, n_attributes: int) -> np.ndarray:
-    """Model rows for a batch of level rows; blocks ordered mains, pairs, triples, quads.
-
-    Products are taken column by column, so the rows keep the dtype of
-    ``levels`` (int8 level blocks give int8 rows).
-    """
-    blocks = [levels]
-    for idx in _combo_indices(n_attributes):
-        product = levels[:, idx[:, 0]]
-        for column in idx.T[1:]:
-            product = product * levels[:, column]
-        blocks.append(product)
-    return np.concatenate(blocks, axis=1)
-
-
-def _level_table(strength: int) -> np.ndarray:
-    """Model rows of all 2^S level patterns on S attributes, as floats.
-
-    Row i sets attribute j to +1 where bit j of i is set and to -1 elsewhere,
-    so a ±1 level row is table row sum_j [level_j = +1] 2^j.  At most 1024
-    rows under the oracle gate, built per call: a pair's f(i)-f(j) on its
-    shown terms is the difference of two of them.
-    """
-    bits = np.arange(2**strength)[:, None] >> np.arange(strength) & 1
-    return _regression_matrix((2 * bits - 1).astype(np.int8), strength).astype(float)
-
-
-def _subset_terms(subsets: Sequence[Sequence[int]], n_attributes: int) -> np.ndarray:
-    """Model columns of the terms inside each shown subset, one row per subset.
-
-    All subsets have the same size S.  Row n lists, in model order, the p_S
-    terms whose attributes all lie in ``subsets[n]``: exactly the columns of
-    ``_regression_matrix(levels[:, subsets[n]], S)`` for sorted subsets, so a
-    row showing only that subset scatters its S-attribute regression row
-    into them and is zero everywhere else.
-    """
-    subsets = np.asarray(subsets, dtype=np.intp)
-    inside = np.zeros((len(subsets), n_attributes), dtype=bool)
-    np.put_along_axis(inside, subsets, True, axis=1)
-    terms = [inside] + [inside[:, idx].all(axis=2) for idx in _combo_indices(n_attributes)]
-    return np.nonzero(np.concatenate(terms, axis=1))[1].reshape(len(subsets), -1)
-
-
-def regression_vector(profile: Profile, spec: ModelSpec) -> np.ndarray:
-    """Model row f(i): the K levels, then all two-, three- and four-way products.
-
-    Index tuples are sorted lexicographically within each block and the blocks
-    are concatenated in order of interaction order, so the layout is
-    byte-reproducible.  Entries are -1, 0 or +1 (no zeros for full profiles).
-    """
-    if len(profile.levels) != spec.n_attributes:
-        raise ValueError(
-            f"profile has {len(profile.levels)} attributes, spec has {spec.n_attributes}"
-        )
-    if profile.strength != spec.strength:
-        raise ValueError(
-            f"profile has strength {profile.strength}, spec has {spec.strength}"
-        )
-    levels = np.array([profile.levels], dtype=np.int64)
-    return _regression_matrix(levels, spec.n_attributes)[0]

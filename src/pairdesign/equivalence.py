@@ -15,7 +15,7 @@ paper's display
                 + (S-d)(2d^2 - 2Sd + S^2 - 3S + 4) / (6 h4) )
 
 which ``variance_uniform`` keeps, for point masses, as an independent check;
-``variance_sweep_max_deviation`` checks V(d) on every pair against the oracle.
+the brute-force oracle in ``oracle`` checks V(d) on every pair.
 
 By the Kiefer-Wolfowitz equivalence theorem a design is D-optimal exactly when
 V(d) <= p for every depth, with equality at every depth it actually weights.
@@ -29,35 +29,17 @@ raises the one "not identifiable" SingularDesignError of information.py.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
-import numpy as np
-
-from .design_space import (
-    ComparisonPair,
-    DepthDesign,
-    ExplicitDesign,
-    ModelSpec,
-    Weight,
-    _BLOCK_FLOATS,
-    _level_table,
-    _subset_terms,
-    realize_design,
-    regression_vector,
-)
+from .design_space import DepthDesign, ModelSpec, Weight
 from .information import (
     BlockInfo,
-    DenseInfo,
-    SingularDesignError,
     _h_denominators,
     _require_identifiable,
     h_numerators,
     h_values,
-    info_matrix_exact,
     mix_h,
 )
 
@@ -65,10 +47,8 @@ __all__ = [
     "CertificationReport",
     "VarianceProfile",
     "kw_certify",
-    "variance_exact",
     "variance_from_blocks",
     "variance_profile",
-    "variance_sweep_max_deviation",
     "variance_uniform",
 ]
 
@@ -158,88 +138,6 @@ def variance_uniform(depth: int, design_depth: int, spec: ModelSpec) -> Fraction
         + p3 * Fraction(q3(d), q3(dd))
         + p4 * Fraction((s - d) * q4(d), (s - dd) * q4(dd))
     )
-
-
-def variance_exact(
-    pair: ComparisonPair,
-    design: ExplicitDesign,
-    info: DenseInfo | None = None,
-) -> float:
-    """(f(i)-f(j))^T M^{-1} (f(i)-f(j)) via a dense solve on the oracle matrix.
-
-    Pass a precomputed ``info`` when sweeping many pairs of one design.
-    """
-    if info is None:
-        info = info_matrix_exact(design)
-    diff = (
-        regression_vector(pair.first, design.spec)
-        - regression_vector(pair.second, design.spec)
-    ).astype(float)
-    try:
-        solution = np.linalg.solve(info.entries, diff)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError("oracle information matrix is singular") from exc
-    return float(diff @ solution)
-
-
-def _pair_variances(info: DenseInfo) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Oracle variances of every pair of every depth, each unordered pair once.
-
-    f(i)-f(j) is zero outside the p_S terms of the pair's shown subset, so a
-    pair of local level patterns, x and x with the positions D flipped, takes
-    its difference from ``_level_table`` once; on subset c its variance is
-    rowsum((diffs @ G_c) ⊙ diffs), G_c the block of M^-1 on c's terms.  Both
-    orders have one variance, so only x at +1 on D's first position is kept.
-    Yields ``(depth, firsts, seconds, values)`` per block of ``_BLOCK_FLOATS``
-    product floats: the pairs' table rows and one row of variances per subset.
-    """
-    k, s = info.spec.n_attributes, info.spec.strength
-    try:
-        lower = np.linalg.inv(np.linalg.cholesky(info.entries))
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError("oracle information matrix is singular") from exc
-    terms = _subset_terms(list(itertools.combinations(range(k), s)), k)
-    inverses = (lower.T @ lower)[terms[:, :, None], terms[:, None, :]]
-    table = _level_table(s)
-    rows_per_block = max(1, _BLOCK_FLOATS // (len(terms) * table.shape[1]))
-    for depth in info.spec.depths:
-        flips = np.array([mask for mask in range(2**s) if mask.bit_count() == depth])
-        which, firsts = np.nonzero(np.arange(2**s) & (flips & -flips)[:, None])
-        seconds = firsts ^ flips[which]
-        for start in range(0, len(firsts), rows_per_block):
-            rows = slice(start, start + rows_per_block)
-            diffs = table[firsts[rows]]
-            diffs -= table[seconds[rows]]
-            values = np.einsum("cij,ij->ci", diffs @ inverses, diffs)
-            yield depth, firsts[rows], seconds[rows], values
-
-
-def variance_sweep_max_deviation(
-    design: DepthDesign,
-    explicit: ExplicitDesign | None = None,
-    info: DenseInfo | None = None,
-) -> float:
-    """Max |oracle variance - closed form| over every pair of every depth.
-
-    Exhausts the whole design region of the spec, not just the design's
-    support, each unordered pair once.  Pass the oracle matrix as ``info``
-    when the caller already holds it; otherwise it is built from
-    ``explicit`` (realized from ``design`` if absent), subject to the oracle
-    gate, so intended for small attribute counts.  An ``explicit`` or
-    ``info`` built for another spec raises ValueError.  A NaN variance makes
-    the result NaN, which passes no bound.
-    """
-    for given in (explicit, info):
-        if given is not None and given.spec != design.spec:
-            raise ValueError(
-                f"oracle input is for {given.spec}, the design is for {design.spec}"
-            )
-    if info is None:
-        info = info_matrix_exact(realize_design(design) if explicit is None else explicit)
-    closed = variance_profile(design).values
-    deviations = [np.max(np.abs(v - float(closed[d]))) for d, _, _, v in _pair_variances(info)]
-    return float(np.max(deviations))  # unlike the builtin max, np.max keeps a NaN
-
 
 @dataclass(frozen=True)
 class CertificationReport:

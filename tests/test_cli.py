@@ -655,7 +655,7 @@ class TestPlanStream:
             return write(handle, n_attributes, counted())
 
         monkeypatch.setattr(cli, "_write_plan_csv", recording)
-        monkeypatch.setattr(design_space, "_ORACLE_CHUNK", 64)
+        monkeypatch.setattr(design_space, "_ORBIT_BLOCK_ROWS", 64)
         chunked = tmp_path / "chunked.csv"
         assert run(capsys, "optimize", "--k", "6", "--s", "6", "--export", str(chunked))[0] == 0
         assert max(sizes) <= 64 and sum(sizes) == 1344

@@ -26,7 +26,8 @@ from pairdesign import (
 )
 
 from pairdesign import design_space
-from pairdesign.design_space import _orbit_blocks, _regression_matrix, _subset_terms
+from pairdesign.design_space import _orbit_blocks
+from pairdesign.oracle import _regression_matrix, _subset_terms
 
 from conftest import reference_pairs, reference_regression
 
@@ -90,6 +91,14 @@ class TestProfile:
     def test_bad_level(self):
         with pytest.raises(ValueError):
             Profile((1, 2, 0, 1))
+
+    @pytest.mark.parametrize("bad", [0.5, -0.5, 0.9, 1.9, -1.7, float("nan")])
+    def test_non_integral_level_is_refused_not_truncated(self, bad):
+        with pytest.raises(ValueError, match="levels must be -1, 0 or \\+1"):
+            Profile((bad, 1, -1, 1, 1))
+
+    def test_integral_float_levels_are_accepted(self):
+        assert Profile((1.0, -1.0, 0.0, 1, np.int8(-1))).levels == (1, -1, 0, 1, -1)
 
     def test_bad_text(self):
         with pytest.raises(ValueError):
@@ -284,7 +293,7 @@ class TestOrbitBlocks:
     @pytest.mark.parametrize("chunk", [1 << 16, 1, 5, 16, 100, 1000])
     def test_blocks_concatenate_to_orbit_stream(self, k, s, d, chunk, monkeypatch):
         # small chunks split flip masks, level patterns and subsets across blocks
-        monkeypatch.setattr(design_space, "_ORACLE_CHUNK", chunk)
+        monkeypatch.setattr(design_space, "_ORBIT_BLOCK_ROWS", chunk)
         blocks = list(_orbit_blocks((k, s), d))
         assert all(f.dtype == np.int8 and g.dtype == np.int8 for f, g in blocks)
         assert all(0 < len(f) == len(g) <= chunk for f, g in blocks)
@@ -319,6 +328,14 @@ class TestDesigns:
             DepthDesign({1: -0.1, 2: 1.1}, spec44)
         with pytest.raises(ValueError):
             DepthDesign({1: 0.5, 2: 0.6}, spec44)
+
+    @pytest.mark.parametrize("depth", [2.7, 2.5, Fraction(5, 2)])
+    def test_non_integral_depth_is_refused_not_truncated(self, depth):
+        with pytest.raises(ValueError, match="depth must be an integer"):
+            DepthDesign({depth: 1}, ModelSpec(5, 4))
+
+    def test_integral_float_depth_is_accepted(self):
+        assert DepthDesign({2.0: 1}, ModelSpec(5, 4)).weights == {2: 1}
 
     @pytest.mark.parametrize(
         "weights",
@@ -411,6 +428,31 @@ class TestExplicitDesignArrays:
         pairs = [ComparisonPair(Profile(i), Profile(j)) for i, j in rows]
         with pytest.raises(ValueError):
             ExplicitDesign(tuple(zip(pairs, weights)), spec54)
+
+    @pytest.mark.parametrize("bad", [0.5, -0.5, 0.9, float("nan")])
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_non_integral_level_is_refused_not_truncated(self, spec54, bad, side):
+        # a level of 0.5 would become a hidden attribute; NaN would warn in the cast
+        row = {"first": list(self.FIRST), "second": list(self.SECOND)}
+        row[side][3] = bad
+        with pytest.raises(ValueError, match="row 0: levels must be -1, 0 or \\+1"):
+            ExplicitDesign.from_arrays(
+                np.array([row["first"]], dtype=float),
+                np.array([row["second"]], dtype=float),
+                np.array([1.0]),
+                spec54,
+            )
+        with pytest.raises(ValueError, match="levels must be -1, 0 or \\+1"):
+            pair = ComparisonPair(Profile(row["first"]), Profile(row["second"]))
+            ExplicitDesign(((pair, 1.0),), spec54)
+
+    def test_integral_float_levels_are_accepted(self, spec54):
+        design = ExplicitDesign.from_arrays(
+            np.array([self.FIRST], dtype=float), np.array([self.SECOND], dtype=float),
+            np.array([1.0]), spec54,
+        )
+        assert design.firsts.tolist() == [list(self.FIRST)]
+        assert design.seconds.tolist() == [list(self.SECOND)]
 
     def test_weight_sum_tolerance_grows_with_rows(self, spec54):
         n = 4000

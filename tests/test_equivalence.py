@@ -26,9 +26,8 @@ from pairdesign import (
     variance_sweep_max_deviation,
     variance_uniform,
 )
-from pairdesign import equivalence
-from pairdesign.equivalence import _pair_variances
-from pairdesign.information import info_matrix_exact
+from pairdesign import oracle
+from pairdesign.oracle import _pair_variances, info_matrix_exact
 
 
 def swept_pairs(info):
@@ -269,7 +268,7 @@ class TestVarianceExact:
         spec = ModelSpec(7, 5)
         info = info_matrix_exact(realize_design(optimize_full(spec).design))
         whole = swept_pairs(info)
-        monkeypatch.setattr(equivalence, "_BLOCK_FLOATS", 7 * 21 * 30)
+        monkeypatch.setattr(oracle, "_BLOCK_FLOATS", 7 * 21 * 30)
         sizes = [len(firsts) for _, firsts, _, _ in _pair_variances(info)]
         assert max(sizes) == 7 and len(sizes) > spec.strength  # a depth spans blocks
         chunked = swept_pairs(info)
@@ -314,8 +313,8 @@ class TestVarianceExact:
         def refuse(*args):
             raise AssertionError("oracle rebuilt")
 
-        monkeypatch.setattr(equivalence, "info_matrix_exact", refuse)
-        monkeypatch.setattr(equivalence, "realize_design", refuse)
+        monkeypatch.setattr(oracle, "info_matrix_exact", refuse)
+        monkeypatch.setattr(oracle, "realize_design", refuse)
         assert variance_sweep_max_deviation(design, info=info) <= 1e-10
 
 

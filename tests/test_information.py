@@ -23,9 +23,9 @@ from pairdesign import (
     optimize_full,
     realize_design,
 )
-from pairdesign import information
-from pairdesign.design_space import _regression_matrix
-from pairdesign.information import _MAX_EXACT_DENOMINATOR
+from pairdesign import oracle
+from pairdesign.design_space import _MAX_EXACT_DENOMINATOR
+from pairdesign.oracle import _regression_matrix
 
 from conftest import reference_uniform_info
 
@@ -118,6 +118,29 @@ class TestInfoMatrixExact:
         assert np.all(np.isfinite(dense.entries))
         with pytest.raises(ValueError, match="read-only"):
             dense.entries[0, 0] = np.nan
+
+    def test_refuses_exact_matrix_that_differs_from_entries(self, spec44):
+        # one DenseInfo cannot say 1.0 in its floats and 0 in its fractions
+        zeros = np.zeros((spec44.n_params,) * 2, dtype=np.int64)
+        with pytest.raises(ValueError, match="differ"):
+            DenseInfo(entries=np.eye(spec44.n_params), spec=spec44, exact_num=zeros, exact_den=1)
+        scaled = np.eye(spec44.n_params, dtype=np.int64) * 3
+        with pytest.raises(ValueError, match="differ"):
+            DenseInfo(entries=np.eye(spec44.n_params), spec=spec44, exact_num=scaled, exact_den=2)
+        dense = DenseInfo(entries=scaled / 3, spec=spec44, exact_num=scaled, exact_den=3)
+        assert dense.is_exact and dense.exact_entry(0, 0) == 1
+
+    @pytest.mark.parametrize("given", ["exact_num", "exact_den"])
+    def test_refuses_half_an_exact_matrix(self, spec44, given):
+        exact = {"exact_num": np.eye(spec44.n_params, dtype=np.int64), "exact_den": 1}
+        with pytest.raises(ValueError, match="together"):
+            DenseInfo(entries=np.eye(spec44.n_params), spec=spec44, **{given: exact[given]})
+
+    @pytest.mark.parametrize("den", [0, -1])
+    def test_refuses_a_denominator_that_is_not_positive(self, spec44, den):
+        num = np.eye(spec44.n_params, dtype=np.int64) * den
+        with pytest.raises(ValueError, match="positive"):
+            DenseInfo(entries=np.eye(spec44.n_params), spec=spec44, exact_num=num, exact_den=den)
 
     def test_uniform_orbit_equals_blocks(self, spec44):
         dense = info_matrix_exact(uniform_orbit_design(spec44, 2))
@@ -344,7 +367,7 @@ class TestOracleBySubset:
         assert len(explicit.weights) > 64 * 21  # every subset's rows span chunks
         whole = info_matrix_exact(explicit)
         # blocks of 64 rows of p_S = 30 terms
-        monkeypatch.setattr(information, "_BLOCK_FLOATS", 64 * 30)
+        monkeypatch.setattr(oracle, "_BLOCK_FLOATS", 64 * 30)
         for design in (explicit, self.shuffled(explicit)):
             chunked = info_matrix_exact(design)
             assert chunked.exact_den == whole.exact_den
