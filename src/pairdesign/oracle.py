@@ -5,11 +5,16 @@ It exists only to check the closed forms h1..h4 (``information``) and V(d)
 parameters, <= 1e7 pairs).  Both profiles of a pair show the same S
 attributes, so f(i)-f(j) is zero outside the p_S = S + C(S,2) + C(S,3) +
 C(S,4) terms of that subset, and the work runs subset by subset on p_S x p_S
-blocks, in float blocks of about ``_BLOCK_FLOATS`` elements.  Model rows come
-from one table of all 2^S level patterns, built per call (at most 1024 rows
-under the gate): row i sets the j-th shown attribute to +1 where bit j of i
-is set and to -1 elsewhere, so a profile's shown levels, read as S bits,
-index its row, and a pair's difference is the difference of two rows.
+blocks.  Model rows come from one table T of all 2^S level patterns, built
+per call (at most 1024 rows under the gate): row i sets the j-th shown
+attribute to +1 where bit j of i is set and to -1 elsewhere, so a profile's
+shown levels, read as S bits, index its row, and a pair's difference is the
+difference of two rows.  Both kernels therefore work in Gram form, on one
+2^S x 2^S matrix per subset instead of one model row per pair: the oracle
+counts the weight of each pattern pair and takes the block as T^T L T, L the
+Laplacian of those counts; the sweep reads every pair's variance from
+T G_c T^T, G_c the block of M^-1.  Subsets come in batches of about
+``_BLOCK_FLOATS`` elements of these matrices.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ __all__ = [
     "variance_sweep_max_deviation",
 ]
 
-# Float elements per block of the oracle (rows x p_S) and the sweep (rows x subsets x p_S).
+# Float elements per batch of subsets, 4^S per subset, in the oracle and the sweep.
 _BLOCK_FLOATS = 1 << 22
 _MAX_ORACLE_PARAMS = 500
 _MAX_ORACLE_PAIRS = 10_000_000
@@ -121,7 +126,8 @@ class DenseInfo:
     ``entries`` is always the float view.  When the accumulation ran in exact
     integer arithmetic, ``exact_num``/``exact_den`` hold the matrix as
     exact_num / exact_den and ``exact_entry`` recovers exact fractions; both
-    are given or neither, and ``entries`` must equal their quotient.
+    are given or neither, ``exact_num`` must hold integers and ``entries``
+    must equal their quotient.  Both arrays are kept as read-only copies.
     """
 
     entries: np.ndarray
@@ -143,10 +149,16 @@ class DenseInfo:
         exact = self.exact_num is not None
         if exact != (self.exact_den is not None):
             raise ValueError("exact_num and exact_den must be given together")
-        if exact and not self.exact_den > 0:
-            raise ValueError(f"exact_den must be positive, got {self.exact_den!r}")
-        if exact and not np.array_equal(entries, self.exact_num / self.exact_den):
-            raise ValueError("entries differ from exact_num / exact_den")
+        if exact:
+            if not self.exact_den > 0:
+                raise ValueError(f"exact_den must be positive, got {self.exact_den!r}")
+            exact_num = np.array(self.exact_num, dtype=np.int64)
+            if not np.array_equal(exact_num, self.exact_num):
+                raise ValueError("exact_num must hold integers")
+            if not np.array_equal(entries, exact_num / self.exact_den):
+                raise ValueError("entries differ from exact_num / exact_den")
+            exact_num.flags.writeable = False
+            object.__setattr__(self, "exact_num", exact_num)
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
@@ -184,49 +196,70 @@ def info_matrix_exact(design: ExplicitDesign) -> DenseInfo:
     D <= _MAX_EXACT_DENOMINATOR, 1e12); otherwise accumulates float weights.
     Refuses problems past the oracle gate instead of degrading silently.
 
-    Rows are grouped by shown subset, in any row order; each group's p_S x p_S
-    block, read from the level table, is added into the p x p matrix at the
-    subset's model columns.  Full profiles are one group.
+    Rows are grouped by shown subset, in any row order, and each row is read
+    as the pair (a, b) of its two profiles' rows of the level table T.  One
+    ``np.bincount`` adds each row's weight at (a, b) of its subset's 2^S x 2^S
+    matrix W.  With A = W + W^T and deg the row sums of A, the subset's
+    p_S x p_S block is T^T (diag(deg) - A) T, which is
+    sum_x w_x (T_a - T_b)(T_a - T_b)^T over the subset's rows (a row with
+    a = b adds nothing).  One more ``np.bincount`` adds the blocks into the
+    p x p matrix at their subsets' model columns.  Full profiles are one
+    subset.
 
     The exact path holds the integer counts c_x = D w_x as float64 so the
-    products run in BLAS, and it is still exact: both profiles of a pair show
-    the same attributes, so every entry of f(i)-f(j) lies in {-2, 0, 2}, every
-    product term is an integer of magnitude <= 4 c_x, and every partial sum in
-    any summation order, within a block or across blocks, is an integer of
-    magnitude <= 4 sum_x c_x.  While that bound is below 2^53 each of these
-    integers is a float64 and no operation rounds; the bound is checked before
-    the products and the conversion of the result to int64 ``exact_num`` is
-    checked afterwards.
+    products run in BLAS, and it is still exact.  Every entry of A and deg is
+    a sum of counts, and a row of diag(deg) - A has absolute sum at most
+    2 deg_a, so every partial sum of (diag(deg) - A) T, of T^T times that
+    (T is +-1) and of the scatter into the p x p matrix, in any summation
+    order, is an integer of magnitude <= 4 sum_x c_x.  While that bound is
+    below 2^53 each of these integers is a float64 and no operation rounds;
+    the bound is checked before the products and the conversion of the
+    result to int64 ``exact_num`` is checked afterwards.
     """
     spec = design.spec
-    n_rows = len(design.weights)
-    _check_oracle_gate(spec, n_rows)
+    _check_oracle_gate(spec, len(design.weights))
     if design.is_exact and 4 * int(design.weights.sum()) >= 2**53:
         raise ArithmeticError("exact oracle: 4 * sum of counts reaches 2^53")
     row_weights = design.weights.astype(float)
     k, s, p = spec.n_attributes, spec.strength, spec.n_params
     table = _level_table(s)
-    rows_per_block = max(1, _BLOCK_FLOATS // table.shape[1])
-    # one integer key per shown subset, its attribute bits (K <= 10 under the gate)
-    keys = (design.firsts != 0) @ (1 << np.arange(k))
-    # each profile's shown levels as a row of ``table``: bit j is set when the
-    # j-th shown attribute is at +1 (int16 holds the S <= 10 bits)
-    position = np.maximum(np.cumsum(design.firsts != 0, axis=1, dtype=np.int16) - 1, 0)
-    firsts, seconds = (
-        ((levels > 0) << position).sum(axis=1) for levels in (design.firsts, design.seconds)
-    )
-    order = np.argsort(keys, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
-    subsets = [np.flatnonzero(design.firsts[group[0]]) for group in groups]
-    total = np.zeros((p, p), dtype=float)
-    for group, columns in zip(groups, _subset_terms(subsets, k)):
-        block = np.zeros((len(columns), len(columns)), dtype=float)
-        for start in range(0, len(group), rows_per_block):
-            rows = group[start : start + rows_per_block]
-            diffs = table[firsts[rows]]
-            diffs -= table[seconds[rows]]
-            block += diffs.T @ (diffs * row_weights[rows, None])
-        total[np.ix_(columns, columns)] += block
+    n = len(table)
+    # per row: its shown subset's attribute bits (K <= 10 under the gate) and
+    # each profile's shown levels as a row of ``table``, where bit j is set
+    # when the j-th shown attribute is at +1; int16 holds both
+    keys, firsts, seconds, shown = (np.zeros(len(row_weights), np.int16) for _ in range(4))
+    for attribute in range(k):
+        on = design.firsts[:, attribute] != 0
+        keys |= on << np.int16(attribute)
+        firsts |= (design.firsts[:, attribute] > 0) << shown
+        seconds |= (design.seconds[:, attribute] > 0) << shown
+        shown += on
+    present = np.bincount(keys, minlength=2**k) > 0
+    subsets = np.nonzero(np.flatnonzero(present)[:, None] >> np.arange(k) & 1)[1]
+    columns = _subset_terms(subsets.reshape(-1, s), k)
+    # row x adds its weight at (subset, first, second) of the stacked 2^S x 2^S matrices W
+    cell = ((np.cumsum(present) - 1)[keys] * n + firsts) * n + seconds
+    per_batch = max(1, _BLOCK_FLOATS // 4**s)
+    total = np.zeros(p * p, dtype=float)
+    for start in range(0, len(columns), per_batch):
+        batch = columns[start : start + per_batch]
+        low, high = start * n * n, (start + len(batch)) * n * n
+        rows = (cell >= low) & (cell < high)
+        # W, then diag(deg) - W - W^T in place, one subset's transpose at a time
+        laplacian = np.bincount(cell[rows] - low, row_weights[rows], high - low)
+        laplacian = laplacian.reshape(len(batch), n, n)
+        for square in laplacian:
+            square += square.T
+        degree = laplacian.sum(axis=2)
+        np.negative(laplacian, out=laplacian)
+        laplacian.reshape(len(batch), -1)[:, :: n + 1] += degree
+        product = (laplacian.reshape(-1, n) @ table).reshape(len(batch), n, -1)
+        del laplacian
+        blocks = table.T @ product
+        total += np.bincount(
+            (batch[:, :, None] * p + batch[:, None, :]).ravel(), blocks.ravel(), p * p
+        )
+    total = total.reshape(p, p)
     if design.is_exact:
         exact_num = total.astype(np.int64)
         if not np.array_equal(exact_num, total):
@@ -262,35 +295,45 @@ def variance_exact(
     return float(diff @ solution)
 
 
-def _pair_variances(info: DenseInfo) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+def _pair_variances(
+    info: DenseInfo,
+) -> Iterator[tuple[int, range, np.ndarray, np.ndarray, np.ndarray]]:
     """Oracle variances of every pair of every depth, each unordered pair once.
 
-    A pair of local level patterns, x and x with the positions D flipped,
-    takes its difference from the level table once; on subset c its variance
-    is rowsum((diffs @ G_c) ⊙ diffs), G_c the block of M^-1 on c's terms.
-    Both orders have one variance, so only x at +1 on D's first position is
-    kept.  Yields ``(depth, firsts, seconds, values)`` per block: the pairs'
-    table rows and one row of variances per subset.
+    On subset c, with G_c the block of M^-1 on c's terms and T the level
+    table, Q_c = T G_c T^T holds (T_a - T_b)^T G_c (T_a - T_b) as
+    Q_aa + Q_bb - 2 Q_ab for every pair of local level patterns a and b.  A
+    pair of depth D is x and x with the positions D flipped; both orders
+    have one variance, so only x at +1 on D's first position is kept.
+    Subsets come in batches of ``_BLOCK_FLOATS // 4^S``.  Yields ``(depth,
+    subsets, firsts, seconds, values)`` per batch and depth: the batch's
+    indices in ``itertools.combinations`` order, the pairs' table rows and
+    one row of variances per subset.
     """
     k, s = info.spec.n_attributes, info.spec.strength
     try:
         lower = np.linalg.inv(np.linalg.cholesky(info.entries))
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError("oracle information matrix is singular") from exc
+    covariance = lower.T @ lower
     terms = _subset_terms(list(itertools.combinations(range(k), s)), k)
-    inverses = (lower.T @ lower)[terms[:, :, None], terms[:, None, :]]
     table = _level_table(s)
-    rows_per_block = max(1, _BLOCK_FLOATS // (len(terms) * table.shape[1]))
+    pairs = []
     for depth in info.spec.depths:
         flips = np.array([mask for mask in range(2**s) if mask.bit_count() == depth])
         which, firsts = np.nonzero(np.arange(2**s) & (flips & -flips)[:, None])
-        seconds = firsts ^ flips[which]
-        for start in range(0, len(firsts), rows_per_block):
-            rows = slice(start, start + rows_per_block)
-            diffs = table[firsts[rows]]
-            diffs -= table[seconds[rows]]
-            values = np.einsum("cij,ij->ci", diffs @ inverses, diffs)
-            yield depth, firsts[rows], seconds[rows], values
+        pairs.append((depth, firsts, firsts ^ flips[which]))
+    per_batch = max(1, _BLOCK_FLOATS // 4**s)
+    for start in range(0, len(terms), per_batch):
+        batch = terms[start : start + per_batch]
+        gram = table @ covariance[batch[:, :, None], batch[:, None, :]] @ table.T
+        diagonal = np.diagonal(gram, axis1=1, axis2=2)
+        for depth, firsts, seconds in pairs:
+            values = gram[:, firsts, seconds]
+            values *= -2
+            values += diagonal[:, firsts]
+            values += diagonal[:, seconds]
+            yield depth, range(start, start + len(batch)), firsts, seconds, values
 
 
 def variance_sweep_max_deviation(
@@ -316,5 +359,5 @@ def variance_sweep_max_deviation(
     if info is None:
         info = info_matrix_exact(realize_design(design) if explicit is None else explicit)
     closed = variance_profile(design).values
-    deviations = [np.max(np.abs(v - float(closed[d]))) for d, _, _, v in _pair_variances(info)]
+    deviations = [np.max(np.abs(v - float(closed[d]))) for d, _, _, _, v in _pair_variances(info)]
     return float(np.max(deviations))  # unlike the builtin max, np.max keeps a NaN

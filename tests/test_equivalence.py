@@ -45,8 +45,8 @@ def swept_pairs(info):
         return tuple(row)
 
     swept = {}
-    for depth, firsts, seconds, values in _pair_variances(info):
-        for subset, row in zip(subsets, values.tolist()):
+    for depth, batch, firsts, seconds, values in _pair_variances(info):
+        for subset, row in zip([subsets[c] for c in batch], values.tolist(), strict=True):
             for x, y, value in zip(firsts.tolist(), seconds.tolist(), row):
                 key = depth, frozenset((levels(subset, x), levels(subset, y)))
                 assert key not in swept
@@ -264,13 +264,13 @@ class TestVarianceExact:
         assert abs(sweep - worst) <= 1e-12 * worst
 
     def test_budget_leaves_swept_pairs_unchanged(self, monkeypatch):
-        # K=7 S=5: 21 subsets of p_S = 30 terms, so blocks of 7 pairs
+        # K=7 S=5: 21 subsets of 4^5 Gram entries each, so batches of 4 subsets
         spec = ModelSpec(7, 5)
         info = info_matrix_exact(realize_design(optimize_full(spec).design))
         whole = swept_pairs(info)
-        monkeypatch.setattr(oracle, "_BLOCK_FLOATS", 7 * 21 * 30)
-        sizes = [len(firsts) for _, firsts, _, _ in _pair_variances(info)]
-        assert max(sizes) == 7 and len(sizes) > spec.strength  # a depth spans blocks
+        monkeypatch.setattr(oracle, "_BLOCK_FLOATS", 4 * 4**5)
+        batches = {batch for _, batch, _, _, _ in _pair_variances(info)}
+        assert sorted(len(batch) for batch in batches) == [1, 4, 4, 4, 4, 4]
         chunked = swept_pairs(info)
         assert chunked.keys() == whole.keys()
         np.testing.assert_allclose(

@@ -22,6 +22,7 @@ from pairdesign import (
     mix_h,
     optimize_full,
     realize_design,
+    variance_sweep_max_deviation,
 )
 from pairdesign import oracle
 from pairdesign.design_space import _MAX_EXACT_DENOMINATOR
@@ -129,6 +130,21 @@ class TestInfoMatrixExact:
             DenseInfo(entries=np.eye(spec44.n_params), spec=spec44, exact_num=scaled, exact_den=2)
         dense = DenseInfo(entries=scaled / 3, spec=spec44, exact_num=scaled, exact_den=3)
         assert dense.is_exact and dense.exact_entry(0, 0) == 1
+
+    def test_exact_num_is_a_read_only_int64_copy(self, spec44):
+        # a write after the checks cannot make the fractions disagree with the floats
+        num = np.eye(spec44.n_params, dtype=np.int64)
+        dense = DenseInfo(entries=np.eye(spec44.n_params), spec=spec44, exact_num=num, exact_den=1)
+        num[0, 0] = 0
+        assert dense.exact_entry(0, 0) == 1 and dense.entries[0, 0] == 1.0
+        assert dense.exact_num.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            dense.exact_num[0, 0] = 0
+        # integers held in floats are taken, anything else is refused
+        dense = DenseInfo(entries=num / 2, spec=spec44, exact_num=num.astype(float), exact_den=2)
+        assert dense.exact_num.dtype == np.int64 and dense.exact_entry(1, 1) == Fraction(1, 2)
+        with pytest.raises(ValueError, match="integers"):
+            DenseInfo(entries=num * 0.75, spec=spec44, exact_num=num * 1.5, exact_den=2)
 
     @pytest.mark.parametrize("given", ["exact_num", "exact_den"])
     def test_refuses_half_an_exact_matrix(self, spec44, given):
@@ -301,6 +317,22 @@ class TestExactOracleInFloat64:
         want = np.diag(np.repeat([int(v) for v in scaled], spec.block_dims))
         assert np.array_equal(dense.exact_num, want)
 
+    def test_k10_full_profile_optimum_equals_closed_form_and_sweeps_tight(self):
+        # p = 385 and 168 960 rows on one subset: 1024 x 1024 pattern-pair
+        # counts for the oracle, every pair of 1024 profiles for the sweep
+        spec = ModelSpec(10, 10)
+        design = optimize_full(spec).design
+        assert design.is_exact and spec.n_params == 385
+        explicit = realize_design(design)
+        assert len(explicit.weights) == 168_960
+        dense = info_matrix_exact(explicit)
+        assert dense.is_exact
+        scaled = [Fraction(h) * dense.exact_den for h in mix_h(design).values]
+        assert all(v.denominator == 1 for v in scaled)
+        want = np.diag(np.repeat([int(v) for v in scaled], spec.block_dims))
+        assert np.array_equal(dense.exact_num, want)
+        assert variance_sweep_max_deviation(design, info=dense) <= 1e-9 * spec.n_params
+
     @pytest.mark.parametrize(
         "denominator,exact",
         [(_MAX_EXACT_DENOMINATOR, True), (_MAX_EXACT_DENOMINATOR + 1, False)],
@@ -364,12 +396,23 @@ class TestOracleBySubset:
 
     def test_chunking_leaves_exact_result_unchanged(self, optimum, monkeypatch):
         explicit = realize_design(optimum)
-        assert len(explicit.weights) > 64 * 21  # every subset's rows span chunks
         whole = info_matrix_exact(explicit)
-        # blocks of 64 rows of p_S = 30 terms
-        monkeypatch.setattr(oracle, "_BLOCK_FLOATS", 64 * 30)
+        # batches of 4 of the 21 subsets, 4^5 counts each; the shuffled rows
+        # of one batch are spread over the whole design
+        monkeypatch.setattr(oracle, "_BLOCK_FLOATS", 4 * 4**5)
+        bincount, lengths = np.bincount, []
+
+        def recording(indices, weights=None, minlength=0):
+            lengths.append(minlength)
+            return bincount(indices, weights, minlength)
+
+        monkeypatch.setattr(np, "bincount", recording)
         for design in (explicit, self.shuffled(explicit)):
+            lengths.clear()
             chunked = info_matrix_exact(design)
+            # the 2^7 subset keys, then per batch its subsets' counts and the
+            # scatter into the 98 x 98 matrix
+            assert lengths == [2**7] + [4 * 4**5, 98 * 98] * 5 + [4**5, 98 * 98]
             assert chunked.exact_den == whole.exact_den
             assert np.array_equal(chunked.exact_num, whole.exact_num)
 
@@ -393,3 +436,19 @@ class TestOracleBySubset:
         assert not dense.is_exact
         reference = full_width_info(floats)
         assert np.max(np.abs(dense.entries - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_hand_built_rows_match_full_width_reference(self):
+        # the pattern-pair counts W are read in both orientations: a depth-0
+        # row adds nothing, a pair and its reverse add the same outer product,
+        # and a repeated pair adds its two weights
+        spec = ModelSpec(5, 4)
+        a, b = [1, 1, -1, 0, 1], [-1, 1, 1, 0, 1]
+        c, d = [0, 1, 1, 1, -1], [0, -1, 1, -1, -1]
+        same = [1, -1, 1, 1, 0]
+        firsts = np.array([same, a, b, c, c], dtype=np.int8)
+        seconds = np.array([same, b, a, d, d], dtype=np.int8)
+        counts = np.array([5, 2, 3, 7, 11])
+        explicit = ExplicitDesign.from_arrays(firsts, seconds, counts, spec, 28)
+        dense = info_matrix_exact(explicit)
+        assert dense.is_exact and dense.exact_den == 28
+        assert np.array_equal(dense.exact_num, full_width_info(explicit).astype(np.int64))

@@ -66,11 +66,11 @@ def test_one_block_budget_reaches_the_oracle_and_the_sweep(monkeypatch):
             return int(self) // other
 
     monkeypatch.setattr(oracle, "_BLOCK_FLOATS", Budget(oracle._BLOCK_FLOATS))
-    p_s = 5 + 10 + 10 + 5
+    gram = 4**5  # one 2^S x 2^S matrix per shown subset
     again = oracle.info_matrix_exact(explicit)
-    assert divisors == [p_s]  # the oracle sizes its blocks from it
+    assert divisors == [gram]  # the oracle sizes its batches of subsets from it
     assert oracle.variance_sweep_max_deviation(design, info=again) == deviation
-    assert divisors == [p_s, 6 * p_s]  # and so does the sweep, over its 6 subsets
+    assert divisors == [gram, gram]  # and so does the sweep
     assert np.array_equal(again.exact_num, dense.exact_num)
 
 
