@@ -38,6 +38,7 @@ from .design_space import (
     ModelSpec,
     Weight,
     _orbit_blocks,
+    _plan_blocks,
     count_pairs,
     param_dims,
     realize_design,
@@ -127,14 +128,15 @@ class DesignDocument:
 def _parse_weight(value) -> Weight:
     """Accept a bare number, a fraction string, or {"fraction":..., "decimal":...}.
 
-    A boolean is refused in every form, as it is for K and S.
+    A bare integer is exact and a bare decimal a float, as in a plan cell.  A
+    boolean is refused in every form, as it is for K and S.
     """
     if isinstance(value, dict):
         value, parse = (
             (value["fraction"], Fraction) if "fraction" in value else (value["decimal"], float)
         )
     else:
-        parse = Fraction if isinstance(value, str) else float
+        parse = Fraction if isinstance(value, (str, int)) else float
     if isinstance(value, bool):
         raise ValueError(f"a depth weight must be a number or a fraction, got {json.dumps(value)}")
     return parse(value)
@@ -161,29 +163,8 @@ def _parse_weight_text(text: str) -> Weight:
     return float(text)
 
 
-def _plan_blocks(spec: ModelSpec, depth_weights: dict[int, Weight]):
-    """Plan blocks ``(firsts, seconds, weight cells)``, depth by depth ascending.
-
-    Each depth's orbit streams from ``_orbit_blocks`` with the one cell
-    w_d / N_d, exact when w_d is: the rows of ``realize_design``, one
-    ``_ORBIT_BLOCK_ROWS`` block at a time.  Bad depths raise before any block.
-    """
-    cells = {
-        depth: _weight_text(
-            (Fraction(weight) if isinstance(weight, (int, Fraction)) else weight)
-            / count_pairs(spec, depth)
-        )
-        for depth, weight in sorted(depth_weights.items())
-    }
-    return (
-        (firsts, seconds, itertools.repeat(cell))
-        for depth, cell in cells.items()
-        for firsts, seconds in _orbit_blocks(spec, depth)
-    )
-
-
 def _write_plan_csv(handle, n_attributes: int, blocks) -> int:
-    """Write plan blocks ``(firsts, seconds, weight cells)``; returns the row count."""
+    """Write ``_plan_blocks`` blocks, one ``_weight_text`` cell each; returns the row count."""
     writer = csv.writer(handle)
     writer.writerow(
         ["pair_id"]
@@ -192,11 +173,11 @@ def _write_plan_csv(handle, n_attributes: int, blocks) -> int:
         + ["weight"]
     )
     n_rows = 0
-    for firsts, seconds, cells in blocks:
+    for firsts, seconds, weight in blocks:
         levels = np.concatenate([firsts, seconds], axis=1).tolist()
+        cell = _weight_text(weight)
         writer.writerows(
-            [row_id, *row, cell]
-            for row_id, row, cell in zip(itertools.count(n_rows + 1), levels, cells)
+            [row_id, *row, cell] for row_id, row in zip(itertools.count(n_rows + 1), levels)
         )
         n_rows += len(levels)
     return n_rows
@@ -208,7 +189,8 @@ def _plan_segments(path: str):
     K comes from the header and S from the first row, yielded before the
     second row is read.  Each depth segment, in ascending order, must equal
     ``_orbit_blocks(spec, depth)`` row for row, one block at a time, with one
-    weight cell c: it is the depth weight c * N_d, exact when c is.  Every row
+    weight cell c: it is the depth weight c * N_d, exact when c is (the inverse
+    of ``_plan_blocks``'s row weight w_d / N_d).  Every row
     has 2 + 2K fields, and its weight cell is its text after the last comma.
     """
     opts = dict(delimiter=",", quotechar='"', comments=None)

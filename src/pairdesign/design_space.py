@@ -10,13 +10,14 @@ profiles), and every design that is invariant under that group is a mixture
 of uniform designs on these orbits, so it is fully described by a weight per
 comparison depth.
 
-An explicit design spells such a design out pair by pair.  It is held as
-int8 level arrays, one row per ordered pair, with the row weights as int64
-numerators over one common denominator when they are exact (floats
-otherwise); ``realize_design`` builds it from the orbits' level blocks
-without making a pair object.  ``Profile`` and ``ComparisonPair`` remain the
-single-pair API, and ``ExplicitDesign.entries`` shows the rows as pairs on
-demand.  Model rows f(i) and the brute-force oracle live in ``oracle``.
+An explicit design spells such a design out as one stream of orbit rows,
+each weighing w_d / N_d (``_plan_blocks``, read by ``realize_design`` and the
+CSV plan writer alike).  It is held as int8 level arrays, one row per ordered
+pair, with the row weights as int64 numerators over one common denominator
+when they are exact (floats otherwise); no pair object is made.  ``Profile``
+and ``ComparisonPair`` remain the single-pair API, ``ExplicitDesign.entries``
+shows the rows as pairs on demand, and model rows f(i) and the brute-force
+oracle live in ``oracle``.
 """
 
 from __future__ import annotations
@@ -210,10 +211,11 @@ def _orbit_blocks(
 
     Rows come in ``enumerate_orbit``'s order (attribute subsets, then
     first-profile levels, then flipped positions) in blocks of at most
-    ``_ORBIT_BLOCK_ROWS`` rows.  Each block is the broadcast product of a
-    batch of subsets, a batch of level patterns and a batch of flip masks; a
-    batch of an outer factor holds more than one item only when every inner
-    factor fits whole, which keeps the order.
+    ``_ORBIT_BLOCK_ROWS`` rows, each written one shown column at a time for a
+    batch of subsets, of level patterns and of flip masks; a batch of an outer
+    factor holds more than one item only when every inner factor fits whole,
+    which keeps the order.  Pattern n shows attribute j at +1 when bit S-1-j
+    of n is set: ``itertools.product((-1, 1), repeat=S)`` order.
     """
     k, s = _dims_of(spec)
     if not 0 <= depth <= s:
@@ -222,6 +224,7 @@ def _orbit_blocks(
     flip_batch = min(n_flips, _ORBIT_BLOCK_ROWS)
     level_batch = min(n_levels, _ORBIT_BLOCK_ROWS // flip_batch)
     subset_batch = _ORBIT_BLOCK_ROWS // (level_batch * flip_batch)
+    bits = np.arange(s - 1, -1, -1)
 
     def flip_signs() -> Iterator[np.ndarray]:
         for flips in _batches(itertools.combinations(range(s), depth), flip_batch):
@@ -230,24 +233,21 @@ def _orbit_blocks(
             signs[rows, np.array(flips, dtype=np.intp).reshape(len(flips), depth)] = -1
             yield signs
 
-    def level_patterns() -> Iterator[np.ndarray]:
-        for levels in _batches(itertools.product((-1, 1), repeat=s), level_batch):
-            yield np.array(levels, dtype=np.int8).reshape(len(levels), s)
-
-    # a factor that fits in one batch is built once and reused
+    # flip masks that fit in one batch are built once and reused
     signs_once = list(flip_signs()) if flip_batch == n_flips else None
-    levels_once = list(level_patterns()) if level_batch == n_levels else None
     for subsets in _batches(itertools.combinations(range(k), s), subset_batch):
         columns = np.array(subsets, dtype=np.intp).reshape(len(subsets), s)
-        for levels in levels_once or level_patterns():
+        batch = np.arange(len(subsets))
+        for start in range(0, n_levels, level_batch):
+            patterns = np.arange(start, min(start + level_batch, n_levels))[:, None]
+            levels = (((patterns >> bits) & 1) * 2 - 1).astype(np.int8)
             for signs in signs_once or flip_signs():
-                shape = (len(subsets), len(levels), len(signs), s)
-                at = np.broadcast_to(columns[:, None, None, :], shape)
-                shown = np.broadcast_to(levels[None, :, None, :], shape)
-                firsts = np.zeros(shape[:3] + (k,), dtype=np.int8)
-                seconds = np.zeros(shape[:3] + (k,), dtype=np.int8)
-                np.put_along_axis(firsts, at, shown, axis=3)
-                np.put_along_axis(seconds, at, shown * signs[None, None, :, :], axis=3)
+                shape = (len(subsets), len(levels), len(signs), k)
+                firsts = np.zeros(shape, dtype=np.int8)
+                seconds = np.zeros(shape, dtype=np.int8)
+                for j in range(s):
+                    firsts[batch, :, :, columns[:, j]] = levels[:, None, j]
+                    seconds[batch, :, :, columns[:, j]] = levels[:, None, j] * signs[:, j]
                 yield firsts.reshape(-1, k), seconds.reshape(-1, k)
 
 
@@ -485,26 +485,36 @@ class ExplicitDesign:
         return Fraction(int(self.weights[row]), self.denominator)
 
 
+def _plan_blocks(
+    spec: ModelSpec, depth_weights: dict[int, Weight]
+) -> Iterator[tuple[np.ndarray, np.ndarray, Weight]]:
+    """Weighted orbit blocks ``(firsts, seconds, row weight)``, depth by depth ascending.
+
+    Each depth's orbit streams from ``_orbit_blocks``, and every row of it
+    weighs w_d / N_d, exact when w_d is: this is the one place that weight
+    is decided, for ``realize_design`` and for CSV plans alike.  Bad depths
+    raise before any block is built.
+    """
+    shares = [
+        (d, (Fraction(w) if isinstance(w, (int, Fraction)) else w) / count_pairs(spec, d))
+        for d, w in sorted(depth_weights.items())
+    ]
+    return ((*block, share) for d, share in shares for block in _orbit_blocks(spec, d))
+
+
 def realize_design(design: DepthDesign) -> ExplicitDesign:
     """Spell an invariant design out as explicit pairs.
 
-    Each supported depth contributes its whole orbit, in ``enumerate_orbit``'s
-    order, with per-pair weight w_d / N_d; exact weights stay exact.
+    The rows are ``_plan_blocks`` of the supported depths, concatenated:
+    each depth's whole orbit in ``enumerate_orbit``'s order, with per-pair
+    weight w_d / N_d; exact weights stay exact.
     """
-    spec = design.spec
-    support = design.support
-    blocks = [block for depth in support for block in _orbit_blocks(spec, depth)]
-    counts = [count_pairs(spec, depth) for depth in support]
-    shares = []
-    for depth, n_pairs in zip(support, counts):
-        weight = design.weights[depth]
-        exact = isinstance(weight, (int, Fraction))
-        shares.append(Fraction(weight) / n_pairs if exact else weight / n_pairs)
-    weights, denominator = _weight_column(shares)
+    blocks = list(_plan_blocks(design.spec, {d: design.weights[d] for d in design.support}))
+    weights, denominator = _weight_column([share for _, _, share in blocks])
     return ExplicitDesign.from_arrays(
-        np.concatenate([firsts for firsts, _ in blocks]),
-        np.concatenate([seconds for _, seconds in blocks]),
-        np.repeat(weights, counts),
-        spec,
+        np.concatenate([firsts for firsts, _, _ in blocks]),
+        np.concatenate([seconds for _, seconds, _ in blocks]),
+        np.repeat(weights, [len(firsts) for firsts, _, _ in blocks]),
+        design.spec,
         denominator,
     )

@@ -1,6 +1,7 @@
 """Command line behavior: output formats, exit codes, file round trips."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -460,6 +461,18 @@ class TestVerify:
         assert len(err.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize("text,exact", [("1", True), ("1.0", False)], ids=["int", "float"])
+    def test_bare_json_integer_weight_is_exact(self, capsys, tmp_path, text, exact):
+        # the depth-1 point mass is the K=19 S=4 optimum; only exact weights prove it at tol 0
+        weight = cli._parse_weight(json.loads(text))
+        assert weight == 1 and isinstance(weight, Fraction) == exact
+        path = tmp_path / "d194.json"
+        path.write_text('{"K": 19, "S": 4, "depth_weights": {"1": %s}}' % text)
+        code, out, _ = run(capsys, "verify", str(path), *(("--tol", "0") if exact else ()))
+        assert code == 0 and "verdict: optimal" in out.splitlines()
+        if exact:
+            assert "max excess: 0.000e+00 (tol 0 relative to p)" in out.splitlines()
+
     def test_singular_oracle_exits_4(self, capsys, tmp_path, monkeypatch):
         def singular(*args, **kwargs):
             raise SingularDesignError("oracle information matrix is singular")
@@ -661,6 +674,12 @@ class TestPlanStream:
         assert max(sizes) <= 64 and sum(sizes) == 1344
         assert chunked.read_bytes() == whole.read_bytes()
 
+    def test_one_weighted_stream(self):
+        assert cli._plan_blocks is design_space._plan_blocks
+        # a bad depth raises when the stream is made, before any block exists
+        with pytest.raises(ValueError, match="depth"):
+            cli._plan_blocks(ModelSpec(4, 4), {1: Fraction(1, 2), 5: Fraction(1, 2)})
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -766,6 +785,25 @@ class TestGoldenOutput:
             lines[6],
         )
         assert len(lines) == 7
+
+
+class TestGoldenBytes:
+    """sha256 of whole CSV plans: any byte the orbit generator or the plan writer changes fails."""
+
+    def test_enumerate_k7_s5_d2(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--k", "7", "--s", "5", "--d", "2")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7fbb1a2fc5fe5883d47e4a6293bdb117ef497e2eb030b225b992d234556266bb"
+        )
+
+    def test_optimize_k7_s5_export(self, capsys, tmp_path):
+        plan = tmp_path / "d75.csv"
+        code, out, _ = run(capsys, "optimize", "--k", "7", "--s", "5", "--export", str(plan))
+        assert code == 0 and f"exported 6720 rows to {plan}" in out.splitlines()
+        assert hashlib.sha256(plan.read_bytes()).hexdigest() == (
+            "96276f02647f7f363d953e76bf3574b6bf5c5921c1f6c1dced328f007da24eed"
+        )
 
 
 class TestDeterminism:

@@ -32,9 +32,8 @@ from pairdesign.oracle import _regression_matrix, _subset_terms
 from conftest import reference_pairs, reference_regression
 
 
-def ordered_reference_orbit(k, s, depth):
-    """The documented stream order by nested loops: subsets, levels, flips."""
-    pairs = []
+def reference_orbit_stream(k, s, depth):
+    """The documented stream order by lazy nested loops: subsets, levels, flips."""
     for support in itertools.combinations(range(k), s):
         for levels in itertools.product((-1, 1), repeat=s):
             first = [0] * k
@@ -44,8 +43,11 @@ def ordered_reference_orbit(k, s, depth):
                 second = list(first)
                 for index in flips:
                     second[support[index]] = -second[support[index]]
-                pairs.append((tuple(first), tuple(second)))
-    return pairs
+                yield tuple(first), tuple(second)
+
+
+def ordered_reference_orbit(k, s, depth):
+    return list(reference_orbit_stream(k, s, depth))
 
 
 class TestParamDims:
@@ -304,6 +306,21 @@ class TestOrbitBlocks:
             (p.first.levels, p.second.levels) for p in enumerate_orbit((k, s), d)
         ]
         assert rows == ordered_reference_orbit(k, s, d)
+
+    def test_default_block_holds_many_subsets(self):
+        # 495 subsets x 16 level patterns x 6 flip masks = 47 520 rows in one block
+        (firsts, seconds), = _orbit_blocks((12, 4), 2)
+        rows = list(zip(map(tuple, firsts.tolist()), map(tuple, seconds.tolist())))
+        assert rows == ordered_reference_orbit(12, 4, 2)
+
+    def test_level_pattern_bits_past_64(self):
+        # at S=70 attributes 0..5 read bits 69..64 of the pattern index, which
+        # numpy's >> must read as 0 (not wrap round to bits 5..0)
+        firsts, seconds = next(_orbit_blocks((70, 70), 1))
+        assert len(firsts) == (design_space._ORBIT_BLOCK_ROWS // 70) * 70
+        head = itertools.islice(reference_orbit_stream(70, 70, 1), len(firsts))
+        rows = list(zip(map(tuple, firsts.tolist()), map(tuple, seconds.tolist())))
+        assert rows == list(head)
 
     def test_huge_orbit_streams(self):
         # 2^40 level patterns times C(40, 20) flip masks: only the first block is built
