@@ -7,20 +7,22 @@ designs are weightings of ordered pairs.  The library enumerates the design
 region by comparison depth, evaluates information matrices both in closed
 form and by brute force, certifies D-optimality through the equivalence
 theorem, and computes optimal depth weightings.
+
+The closed forms import no numpy.  The names of the two modules that do,
+``explicit`` (explicit pairs) and ``oracle`` (the brute-force oracle), are
+served on first use by the module ``__getattr__`` below (PEP 562), so
+``import pairdesign`` leaves numpy unloaded.
 """
 
 from .design_space import (
     ComparisonPair,
     DepthDesign,
-    ExplicitDesign,
     InvalidPairError,
     ModelSpec,
     Profile,
     comparison_depth,
     count_pairs,
-    enumerate_orbit,
     param_dims,
-    realize_design,
 )
 from .equivalence import (
     CertificationReport,
@@ -48,12 +50,15 @@ from .optimizer import (
     optimal_depth_third_order,
     optimize_full,
 )
-from .oracle import (
-    DenseInfo,
-    info_matrix_exact,
-    regression_vector,
-    variance_exact,
-    variance_sweep_max_deviation,
+
+# names served on first use by __getattr__, from the modules that import numpy
+_EXPLICIT_NAMES = ("ExplicitDesign", "enumerate_orbit", "realize_design")
+_ORACLE_NAMES = (
+    "DenseInfo",
+    "info_matrix_exact",
+    "regression_vector",
+    "variance_exact",
+    "variance_sweep_max_deviation",
 )
 
 __version__ = "0.1.0"
@@ -96,3 +101,13 @@ __all__ = [
     "variance_sweep_max_deviation",
     "variance_uniform",
 ]
+
+
+def __getattr__(name: str):
+    if name in _EXPLICIT_NAMES:
+        from . import explicit as module
+    elif name in _ORACLE_NAMES:
+        from . import oracle as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

@@ -12,10 +12,15 @@ Subcommands:
 Exit codes: 0 ok, 1 ``tables --check`` drift or a reader that closed stdout
 early (nothing is printed to stderr then), 2 usage or parse failure, a
 malformed design file (a CSV plan must be whole orbits in export order), a
-file that cannot be read or written, or a ``verify --oracle`` request past
-the oracle gate (one ``error:`` line on stderr), 3 optimizer non-convergence,
-4 singular (non-identifiable) design, from any subcommand.  All output is
-deterministic.
+file that cannot be read or written, a plan past ``_MAX_PLAN_ROWS`` rows or
+a ``verify --oracle`` request past the oracle gate (one ``error:`` line on
+stderr), 3 optimizer non-convergence, 4 singular (non-identifiable) design,
+from any subcommand.  All output is deterministic.
+
+Only explicit pairs need numpy: ``explicit`` (CSV plans) and ``oracle`` are
+imported inside the commands that write or read a plan or run the oracle, so
+``dims``, ``hvalues``, ``optimize``, ``tables`` and ``verify`` of a JSON
+document without ``--oracle`` never load it.
 """
 
 from __future__ import annotations
@@ -31,18 +36,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .design_space import (
-    DepthDesign,
-    ModelSpec,
-    Weight,
-    _orbit_blocks,
-    _plan_blocks,
-    count_pairs,
-    param_dims,
-    realize_design,
-)
+from .design_space import DepthDesign, ModelSpec, Weight, count_pairs, param_dims
 from .equivalence import (
     DEFAULT_CERTIFY_TOL,
     kw_certify,
@@ -50,12 +44,17 @@ from .equivalence import (
 )
 from .information import SingularDesignError, h_values, log_det, mix_h
 from .optimizer import OptimResult, optimize_full
-from .oracle import _check_oracle_gate, info_matrix_exact, variance_sweep_max_deviation
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NONCONVERGED = 3
 EXIT_SINGULAR = 4
+
+# Rows a written plan may hold (``enumerate``, ``optimize --export``), counted
+# before the file is opened: about 8 GB of CSV at K = 12, far above the
+# K=S=12 optimum's 2 928 640 rows and the largest plan the tests, demos, CI
+# and benchmark write (40 320 rows).
+_MAX_PLAN_ROWS = 10**8
 
 # Reference values the --check flag diffs against.  Regeneration never reads
 # these; they exist only to flag drift.
@@ -163,8 +162,17 @@ def _parse_weight_text(text: str) -> Weight:
     return float(text)
 
 
+def _check_plan_rows(spec: ModelSpec, depths) -> None:
+    """Refuse a plan of the whole orbits of ``depths`` past _MAX_PLAN_ROWS rows."""
+    n_rows = sum(count_pairs(spec, d) for d in depths)
+    if n_rows > _MAX_PLAN_ROWS:
+        raise ValueError(f"a plan of {n_rows} rows exceeds the limit of {_MAX_PLAN_ROWS} rows")
+
+
 def _write_plan_csv(handle, n_attributes: int, blocks) -> int:
     """Write ``_plan_blocks`` blocks, one ``_weight_text`` cell each; returns the row count."""
+    import numpy as np
+
     writer = csv.writer(handle)
     writer.writerow(
         ["pair_id"]
@@ -193,6 +201,10 @@ def _plan_segments(path: str):
     of ``_plan_blocks``'s row weight w_d / N_d).  Every row
     has 2 + 2K fields, and its weight cell is its text after the last comma.
     """
+    import numpy as np
+
+    from .explicit import _orbit_blocks
+
     opts = dict(delimiter=",", quotechar='"', comments=None)
     with open(path, newline="") as handle:
         header = next(csv.reader([handle.readline()]), [])
@@ -272,6 +284,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     result = optimize_full(spec, tol=args.tol)
     design = result.design
     if args.export:
+        from .explicit import _plan_blocks
+
+        _check_plan_rows(spec, design.support)
         blocks = _plan_blocks(spec, {d: design.weights[d] for d in design.support})
         with open(args.export, "w", newline="") as handle:
             n_rows = _write_plan_csv(handle, spec.n_attributes, blocks)
@@ -403,6 +418,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 document = DesignDocument.from_json_dict(json.load(handle))
             spec, weights = document.spec, document.depth_weights.items()
     if args.oracle:  # for a plan, before its second row is read
+        from .explicit import realize_design
+        from .oracle import _check_oracle_gate, info_matrix_exact, variance_sweep_max_deviation
+
         _check_oracle_gate(spec)
     with _parsing(args.design):
         design = DepthDesign(dict(weights), spec)
@@ -419,7 +437,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    blocks = _plan_blocks(ModelSpec(args.k, args.s), {args.d: 1})
+    from .explicit import _plan_blocks
+
+    spec = ModelSpec(args.k, args.s)
+    _check_plan_rows(spec, [args.d])
+    blocks = _plan_blocks(spec, {args.d: 1})
     if args.out:
         with open(args.out, "w", newline="") as handle:
             _write_plan_csv(handle, args.k, blocks)

@@ -10,48 +10,32 @@ profiles), and every design that is invariant under that group is a mixture
 of uniform designs on these orbits, so it is fully described by a weight per
 comparison depth.
 
-An explicit design spells such a design out as one stream of orbit rows,
-each weighing w_d / N_d (``_plan_blocks``, read by ``realize_design`` and the
-CSV plan writer alike).  It is held as int8 level arrays, one row per ordered
-pair, with the row weights as int64 numerators over one common denominator
-when they are exact (floats otherwise); no pair object is made.  ``Profile``
-and ``ComparisonPair`` remain the single-pair API, ``ExplicitDesign.entries``
-shows the rows as pairs on demand, and model rows f(i) and the brute-force
-oracle live in ``oracle``.
+Explicit designs, which spell such a design out pair by pair, live in
+``explicit``: the orbit rows there are held as numpy level arrays, and this
+module, like the closed forms built on it, imports no numpy.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 __all__ = [
     "ComparisonPair",
     "DepthDesign",
-    "ExplicitDesign",
     "InvalidPairError",
     "ModelSpec",
     "Profile",
     "Weight",
     "comparison_depth",
     "count_pairs",
-    "enumerate_orbit",
     "param_dims",
-    "realize_design",
 ]
 
 Weight = Fraction | float | int
 
 _WEIGHT_SUM_TOL = 1e-12
-# Exact row weights are stored as int64 numerators over a denominator up to this.
-_MAX_EXACT_DENOMINATOR = 10**12
-# Rows per block when orbits stream as level arrays (realization, export, plan reading).
-_ORBIT_BLOCK_ROWS = 1 << 16
 
 
 class InvalidPairError(ValueError):
@@ -198,78 +182,6 @@ def count_pairs(spec: ModelSpec | tuple[int, int], depth: int) -> int:
     return 2**s * math.comb(k, s) * math.comb(s, depth)
 
 
-def _batches(iterable, size: int) -> Iterator[list]:
-    iterator = iter(iterable)
-    while batch := list(itertools.islice(iterator, size)):
-        yield batch
-
-
-def _orbit_blocks(
-    spec: ModelSpec | tuple[int, int], depth: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stream one depth orbit as int8 ``(firsts, seconds)`` level blocks.
-
-    Rows come in ``enumerate_orbit``'s order (attribute subsets, then
-    first-profile levels, then flipped positions) in blocks of at most
-    ``_ORBIT_BLOCK_ROWS`` rows, each written one shown column at a time for a
-    batch of subsets, of level patterns and of flip masks; a batch of an outer
-    factor holds more than one item only when every inner factor fits whole,
-    which keeps the order.  Pattern n shows attribute j at +1 when bit S-1-j
-    of n is set: ``itertools.product((-1, 1), repeat=S)`` order.
-    """
-    k, s = _dims_of(spec)
-    if not 0 <= depth <= s:
-        raise ValueError(f"depth must lie in 0..{s}, got {depth}")
-    n_flips, n_levels = math.comb(s, depth), 2**s
-    flip_batch = min(n_flips, _ORBIT_BLOCK_ROWS)
-    level_batch = min(n_levels, _ORBIT_BLOCK_ROWS // flip_batch)
-    subset_batch = _ORBIT_BLOCK_ROWS // (level_batch * flip_batch)
-    bits = np.arange(s - 1, -1, -1)
-
-    def flip_signs() -> Iterator[np.ndarray]:
-        for flips in _batches(itertools.combinations(range(s), depth), flip_batch):
-            signs = np.ones((len(flips), s), dtype=np.int8)
-            rows = np.arange(len(flips))[:, None]
-            signs[rows, np.array(flips, dtype=np.intp).reshape(len(flips), depth)] = -1
-            yield signs
-
-    # flip masks that fit in one batch are built once and reused
-    signs_once = list(flip_signs()) if flip_batch == n_flips else None
-    for subsets in _batches(itertools.combinations(range(k), s), subset_batch):
-        columns = np.array(subsets, dtype=np.intp).reshape(len(subsets), s)
-        batch = np.arange(len(subsets))
-        for start in range(0, n_levels, level_batch):
-            patterns = np.arange(start, min(start + level_batch, n_levels))[:, None]
-            levels = (((patterns >> bits) & 1) * 2 - 1).astype(np.int8)
-            for signs in signs_once or flip_signs():
-                shape = (len(subsets), len(levels), len(signs), k)
-                firsts = np.zeros(shape, dtype=np.int8)
-                seconds = np.zeros(shape, dtype=np.int8)
-                for j in range(s):
-                    firsts[batch, :, :, columns[:, j]] = levels[:, None, j]
-                    seconds[batch, :, :, columns[:, j]] = levels[:, None, j] * signs[:, j]
-                yield firsts.reshape(-1, k), seconds.reshape(-1, k)
-
-
-def enumerate_orbit(
-    spec: ModelSpec | tuple[int, int], depth: int
-) -> Iterator[ComparisonPair]:
-    """Yield every ordered pair of the given comparison depth exactly once.
-
-    The stream is deterministic: attribute subsets, then first-profile levels,
-    then flipped positions, each in lexicographic order.  Pairs are built
-    block by block from ``_orbit_blocks``, so large spaces can be consumed
-    incrementally.
-    """
-    shared = None
-    for firsts, seconds in _orbit_blocks(spec, depth):
-        for levels, other in zip(firsts.tolist(), seconds.tolist()):
-            # consecutive rows share their first profile; Profile makes tuples
-            if levels != shared:
-                shared, first = levels, Profile(levels)
-            yield ComparisonPair(first, Profile(other))
-
-
 @dataclass(frozen=True)
 class DepthDesign:
     """Invariant design: one probability weight per comparison depth 1..S."""
@@ -311,210 +223,3 @@ class DepthDesign:
     def is_exact(self) -> bool:
         """True when every weight is an exact rational."""
         return all(isinstance(w, (int, Fraction)) for w in self.weights.values())
-
-
-def _weight_column(values: Sequence[Weight]) -> tuple[np.ndarray, int | None]:
-    """Weights ``values`` in ExplicitDesign's storage form, one per value.
-
-    When all values are exact and their least common denominator D is at
-    most _MAX_EXACT_DENOMINATOR, they become int64 numerators over D;
-    otherwise float64 weights.  Values outside [0, 2] always go the float
-    way, so a numerator cannot overflow before validation rejects the design.
-    """
-    if all(isinstance(v, (int, Fraction)) for v in values):
-        fractions = [Fraction(v) for v in values]
-        denominator = math.lcm(*(f.denominator for f in fractions))
-        if denominator <= _MAX_EXACT_DENOMINATOR and all(0 <= f <= 2 for f in fractions):
-            numerators = [f.numerator * (denominator // f.denominator) for f in fractions]
-            return np.array(numerators, dtype=np.int64), denominator
-    return np.array([float(v) for v in values], dtype=float), None
-
-
-def _first_row(bad: np.ndarray) -> int | None:
-    rows = np.flatnonzero(bad)
-    return int(rows[0]) if len(rows) else None
-
-
-class _EntryView(Sequence):
-    """Read-only ``(ComparisonPair, Weight)`` rows of an ExplicitDesign.
-
-    Nothing is stored: indexing, slicing and iteration build each pair and
-    weight from the design's arrays on demand, and ``len`` is O(1).
-    """
-
-    __slots__ = ("_design",)
-
-    def __init__(self, design: "ExplicitDesign") -> None:
-        self._design = design
-
-    def __len__(self) -> int:
-        return len(self._design.weights)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[row] for row in range(*index.indices(len(self))))
-        design = self._design
-        pair = ComparisonPair(
-            Profile(design.firsts[index].tolist()), Profile(design.seconds[index].tolist())
-        )
-        return pair, design.weight_at(index)
-
-
-@dataclass(frozen=True, eq=False, init=False)
-class ExplicitDesign:
-    """Design as weighted ordered pairs over one problem's design region.
-
-    Row x compares the int8 level rows ``firsts[x]`` and ``seconds[x]`` (shape
-    (n, K) each).  With exact weights ``weights`` holds int64 numerators over
-    their least common ``denominator`` (at most 10^12); otherwise it holds
-    float64 weights and ``denominator`` is None.  ``ExplicitDesign(entries,
-    spec)`` converts ``(ComparisonPair, weight)`` tuples once,
-    ``from_arrays`` takes the arrays themselves, and ``entries`` shows the
-    rows as such tuples again.  Both constructors validate every row: both
-    profiles show the same attributes, S of the K, at levels -1/0/+1, and
-    the weights are non-negative and sum to 1.
-    """
-
-    firsts: np.ndarray
-    seconds: np.ndarray
-    weights: np.ndarray
-    denominator: int | None
-    spec: ModelSpec
-
-    def __init__(self, entries, spec: ModelSpec) -> None:
-        entries = tuple(entries)
-        firsts = np.array([pair.first.levels for pair, _ in entries], dtype=np.int8)
-        seconds = np.array([pair.second.levels for pair, _ in entries], dtype=np.int8)
-        weights, denominator = _weight_column([w for _, w in entries])
-        self._set(firsts, seconds, weights, denominator, spec)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        firsts: np.ndarray,
-        seconds: np.ndarray,
-        weights: np.ndarray,
-        spec: ModelSpec,
-        denominator: int | None = None,
-    ) -> "ExplicitDesign":
-        """Design from level arrays and row weights, copied and validated.
-
-        With ``denominator`` the weights are integer numerators over it (at
-        most 10^12 once reduced); without it they are float weights.
-        """
-        design = object.__new__(cls)
-        design._set(firsts, seconds, weights, denominator, spec)
-        return design
-
-    def _set(self, firsts, seconds, weights, denominator, spec: ModelSpec) -> None:
-        k, s = spec.n_attributes, spec.strength
-        weights = np.asarray(weights)
-        if weights.ndim != 1:
-            raise ValueError(f"row weights have shape {weights.shape}, expected one axis")
-        n = len(weights)
-        for name, levels in (("first", firsts), ("second", seconds)):
-            levels = np.asarray(levels)
-            if levels.shape != (n, k):
-                raise ValueError(
-                    f"{name} profiles have shape {levels.shape}, expected {n} rows "
-                    f"of the spec's {k} attributes"
-                )
-            bad = _first_row(np.any((levels != -1) & (levels != 0) & (levels != 1), axis=1))
-            if bad is not None:
-                raise ValueError(
-                    f"row {bad}: levels must be -1, 0 or +1, got {levels[bad].tolist()}"
-                )
-        firsts = np.array(firsts, dtype=np.int8)
-        seconds = np.array(seconds, dtype=np.int8)
-        shown = firsts != 0
-        bad = _first_row(np.any(shown != (seconds != 0), axis=1))
-        if bad is not None:
-            raise InvalidPairError(f"row {bad}: profiles do not show the same attributes")
-        strengths = np.count_nonzero(shown, axis=1)
-        bad = _first_row(strengths != s)
-        if bad is not None:
-            raise ValueError(f"row {bad} has strength {strengths[bad]}, spec has {s}")
-        if denominator is None:
-            weights = np.array(weights, dtype=float)
-            floats = weights
-        else:
-            if weights.dtype.kind not in "iu" or denominator < 1:
-                raise ValueError(
-                    "exact weights need integer numerators and a positive denominator"
-                )
-            weights = np.array(weights, dtype=np.int64)
-            floats = weights / denominator
-        bad = _first_row(floats < 0)
-        if bad is not None:
-            raise ValueError(f"negative weight {floats[bad]} in row {bad}")
-        # a sequential sum, as the rows would be added one at a time
-        total = float(np.cumsum(floats)[-1]) if n else 0.0
-        if not abs(total - 1.0) <= max(_WEIGHT_SUM_TOL, 1e-15 * n):  # NaN fails too
-            raise ValueError(f"weights sum to {total!r}, not 1")
-        if denominator is not None:
-            common = math.gcd(int(denominator), int(np.gcd.reduce(weights)))
-            weights //= common
-            denominator = int(denominator) // common
-            if denominator > _MAX_EXACT_DENOMINATOR:
-                raise ValueError(
-                    f"exact weights need a denominator of at most {_MAX_EXACT_DENOMINATOR}, "
-                    f"got {denominator}; pass float weights instead"
-                )
-        for array in (firsts, seconds, weights):
-            array.flags.writeable = False
-        object.__setattr__(self, "firsts", firsts)
-        object.__setattr__(self, "seconds", seconds)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "spec", spec)
-
-    @property
-    def entries(self) -> Sequence[tuple[ComparisonPair, Weight]]:
-        """The rows as ``(ComparisonPair, Weight)`` tuples, built on demand."""
-        return _EntryView(self)
-
-    @property
-    def is_exact(self) -> bool:
-        """True when the weights are held as exact numerators."""
-        return self.denominator is not None
-
-    def weight_at(self, row: int) -> Weight:
-        """Weight of one row: a Fraction when exact, else a float."""
-        if self.denominator is None:
-            return float(self.weights[row])
-        return Fraction(int(self.weights[row]), self.denominator)
-
-
-def _plan_blocks(
-    spec: ModelSpec, depth_weights: dict[int, Weight]
-) -> Iterator[tuple[np.ndarray, np.ndarray, Weight]]:
-    """Weighted orbit blocks ``(firsts, seconds, row weight)``, depth by depth ascending.
-
-    Each depth's orbit streams from ``_orbit_blocks``, and every row of it
-    weighs w_d / N_d, exact when w_d is: this is the one place that weight
-    is decided, for ``realize_design`` and for CSV plans alike.  Bad depths
-    raise before any block is built.
-    """
-    shares = [
-        (d, (Fraction(w) if isinstance(w, (int, Fraction)) else w) / count_pairs(spec, d))
-        for d, w in sorted(depth_weights.items())
-    ]
-    return ((*block, share) for d, share in shares for block in _orbit_blocks(spec, d))
-
-
-def realize_design(design: DepthDesign) -> ExplicitDesign:
-    """Spell an invariant design out as explicit pairs.
-
-    The rows are ``_plan_blocks`` of the supported depths, concatenated:
-    each depth's whole orbit in ``enumerate_orbit``'s order, with per-pair
-    weight w_d / N_d; exact weights stay exact.
-    """
-    blocks = list(_plan_blocks(design.spec, {d: design.weights[d] for d in design.support}))
-    weights, denominator = _weight_column([share for _, _, share in blocks])
-    return ExplicitDesign.from_arrays(
-        np.concatenate([firsts for firsts, _, _ in blocks]),
-        np.concatenate([seconds for _, seconds, _ in blocks]),
-        np.repeat(weights, [len(firsts) for firsts, _, _ in blocks]),
-        design.spec,
-        denominator,
-    )

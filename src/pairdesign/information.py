@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .design_space import DepthDesign, ModelSpec, Weight
 
 __all__ = [
@@ -93,8 +91,10 @@ class BlockInfo:
     def is_singular(self) -> bool:
         return any(h <= 0 for h in self.values)
 
-    def as_matrix(self) -> np.ndarray:
-        """The represented p x p matrix, as floats."""
+    def as_matrix(self):
+        """The represented p x p matrix, as a float numpy array."""
+        import numpy as np
+
         diag = np.repeat([float(h) for h in self.values], self.spec.block_dims)
         return np.diag(diag)
 

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .design_space import DepthDesign, ModelSpec
 from .equivalence import CertificationReport, kw_certify
 from .information import SingularDesignError, _h_denominators, h_numerators
@@ -43,6 +41,7 @@ _FLOAT_RTOL = 1e-12
 _PHI_ULPS = 8
 _MAX_SUPPORT = 4
 _RULE_MAX_STRENGTH = 18
+_PIVOT_RTOL = 1e-12
 
 
 def _strength_of(spec: ModelSpec | int) -> int:
@@ -142,36 +141,42 @@ class OptimResult:
         return self.report.certified
 
 
-def _h_matrix(spec: ModelSpec) -> np.ndarray:
-    """Block informations h_r(d) as a C-ordered 4 x S float matrix, columns d = 1..S.
+def _h_matrix(spec: ModelSpec) -> list[list[float]]:
+    """Block informations h_r(d) as 4 lists of S floats, list r holding h_r(1..S).
 
     Int true division n / den rounds correctly at any size, as
-    float(Fraction(n, den)) does.  C order matters: BLAS sums h_matrix @ w in
-    memory order, and the float optima depend on it in the last bits.
+    float(Fraction(n, den)) does.
     """
     numerators = zip(*(h_numerators(spec.strength, d) for d in spec.depths))
     dens = _h_denominators(spec.n_attributes)
-    return np.array([[n / den for n in row] for row, den in zip(numerators, dens)])
+    return [[n / den for n in row] for row, den in zip(numerators, dens)]
 
 
-def _phi(h: np.ndarray, p_blocks: np.ndarray) -> float:
-    if np.any(h <= 0):
-        return -np.inf
-    return float(p_blocks @ np.log(h))
+def _mix(h_matrix: list[list[float]], w: list[float]) -> list[float]:
+    """h = sum_d w_d h(d), each block summed over the support with one rounding (fsum)."""
+    support = [(j, x) for j, x in enumerate(w) if x]
+    return [math.fsum(row[j] * x for j, x in support) for row in h_matrix]
 
 
-def _variances(h: np.ndarray, h_matrix: np.ndarray, p_blocks: np.ndarray) -> np.ndarray:
-    """V(d) for every depth: the gradient of phi over the simplex."""
-    return (p_blocks / h) @ h_matrix
+def _phi(h: list[float], p_blocks: list[float]) -> float:
+    if min(h) <= 0:
+        return -math.inf
+    return math.fsum(p * math.log(x) for p, x in zip(p_blocks, h))
 
 
-def _line_search(h: np.ndarray, h_target: np.ndarray, p_blocks: np.ndarray) -> float:
+def _variances(h: list[float], p_blocks: list[float], columns) -> list[float]:
+    """V(d) for each depth's column (h_1..h_4)(d): the gradient of phi over the simplex."""
+    c1, c2, c3, c4 = (p / x for p, x in zip(p_blocks, h))
+    return [c1 * a + c2 * b + c3 * c + c4 * d for a, b, c, d in columns]
+
+
+def _line_search(h: list[float], h_target, p_blocks: list[float]) -> float:
     """Maximize phi((1-a) h + a h_target) over a in [0, 1] by bisection.
 
     The section is concave, so its slope falls with a.  a = 1 itself, where a
     target with an empty block would divide by zero, is never evaluated.
     """
-    rows = list(zip(p_blocks.tolist(), h.tolist(), h_target.tolist()))
+    rows = list(zip(p_blocks, h, h_target))
 
     def slope(a: float) -> float:
         return sum(p * (t - x) / ((1.0 - a) * x + a * t) for p, x, t in rows)
@@ -186,46 +191,76 @@ def _line_search(h: np.ndarray, h_target: np.ndarray, p_blocks: np.ndarray) -> f
     return low
 
 
+def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
+    """x with matrix @ x = rhs for a symmetric positive semidefinite matrix.
+
+    Gauss-Jordan elimination, each column pivoting on its largest remaining
+    entry.  A pivot at most _PIVOT_RTOL times the largest diagonal entry
+    counts as zero, and its unknown stays 0: the Newton Hessian has rank <= 4,
+    so on a larger active set some unknowns are free, and fixing them at 0
+    gives one solution of the consistent system.
+    """
+    n = len(rhs)
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
+    cutoff = _PIVOT_RTOL * max(rows[i][i] for i in range(n))
+    unused, pivots = list(range(n)), []
+    for column in range(n):
+        top = max(unused, key=lambda i: abs(rows[i][column]), default=None)
+        if top is None or abs(rows[top][column]) <= cutoff:
+            continue
+        unused.remove(top)
+        pivots.append((top, column))
+        pivot = [v / rows[top][column] for v in rows[top]]
+        rows[top] = pivot
+        for i in range(n):
+            factor = rows[i][column]
+            if i != top and factor:
+                rows[i] = [v - factor * u for v, u in zip(rows[i], pivot)]
+    x = [0.0] * n
+    for row, column in pivots:
+        x[column] = rows[row][n]
+    return x
+
+
 def _newton_on_support(
-    h_matrix: np.ndarray, p_blocks: np.ndarray, weights: np.ndarray
-) -> np.ndarray | None:
+    h_matrix: list[list[float]], p_blocks: list[float], weights: list[float]
+) -> list[float] | None:
     """Damped Newton polish of phi on the current support.
 
     Stops once the support variances agree to _FLOAT_RTOL * p; weights pushed
     below _PRUNE_EPS leave the support.  None means the iterate is singular.
     """
-    w = weights.copy()
+    w = list(weights)
+    p_total = math.fsum(p_blocks)
     for _ in range(200):
-        support = np.flatnonzero(w > 0)
+        support = [j for j, x in enumerate(w) if x > 0]
         if len(support) <= 1:
             return w
-        h = h_matrix @ w
-        if np.any(h <= 0):
+        h = _mix(h_matrix, w)
+        if min(h) <= 0:
             return None
-        variances = _variances(h, h_matrix, p_blocks)
-        anchor = support[-1]
-        free = support[:-1]
-        grad = variances[free] - variances[anchor]
-        if np.max(np.abs(grad)) <= _FLOAT_RTOL * p_blocks.sum():
+        columns = [[row[j] for row in h_matrix] for j in support]
+        variances = _variances(h, p_blocks, columns)
+        # the last support depth anchors the simplex constraint
+        grad = [v - variances[-1] for v in variances[:-1]]
+        if max(abs(g) for g in grad) <= _FLOAT_RTOL * p_total:
             return w
-        columns = h_matrix[:, free] - h_matrix[:, anchor][:, None]
-        curvature = p_blocks / h**2
-        hessian = columns.T @ (columns * curvature[:, None])
-        # rank <= 4 by construction, so larger active sets are singular
-        step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
-        direction = np.zeros_like(w)
-        direction[free] = step
-        direction[anchor] = -step.sum()
+        diffs = [[x - a for x, a in zip(column, columns[-1])] for column in columns[:-1]]
+        curvature = [p / (x * x) for p, x in zip(p_blocks, h)]
+        scaled = [[x * c for x, c in zip(diff, curvature)] for diff in diffs]
+        hessian = [[sum(x * y for x, y in zip(a, b)) for b in scaled] for a in diffs]
+        step = _solve(hessian, grad)
+        direction = dict(zip(support, [*step, -math.fsum(step)]))
         # largest feasible step, halved until phi is within rounding of phi_now
-        shrinking = direction < 0
-        scale = float(np.min(-w[shrinking] / direction[shrinking], initial=1.0))
+        scale = min([1.0, *(-w[j] / v for j, v in direction.items() if v < 0)])
         phi_now = _phi(h, p_blocks)
-        slack = _PHI_ULPS * np.finfo(float).eps * abs(phi_now)
+        slack = _PHI_ULPS * math.ulp(1.0) * abs(phi_now)
         while scale > 1e-14:
-            trial = w + scale * direction
-            trial[trial < _PRUNE_EPS] = 0.0
-            trial /= trial.sum()
-            if _phi(h_matrix @ trial, p_blocks) >= phi_now - slack:
+            trial = [x + scale * direction.get(j, 0.0) for j, x in enumerate(w)]
+            trial = [x if x >= _PRUNE_EPS else 0.0 for x in trial]
+            total = math.fsum(trial)
+            trial = [x / total for x in trial]
+            if _phi(_mix(h_matrix, trial), p_blocks) >= phi_now - slack:
                 break
             scale /= 2.0
         else:
@@ -263,7 +298,10 @@ def optimize_full(
     active set, until max_d V(d) - p <= _FLOAT_RTOL * p.  Weights at most
     _PRUNE_EPS are then dropped.  The result carries exact weights when the
     snap to small rationals passes ``kw_certify`` at tol 0; otherwise the
-    pruned float weights go through ``kw_certify`` at ``tol``.  The result
+    pruned float weights go through ``kw_certify`` at ``tol``.  The float
+    work runs in plain Python, h, phi and the renormalization as correctly
+    rounded sums (``math.fsum``), so a float optimum does not depend on the
+    summation order of a linear algebra library.  The result
     carries that report: ``certified`` comes from it, and so do the max
     excess and the proof's tol, so a result that does not certify (say,
     because the budget ran out) is returned with ``certified=False`` and its
@@ -273,25 +311,25 @@ def optimize_full(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     s, p = spec.strength, spec.n_params
     h_matrix = _h_matrix(spec)
-    p_blocks = np.array(spec.block_dims, dtype=float)
-    w = np.zeros(s)
-    w[: s - 1] = 1.0 / (s - 1)
+    p_blocks = [float(n) for n in spec.block_dims]
+    w = [1.0 / (s - 1)] * (s - 1) + [0.0]
     iterations = 0
     while iterations < max_iter:
-        h = h_matrix @ w
-        variances = _variances(h, h_matrix, p_blocks)
-        if np.max(variances) - p <= _FLOAT_RTOL * p:
+        h = _mix(h_matrix, w)
+        variances = _variances(h, p_blocks, zip(*h_matrix))
+        worst = max(variances)
+        if worst - p <= _FLOAT_RTOL * p:
             break
-        target = int(np.argmax(variances))
-        alpha = _line_search(h, h_matrix[:, target], p_blocks)
-        w *= 1.0 - alpha
+        target = variances.index(worst)
+        alpha = _line_search(h, [row[target] for row in h_matrix], p_blocks)
+        w = [x * (1.0 - alpha) for x in w]
         w[target] += alpha
         # active set: the depth just stepped toward and the heaviest others
-        others = np.argsort(-w, kind="stable")
-        others = others[others != target]
-        w[others[2 * _MAX_SUPPORT - 1 :]] = 0.0
-        w[others[w[others] < _PRUNE_EPS]] = 0.0
-        w /= w.sum()
+        others = [j for j in sorted(range(s), key=w.__getitem__, reverse=True) if j != target]
+        active = {target, *(j for j in others[: 2 * _MAX_SUPPORT - 1] if w[j] >= _PRUNE_EPS)}
+        w = [x if j in active else 0.0 for j, x in enumerate(w)]
+        total = math.fsum(w)
+        w = [x / total for x in w]
         polished = _newton_on_support(h_matrix, p_blocks, w)
         if polished is not None:
             w = polished

@@ -27,15 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .design_space import (
-    ComparisonPair,
-    DepthDesign,
-    ExplicitDesign,
-    ModelSpec,
-    Profile,
-    realize_design,
-)
+from .design_space import ComparisonPair, DepthDesign, ModelSpec, Profile
 from .equivalence import variance_profile
+from .explicit import ExplicitDesign, realize_design
 from .information import SingularDesignError
 
 __all__ = [

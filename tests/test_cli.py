@@ -28,7 +28,7 @@ from pairdesign import (
     optimize_full,
     realize_design,
 )
-from pairdesign import cli, design_space
+from pairdesign import cli, explicit, oracle
 from pairdesign.cli import main
 
 
@@ -157,13 +157,13 @@ class TestOptimize:
 
     def test_export_realizes_nothing(self, capsys, tmp_path, monkeypatch):
         calls = []
-        realize = cli.realize_design
+        realize = explicit.realize_design
 
         def counting(design):
             calls.append(design)
             return realize(design)
 
-        monkeypatch.setattr(cli, "realize_design", counting)
+        monkeypatch.setattr(explicit, "realize_design", counting)
         path = tmp_path / "plan.csv"
         code, out, _ = run(
             capsys, "optimize", "--k", "5", "--s", "4", "--json", "--export", str(path)
@@ -477,7 +477,7 @@ class TestVerify:
         def singular(*args, **kwargs):
             raise SingularDesignError("oracle information matrix is singular")
 
-        monkeypatch.setattr(cli, "variance_sweep_max_deviation", singular)
+        monkeypatch.setattr(oracle, "variance_sweep_max_deviation", singular)
         path = tmp_path / "design.json"
         path.write_text(json.dumps({"K": 5, "S": 5, "depth_weights": {"2": "2/3", "4": "1/3"}}))
         code, out, err = run(capsys, "verify", str(path), "--oracle")
@@ -558,7 +558,7 @@ class TestPlanReader:
     def test_oracle_gate_reads_only_the_first_row(self, capsys, tmp_path):
         spec = ModelSpec(11, 4)
         plan = tmp_path / "big.csv"
-        blocks = cli._plan_blocks(spec, {1: 1})
+        blocks = explicit._plan_blocks(spec, {1: 1})
         with open(plan, "w", newline="") as handle:
             cli._write_plan_csv(handle, 11, [next(blocks)])
         lines = plan.read_text().splitlines()
@@ -615,7 +615,7 @@ class TestOracleGate:
         def refuse(*args):
             raise AssertionError("realized before the gate")
 
-        monkeypatch.setattr(cli, "realize_design", refuse)
+        monkeypatch.setattr(explicit, "realize_design", refuse)
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"K": 11, "S": 4, "depth_weights": {"1": "1"}}))
         code, out, err = run(capsys, "verify", str(path), "--oracle")
@@ -625,6 +625,83 @@ class TestOracleGate:
         # without --oracle the closed-form certificate still runs
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0 and "K=11 S=4 p=561" in out
+
+
+class TestPlanLimit:
+    @pytest.mark.parametrize(
+        "argv,n_rows",
+        [
+            (("optimize", "--k", "30", "--s", "15", "--export"), 6938146072166400),
+            (("enumerate", "--k", "40", "--s", "8", "--d", "4", "--out"), 1378131955200),
+            (("enumerate", "--k", "40", "--s", "8", "--d", "4"), 1378131955200),
+        ],
+        ids=["export", "enumerate-out", "enumerate-stdout"],
+    )
+    def test_oversize_plan_exits_2_before_writing(self, capsys, tmp_path, argv, n_rows):
+        path = tmp_path / "big.csv"
+        argv = (*argv, str(path)) if argv[-1].startswith("--") else argv
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: a plan of {n_rows} rows exceeds the limit of {cli._MAX_PLAN_ROWS} rows\n"
+        )
+        assert not path.exists()
+
+    def test_limit_counts_every_supported_depth(self, capsys, tmp_path, monkeypatch):
+        plan = tmp_path / "plan.csv"
+        # the K=S=6 optimum weights depths 2 and 5: 960 + 384 rows
+        monkeypatch.setattr(cli, "_MAX_PLAN_ROWS", 1343)
+        code, _, err = run(capsys, "optimize", "--k", "6", "--s", "6", "--export", str(plan))
+        assert code == 2 and "a plan of 1344 rows" in err and not plan.exists()
+        monkeypatch.setattr(cli, "_MAX_PLAN_ROWS", 1344)
+        code, out, _ = run(capsys, "optimize", "--k", "6", "--s", "6", "--export", str(plan))
+        assert code == 0 and f"exported 1344 rows to {plan}" in out.splitlines()
+
+
+def run_fresh(*argv, block_numpy=False):
+    """Run the CLI in a fresh interpreter; with ``block_numpy`` any numpy import raises."""
+    src = str(Path(pairdesign.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        + ("sys.modules['numpy'] = None\n" if block_numpy else "")
+        + "from pairdesign.cli import main\n"
+        + "sys.exit(main(sys.argv[1:]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_closed_form_subcommands_never_load_numpy(capsys, tmp_path):
+    document = tmp_path / "d66.json"
+    document.write_text(run(capsys, "optimize", "--k", "6", "--s", "6", "--json")[1])
+    closed_form = [
+        ("dims", "--k", "8"),
+        ("hvalues", "--k", "6", "--s", "5"),
+        ("optimize", "--k", "12", "--s", "12"),
+        ("optimize", "--k", "6", "--s", "5", "--json"),
+        ("tables", "1", "--check"),
+        ("tables", "2", "--check"),
+        ("tables", "3", "--check"),
+        ("verify", str(document)),
+    ]
+    for argv in closed_form:
+        # the same exit code and bytes as in this process, where numpy is loaded
+        assert run_fresh(*argv, block_numpy=True) == run(capsys, *argv), argv
+    assert run(capsys, "tables", "2", "--check")[1].endswith("check: OK\n")
+    # the commands that spell pairs out still load it on demand
+    plan = tmp_path / "plan.csv"
+    code, out, err = run_fresh("optimize", "--k", "6", "--s", "6", "--export", str(plan))
+    assert (code, err) == (0, "") and f"exported 1344 rows to {plan}" in out.splitlines()
+    code, out, err = run_fresh("enumerate", "--k", "4", "--s", "4", "--d", "2")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 1 + count_pairs((4, 4), 2)
+    for design in (plan, document):
+        code, out, err = run_fresh("verify", str(design), "--oracle")
+        assert (code, err) == (0, "")
+        assert "oracle block deviation: 0.000e+00" in out.splitlines()
 
 
 def reference_plan(k: int, s: int) -> bytes:
@@ -668,17 +745,30 @@ class TestPlanStream:
             return write(handle, n_attributes, counted())
 
         monkeypatch.setattr(cli, "_write_plan_csv", recording)
-        monkeypatch.setattr(design_space, "_ORBIT_BLOCK_ROWS", 64)
+        monkeypatch.setattr(explicit, "_ORBIT_BLOCK_ROWS", 64)
         chunked = tmp_path / "chunked.csv"
         assert run(capsys, "optimize", "--k", "6", "--s", "6", "--export", str(chunked))[0] == 0
         assert max(sizes) <= 64 and sum(sizes) == 1344
         assert chunked.read_bytes() == whole.read_bytes()
 
-    def test_one_weighted_stream(self):
-        assert cli._plan_blocks is design_space._plan_blocks
+    def test_one_weighted_stream(self, capsys, tmp_path, monkeypatch):
+        streams = []
+        plan_blocks = explicit._plan_blocks
+
+        def recording(spec, depth_weights):
+            streams.append(dict(depth_weights))
+            return plan_blocks(spec, depth_weights)
+
+        # realization, the export and enumerate all read explicit's one stream
+        monkeypatch.setattr(explicit, "_plan_blocks", recording)
+        realize_design(DepthDesign({2: Fraction(1)}, ModelSpec(4, 4)))
+        plan = tmp_path / "plan.csv"
+        assert run(capsys, "optimize", "--k", "6", "--s", "6", "--export", str(plan))[0] == 0
+        assert run(capsys, "enumerate", "--k", "4", "--s", "4", "--d", "3")[0] == 0
+        assert streams == [{2: 1}, {2: Fraction(5, 7), 5: Fraction(2, 7)}, {3: 1}]
         # a bad depth raises when the stream is made, before any block exists
         with pytest.raises(ValueError, match="depth"):
-            cli._plan_blocks(ModelSpec(4, 4), {1: Fraction(1, 2), 5: Fraction(1, 2)})
+            plan_blocks(ModelSpec(4, 4), {1: Fraction(1, 2), 5: Fraction(1, 2)})
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,13 +1,25 @@
-"""The module layering: the closed forms never reach into the brute-force oracle."""
+"""The module layering: the closed forms never reach into the brute-force oracle or numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pairdesign
-from pairdesign import ModelSpec, cli, design_space, equivalence, information, optimizer, oracle
+from pairdesign import (
+    ModelSpec,
+    cli,
+    design_space,
+    equivalence,
+    explicit,
+    information,
+    optimizer,
+    oracle,
+)
 from pairdesign import optimize_full, realize_design
 
 PACKAGE = Path(pairdesign.__file__).parent
@@ -16,15 +28,20 @@ MODULES = {
     "cli": cli,
     "design_space": design_space,
     "equivalence": equivalence,
+    "explicit": explicit,
     "information": information,
     "optimizer": optimizer,
 }
 
 
-def imported_modules(name):
-    """Modules one source file imports, the package's own without their prefix."""
+def imported_modules(name, module_level=False):
+    """Modules one source file imports, the package's own without their prefix.
+
+    With ``module_level`` only the imports that run when the module loads count.
+    """
     found = set()
-    for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    for node in tree.body if module_level else ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = (node.module or "").removeprefix("pairdesign").lstrip(".")
             found.update([module] if module else [a.name for a in node.names])
@@ -41,6 +58,26 @@ def test_only_the_package_and_the_cli_import_the_oracle():
 
 def test_equivalence_imports_no_numpy():
     assert not any(name.split(".")[0] == "numpy" for name in imported_modules("equivalence"))
+
+
+@pytest.mark.parametrize("name", ["design_space", "information", "equivalence", "optimizer"])
+def test_closed_forms_import_no_numpy_at_module_level(name):
+    # numpy is imported only where arrays are made: explicit, oracle, and
+    # inside the cli commands and BlockInfo.as_matrix that need them
+    imported = imported_modules(name, module_level=True)
+    assert not any(module.split(".")[0] == "numpy" for module in imported)
+
+
+def test_import_pairdesign_loads_no_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, pairdesign, pairdesign.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "pairdesign.realize_design\n"
+        "assert 'numpy' in sys.modules, 'numpy not imported on demand'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 @pytest.mark.parametrize(
