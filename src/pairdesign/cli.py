@@ -17,10 +17,10 @@ a ``verify --oracle`` request past the oracle gate (one ``error:`` line on
 stderr), 3 optimizer non-convergence, 4 singular (non-identifiable) design,
 from any subcommand.  All output is deterministic.
 
-Only explicit pairs need numpy: ``explicit`` (CSV plans) and ``oracle`` are
-imported inside the commands that write or read a plan or run the oracle, so
-``dims``, ``hvalues``, ``optimize``, ``tables`` and ``verify`` of a JSON
-document without ``--oracle`` never load it.
+Only the brute-force oracle needs numpy: ``explicit`` and ``oracle`` are
+imported inside ``verify --oracle``.  CSV plans are written and read as text
+rows of ``design_space``'s orbit order, so every other command, ``enumerate``,
+``optimize --export`` and ``verify`` of a plan included, never loads it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,16 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .design_space import DepthDesign, ModelSpec, Weight, count_pairs, param_dims
+from .design_space import (
+    DepthDesign,
+    ModelSpec,
+    Weight,
+    _orbit_order,
+    _OrbitBlock,
+    _plan_blocks,
+    count_pairs,
+    param_dims,
+)
 from .equivalence import (
     DEFAULT_CERTIFY_TOL,
     kw_certify,
@@ -169,25 +178,76 @@ def _check_plan_rows(spec: ModelSpec, depths) -> None:
         raise ValueError(f"a plan of {n_rows} rows exceeds the limit of {_MAX_PLAN_ROWS} rows")
 
 
-def _write_plan_csv(handle, n_attributes: int, blocks) -> int:
-    """Write ``_plan_blocks`` blocks, one ``_weight_text`` cell each; returns the row count."""
-    import numpy as np
+class _HalfTexts(dict):
+    """CSV level fields of one half of a subset's columns, keyed by the half's pattern.
 
-    writer = csv.writer(handle)
-    writer.writerow(
-        ["pair_id"]
-        + [f"i_{n}" for n in range(1, n_attributes + 1)]
-        + [f"j_{n}" for n in range(1, n_attributes + 1)]
-        + ["weight"]
-    )
-    n_rows = 0
-    for firsts, seconds, weight in blocks:
-        levels = np.concatenate([firsts, seconds], axis=1).tolist()
-        cell = _weight_text(weight)
-        writer.writerows(
-            [row_id, *row, cell] for row_id, row in zip(itertools.count(n_rows + 1), levels)
+    ``template`` holds ``%s`` at the half's shown columns; the i-th of them
+    reads bit ``n_bits - 1 - i`` of the pattern, ``1`` when it is set and
+    ``-1`` otherwise.  A text is made the first time it is asked for, so a
+    table never holds more than the patterns one orbit block reads, however
+    large S is.
+    """
+
+    def __init__(self, template: str, n_bits: int) -> None:
+        super().__init__()
+        self.template, self.bits = template, range(n_bits - 1, -1, -1)
+
+    def __missing__(self, pattern: int) -> str:
+        text = self[pattern] = self.template % tuple(
+            "1" if pattern >> bit & 1 else "-1" for bit in self.bits
         )
-        n_rows += len(levels)
+        return text
+
+
+def _plan_rows(
+    n_attributes: int, block: _OrbitBlock, cell: str, first_id: int, end: str
+) -> list[str]:
+    """One orbit block as CSV plan rows ``pair_id,i_1..i_K,j_1..j_K,cell`` + ``end``.
+
+    Ids count up from ``first_id``.  A profile's K level fields are the text
+    of its subset's high half of attributes (the first S // 2, which read
+    the high bits of the pattern; every column before the first low one)
+    followed by that of the low half, each read from a ``_HalfTexts``.
+    """
+    s = len(block.subsets[0])
+    n_high, n_low = s // 2, s - s // 2
+    low_bits = (1 << n_low) - 1
+    masks = [sum(1 << (s - 1 - j) for j in flips) for flips in block.flips]
+    mask_halves = [(mask >> n_low, mask & low_bits) for mask in masks]
+    tail = f",{cell}{end}"
+    ids = itertools.count(first_id)
+    rows: list[str] = []
+    for subset in block.subsets:
+        shown = dict.fromkeys(subset, "%s")
+        split = subset[n_high]
+        high = _HalfTexts("".join(shown.get(c, "0") + "," for c in range(split)), n_high)
+        low = _HalfTexts(",".join(shown.get(c, "0") for c in range(split, n_attributes)), n_low)
+        firsts = [
+            (f",{high[h]}{low[l]},", h, l)
+            for h, l in ((pattern >> n_low, pattern & low_bits) for pattern in block.patterns)
+        ]
+        # ids last: zip stops on the exhausted product without taking one more
+        rows += [
+            f"{i}{head}{high[h ^ mh]}{low[l ^ ml]}{tail}"
+            for ((head, h, l), (mh, ml)), i in zip(itertools.product(firsts, mask_halves), ids)
+        ]
+    return rows
+
+
+def _write_plan_csv(handle, n_attributes: int, blocks) -> int:
+    """Write ``_plan_blocks`` blocks, one ``_weight_text`` cell each; returns the row count.
+
+    Rows end in CRLF, as the ``csv`` module writes them.  They are written
+    line by line: a write larger than the stream's buffer can be cut short
+    without an error (a reader that closed the pipe, a full disk), and a
+    later small write then raises.
+    """
+    columns = [f"{side}_{n}" for side in "ij" for n in range(1, n_attributes + 1)]
+    handle.write(",".join(["pair_id", *columns, "weight"]) + "\r\n")
+    n_rows = 0
+    for block, weight in blocks:
+        handle.writelines(_plan_rows(n_attributes, block, _weight_text(weight), n_rows + 1, "\r\n"))
+        n_rows += block.n_rows
     return n_rows
 
 
@@ -196,55 +256,50 @@ def _plan_segments(path: str):
 
     K comes from the header and S from the first row, yielded before the
     second row is read.  Each depth segment, in ascending order, must equal
-    ``_orbit_blocks(spec, depth)`` row for row, one block at a time, with one
-    weight cell c: it is the depth weight c * N_d, exact when c is (the inverse
-    of ``_plan_blocks``'s row weight w_d / N_d).  Every row
-    has 2 + 2K fields, and its weight cell is its text after the last comma.
+    the ``_orbit_order(spec, depth)`` rows as ``_plan_rows`` renders them,
+    pair ids included, one block at a time, with one weight cell c: it is
+    the depth weight c * N_d, exact when c is (the inverse of
+    ``_plan_blocks``'s row weight w_d / N_d).  Any line ending is accepted.
+    A row that differs is named, by its field count when that is not 2 + 2K
+    (a row's weight cell is its text after the last comma).
     """
-    import numpy as np
-
-    from .explicit import _orbit_blocks
-
-    opts = dict(delimiter=",", quotechar='"', comments=None)
-    with open(path, newline="") as handle:
+    with open(path) as handle:
         header = next(csv.reader([handle.readline()]), [])
         k = sum(1 for c in header if c.startswith("i_"))
         if not k or k != sum(1 for c in header if c.startswith("j_")) or header[-1] != "weight":
             raise ValueError(f"{path} does not look like an exported plan")
 
-        def check_fields(lines: list[str], first_row: int) -> None:
-            counts = np.array([line.count(",") + 1 for line in lines])
-            if np.any(counts != 2 + 2 * k):
-                bad = int(np.argmax(counts != 2 + 2 * k))
-                raise ValueError(f"row {first_row + bad} has {counts[bad]} fields, not {2 + 2 * k}")
+        def check_fields(line: str, row: int) -> None:
+            if line.count(",") + 1 != 2 + 2 * k:
+                raise ValueError(f"row {row} has {line.count(',') + 1} fields, not {2 + 2 * k}")
 
         n_read, previous, spec = 0, -1, None
         while line := handle.readline():
-            check_fields([line], n_read + 1)
-            levels = np.array(line.split(",")[1 : 1 + 2 * k], dtype=np.int64)
+            check_fields(line, n_read + 1)
+            levels = [int(v) for v in line.split(",")[1 : 1 + 2 * k]]
             if spec is None:
-                spec = ModelSpec(k, int(np.count_nonzero(levels[:k])))
+                spec = ModelSpec(k, sum(1 for v in levels[:k] if v))
                 yield spec
-            depth = int(np.count_nonzero(levels[:k] != levels[k:]))
+            depth = sum(1 for a, b in zip(levels[:k], levels[k:]) if a != b)
             if depth <= previous:
                 raise ValueError(f"row {n_read + 1}: depth {depth} segment after depth {previous}")
-            rows, cell = itertools.chain([line], handle), None
-            for firsts, seconds in _orbit_blocks(spec, depth):
-                block = list(itertools.islice(rows, len(firsts)))
-                if len(block) < len(firsts):
+            rows, cell = itertools.chain([line], handle), line.rpartition(",")[2].rstrip("\n")
+            for block in _orbit_order(spec, depth):
+                lines = list(itertools.islice(rows, block.n_rows))
+                if len(lines) < block.n_rows:
                     raise ValueError(f"the depth {depth} segment stops inside its orbit")
-                check_fields(block, n_read + 1)
-                levels = np.loadtxt(block, usecols=range(1, 1 + 2 * k), dtype=int, ndmin=2, **opts)
-                cells = np.array([line.rpartition(",")[2].rstrip("\r\n") for line in block])
-                cell = cells[0] if cell is None else cell
-                wrong = np.any(levels != np.hstack([firsts, seconds]), axis=1) | (cells != cell)
-                if wrong.any():
-                    row = n_read + int(np.argmax(wrong)) + 1
+                if not lines[-1].endswith("\n"):  # the file's last line
+                    lines[-1] += "\n"
+                expected = _plan_rows(k, block, cell, n_read + 1, "\n")
+                if lines != expected:
+                    bad = next(i for i, (a, b) in enumerate(zip(lines, expected)) if a != b)
+                    check_fields(lines[bad], n_read + bad + 1)
                     raise ValueError(
-                        f"row {row} is not the depth {depth} orbit's next row at weight {cell}"
+                        f"row {n_read + bad + 1} is not the depth {depth} orbit's next row "
+                        f"at weight {cell}"
                     )
-                n_read += len(block)
-            yield depth, _parse_weight_text(str(cell)) * count_pairs(spec, depth)
+                n_read += block.n_rows
+            yield depth, _parse_weight_text(cell) * count_pairs(spec, depth)
             previous = depth
         if spec is None:
             raise ValueError(f"{path} contains no rows")
@@ -284,8 +339,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     result = optimize_full(spec, tol=args.tol)
     design = result.design
     if args.export:
-        from .explicit import _plan_blocks
-
         _check_plan_rows(spec, design.support)
         blocks = _plan_blocks(spec, {d: design.weights[d] for d in design.support})
         with open(args.export, "w", newline="") as handle:
@@ -437,9 +490,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    from .explicit import _plan_blocks
-
     spec = ModelSpec(args.k, args.s)
+    if not 1 <= args.d <= spec.strength:
+        raise ValueError(
+            f"--d must lie in 1..{spec.strength} (depth 0 carries no information), got {args.d}"
+        )
     _check_plan_rows(spec, [args.d])
     blocks = _plan_blocks(spec, {args.d: 1})
     if args.out:
@@ -502,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     enumerate_cmd = subparsers.add_parser("enumerate", help="dump one depth orbit as CSV")
     enumerate_cmd.add_argument("--k", type=int, required=True)
     enumerate_cmd.add_argument("--s", type=int, required=True)
-    enumerate_cmd.add_argument("--d", type=int, required=True)
+    enumerate_cmd.add_argument("--d", type=int, required=True, help="comparison depth, 1..S")
     enumerate_cmd.add_argument("--out", metavar="FILE", help="write to a file instead of stdout")
     enumerate_cmd.set_defaults(handler=cmd_enumerate)
 

@@ -10,16 +10,21 @@ profiles), and every design that is invariant under that group is a mixture
 of uniform designs on these orbits, so it is fully described by a weight per
 comparison depth.
 
-Explicit designs, which spell such a design out pair by pair, live in
-``explicit``: the orbit rows there are held as numpy level arrays, and this
-module, like the closed forms built on it, imports no numpy.
+The order in which an orbit's rows are spelled out, and the weight each row
+carries, are decided here once (``_orbit_order``, ``_plan_blocks``), with no
+numpy: the CLI renders that order as CSV text rows, and ``explicit`` renders
+it as the numpy level arrays of an explicit design.  This module, like the
+closed forms built on it, imports no numpy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "ComparisonPair",
@@ -36,6 +41,8 @@ __all__ = [
 Weight = Fraction | float | int
 
 _WEIGHT_SUM_TOL = 1e-12
+# Rows per block when orbits stream (realization, plan writing and plan reading).
+_ORBIT_BLOCK_ROWS = 1 << 16
 
 
 class InvalidPairError(ValueError):
@@ -182,6 +189,59 @@ def count_pairs(spec: ModelSpec | tuple[int, int], depth: int) -> int:
     return 2**s * math.comb(k, s) * math.comb(s, depth)
 
 
+class _OrbitBlock(NamedTuple):
+    """Consecutive rows of one depth orbit: every subset x pattern x flips triple, nested so.
+
+    A row shows the attributes ``subset`` (ascending).  Level pattern n shows
+    the subset's attribute j at +1 when bit S-1-j of n is set, else at -1
+    (``itertools.product((-1, 1), repeat=S)`` order); the first profile has
+    pattern n, and the second flips the positions ``flips`` of the subset, so
+    its pattern is n XOR the mask of those positions' bits.
+    """
+
+    subsets: list[tuple[int, ...]]
+    patterns: range
+    flips: list[tuple[int, ...]]
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.subsets) * len(self.patterns) * len(self.flips)
+
+
+def _batches(iterable, size: int) -> Iterator[list]:
+    iterator = iter(iterable)
+    while batch := list(itertools.islice(iterator, size)):
+        yield batch
+
+
+def _orbit_order(spec: ModelSpec | tuple[int, int], depth: int) -> Iterator[_OrbitBlock]:
+    """The one row order of a depth orbit, as blocks of at most ``_ORBIT_BLOCK_ROWS`` rows.
+
+    Attribute subsets, then first-profile patterns, then flipped positions,
+    each in lexicographic order.  A block takes a batch of each factor; a
+    batch of an outer factor holds more than one item only when every inner
+    factor fits whole, which keeps the order.
+    """
+    k, s = _dims_of(spec)
+    if not 0 <= depth <= s:
+        raise ValueError(f"depth must lie in 0..{s}, got {depth}")
+    n_flips, n_levels = math.comb(s, depth), 2**s
+    flip_batch = min(n_flips, _ORBIT_BLOCK_ROWS)
+    level_batch = min(n_levels, _ORBIT_BLOCK_ROWS // flip_batch)
+    subset_batch = _ORBIT_BLOCK_ROWS // (level_batch * flip_batch)
+
+    def flip_batches() -> Iterator[list[tuple[int, ...]]]:
+        return _batches(itertools.combinations(range(s), depth), flip_batch)
+
+    # flips that fit in one batch are listed once and reused
+    flips_once = list(flip_batches()) if flip_batch == n_flips else None
+    for subsets in _batches(itertools.combinations(range(k), s), subset_batch):
+        for start in range(0, n_levels, level_batch):
+            patterns = range(start, min(start + level_batch, n_levels))
+            for flips in flips_once or flip_batches():
+                yield _OrbitBlock(subsets, patterns, flips)
+
+
 @dataclass(frozen=True)
 class DepthDesign:
     """Invariant design: one probability weight per comparison depth 1..S."""
@@ -223,3 +283,20 @@ class DepthDesign:
     def is_exact(self) -> bool:
         """True when every weight is an exact rational."""
         return all(isinstance(w, (int, Fraction)) for w in self.weights.values())
+
+
+def _plan_blocks(
+    spec: ModelSpec, depth_weights: dict[int, Weight]
+) -> Iterator[tuple[_OrbitBlock, Weight]]:
+    """Weighted orbit blocks ``(block, row weight)``, depth by depth ascending.
+
+    Each depth's orbit streams from ``_orbit_order``, and every row of it
+    weighs w_d / N_d, exact when w_d is: this is the one place that weight
+    is decided, for ``realize_design`` and for CSV plans alike.  Bad depths
+    raise before any block is built.
+    """
+    shares = [
+        (d, (Fraction(w) if isinstance(w, (int, Fraction)) else w) / count_pairs(spec, d))
+        for d, w in sorted(depth_weights.items())
+    ]
+    return ((block, share) for d, share in shares for block in _orbit_order(spec, d))

@@ -1,10 +1,10 @@
 """Explicit designs: depth orbits spelled out as weighted ordered pairs.
 
 An explicit design spells an invariant design (``design_space.DepthDesign``)
-out as one stream of orbit rows, each weighing w_d / N_d (``_plan_blocks``,
-read by ``realize_design`` and the CSV plan writer alike).  It is held as
-int8 level arrays, one row per ordered pair, with the row weights as int64
-numerators over one common denominator when they are exact (floats
+out as int8 level arrays, one row per ordered pair, rendered from the
+numpy-free orbit order and row weights of ``design_space._plan_blocks``
+(the CLI renders the same blocks as CSV text).  The row weights are held as
+int64 numerators over one common denominator when they are exact (floats
 otherwise); no pair object is made.  ``Profile`` and ``ComparisonPair``
 remain the single-pair API, ``ExplicitDesign.entries`` shows the rows as
 pairs on demand, and model rows f(i) and the brute-force oracle live in
@@ -14,7 +14,6 @@ the closed forms never need an array.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -31,6 +30,9 @@ from .design_space import (
     Profile,
     Weight,
     _dims_of,
+    _orbit_order,
+    _OrbitBlock,
+    _plan_blocks,
     count_pairs,
 )
 
@@ -38,14 +40,28 @@ __all__ = ["ExplicitDesign", "enumerate_orbit", "realize_design"]
 
 # Exact row weights are stored as int64 numerators over a denominator up to this.
 _MAX_EXACT_DENOMINATOR = 10**12
-# Rows per block when orbits stream as level arrays (realization, export, plan reading).
-_ORBIT_BLOCK_ROWS = 1 << 16
 
 
-def _batches(iterable, size: int) -> Iterator[list]:
-    iterator = iter(iterable)
-    while batch := list(itertools.islice(iterator, size)):
-        yield batch
+def _fill_block(block: _OrbitBlock, firsts: np.ndarray, seconds: np.ndarray) -> None:
+    """Write one orbit block's rows into zeroed int8 ``(rows, K)`` arrays.
+
+    The arrays are viewed as (subsets, patterns, flips, K) and written one
+    shown column at a time for the whole block.
+    """
+    s = len(block.subsets[0])
+    columns = np.array(block.subsets, dtype=np.intp).reshape(len(block.subsets), s)
+    subsets = np.arange(len(block.subsets))
+    patterns = np.arange(block.patterns.start, block.patterns.stop)[:, None]
+    # past S = 63 the pattern's high bits are 0, and numpy's >> must read them so
+    levels = (((patterns >> np.arange(s - 1, -1, -1)) & 1) * 2 - 1).astype(np.int8)
+    signs = np.ones((len(block.flips), s), dtype=np.int8)
+    flips = np.array(block.flips, dtype=np.intp).reshape(len(block.flips), -1)
+    signs[np.arange(len(block.flips))[:, None], flips] = -1
+    shape = (len(block.subsets), len(block.patterns), len(block.flips), firsts.shape[1])
+    firsts, seconds = firsts.reshape(shape), seconds.reshape(shape)
+    for j in range(s):
+        firsts[subsets, :, :, columns[:, j]] = levels[:, None, j]
+        seconds[subsets, :, :, columns[:, j]] = levels[:, None, j] * signs[:, j]
 
 
 def _orbit_blocks(
@@ -53,46 +69,15 @@ def _orbit_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stream one depth orbit as int8 ``(firsts, seconds)`` level blocks.
 
-    Rows come in ``enumerate_orbit``'s order (attribute subsets, then
-    first-profile levels, then flipped positions) in blocks of at most
-    ``_ORBIT_BLOCK_ROWS`` rows, each written one shown column at a time for a
-    batch of subsets, of level patterns and of flip masks; a batch of an outer
-    factor holds more than one item only when every inner factor fits whole,
-    which keeps the order.  Pattern n shows attribute j at +1 when bit S-1-j
-    of n is set: ``itertools.product((-1, 1), repeat=S)`` order.
+    One pair of arrays per block of ``design_space._orbit_order``: rows in
+    ``enumerate_orbit``'s order, at most ``_ORBIT_BLOCK_ROWS`` at a time.
     """
-    k, s = _dims_of(spec)
-    if not 0 <= depth <= s:
-        raise ValueError(f"depth must lie in 0..{s}, got {depth}")
-    n_flips, n_levels = math.comb(s, depth), 2**s
-    flip_batch = min(n_flips, _ORBIT_BLOCK_ROWS)
-    level_batch = min(n_levels, _ORBIT_BLOCK_ROWS // flip_batch)
-    subset_batch = _ORBIT_BLOCK_ROWS // (level_batch * flip_batch)
-    bits = np.arange(s - 1, -1, -1)
-
-    def flip_signs() -> Iterator[np.ndarray]:
-        for flips in _batches(itertools.combinations(range(s), depth), flip_batch):
-            signs = np.ones((len(flips), s), dtype=np.int8)
-            rows = np.arange(len(flips))[:, None]
-            signs[rows, np.array(flips, dtype=np.intp).reshape(len(flips), depth)] = -1
-            yield signs
-
-    # flip masks that fit in one batch are built once and reused
-    signs_once = list(flip_signs()) if flip_batch == n_flips else None
-    for subsets in _batches(itertools.combinations(range(k), s), subset_batch):
-        columns = np.array(subsets, dtype=np.intp).reshape(len(subsets), s)
-        batch = np.arange(len(subsets))
-        for start in range(0, n_levels, level_batch):
-            patterns = np.arange(start, min(start + level_batch, n_levels))[:, None]
-            levels = (((patterns >> bits) & 1) * 2 - 1).astype(np.int8)
-            for signs in signs_once or flip_signs():
-                shape = (len(subsets), len(levels), len(signs), k)
-                firsts = np.zeros(shape, dtype=np.int8)
-                seconds = np.zeros(shape, dtype=np.int8)
-                for j in range(s):
-                    firsts[batch, :, :, columns[:, j]] = levels[:, None, j]
-                    seconds[batch, :, :, columns[:, j]] = levels[:, None, j] * signs[:, j]
-                yield firsts.reshape(-1, k), seconds.reshape(-1, k)
+    k, _ = _dims_of(spec)
+    for block in _orbit_order(spec, depth):
+        firsts = np.zeros((block.n_rows, k), dtype=np.int8)
+        seconds = np.zeros((block.n_rows, k), dtype=np.int8)
+        _fill_block(block, firsts, seconds)
+        yield firsts, seconds
 
 
 def enumerate_orbit(
@@ -173,7 +158,8 @@ class ExplicitDesign:
     ``from_arrays`` takes the arrays themselves, and ``entries`` shows the
     rows as such tuples again.  Both constructors validate every row: both
     profiles show the same attributes, S of the K, at levels -1/0/+1, and
-    the weights are non-negative and sum to 1.
+    the weights are non-negative and sum to 1 (``realize_design`` makes
+    rows that hold this by construction).
     """
 
     firsts: np.ndarray
@@ -261,6 +247,10 @@ class ExplicitDesign:
                     f"exact weights need a denominator of at most {_MAX_EXACT_DENOMINATOR}, "
                     f"got {denominator}; pass float weights instead"
                 )
+        self._store(firsts, seconds, weights, denominator, spec)
+
+    def _store(self, firsts, seconds, weights, denominator, spec: ModelSpec) -> None:
+        """Hold valid rows and lowest-terms weights as they are, made read-only."""
         for array in (firsts, seconds, weights):
             array.flags.writeable = False
         object.__setattr__(self, "firsts", firsts)
@@ -286,36 +276,28 @@ class ExplicitDesign:
         return Fraction(int(self.weights[row]), self.denominator)
 
 
-def _plan_blocks(
-    spec: ModelSpec, depth_weights: dict[int, Weight]
-) -> Iterator[tuple[np.ndarray, np.ndarray, Weight]]:
-    """Weighted orbit blocks ``(firsts, seconds, row weight)``, depth by depth ascending.
-
-    Each depth's orbit streams from ``_orbit_blocks``, and every row of it
-    weighs w_d / N_d, exact when w_d is: this is the one place that weight
-    is decided, for ``realize_design`` and for CSV plans alike.  Bad depths
-    raise before any block is built.
-    """
-    shares = [
-        (d, (Fraction(w) if isinstance(w, (int, Fraction)) else w) / count_pairs(spec, d))
-        for d, w in sorted(depth_weights.items())
-    ]
-    return ((*block, share) for d, share in shares for block in _orbit_blocks(spec, d))
-
-
 def realize_design(design: DepthDesign) -> ExplicitDesign:
     """Spell an invariant design out as explicit pairs.
 
-    The rows are ``_plan_blocks`` of the supported depths, concatenated:
-    each depth's whole orbit in ``enumerate_orbit``'s order, with per-pair
-    weight w_d / N_d; exact weights stay exact.
+    The rows are the ``_plan_blocks`` of the supported depths, each block
+    written in place into arrays of the plan's full size: each depth's whole
+    orbit in ``enumerate_orbit``'s order, with per-pair weight w_d / N_d;
+    exact weights stay exact.  Rows and weights are valid by construction,
+    so they are stored without ``from_arrays``'s copies and checks.
     """
-    blocks = list(_plan_blocks(design.spec, {d: design.weights[d] for d in design.support}))
-    weights, denominator = _weight_column([share for _, _, share in blocks])
-    return ExplicitDesign.from_arrays(
-        np.concatenate([firsts for firsts, _, _ in blocks]),
-        np.concatenate([seconds for _, seconds, _ in blocks]),
-        np.repeat(weights, [len(firsts) for firsts, _, _ in blocks]),
-        design.spec,
-        denominator,
-    )
+    spec = design.spec
+    depth_weights = {d: design.weights[d] for d in design.support}
+    n_rows = sum(count_pairs(spec, d) for d in depth_weights)
+    firsts = np.zeros((n_rows, spec.n_attributes), dtype=np.int8)
+    seconds = np.zeros_like(firsts)
+    shares, sizes, row = [], [], 0
+    for block, share in _plan_blocks(spec, depth_weights):
+        end = row + block.n_rows
+        _fill_block(block, firsts[row:end], seconds[row:end])
+        shares.append(share)
+        sizes.append(block.n_rows)
+        row = end
+    weights, denominator = _weight_column(shares)
+    explicit = object.__new__(ExplicitDesign)
+    explicit._store(firsts, seconds, np.repeat(weights, sizes), denominator, spec)
+    return explicit

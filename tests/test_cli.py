@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from pairdesign import (
     optimize_full,
     realize_design,
 )
-from pairdesign import cli, explicit, oracle
+from pairdesign import cli, design_space, explicit, oracle
 from pairdesign.cli import main
 
 
@@ -90,6 +91,15 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--k", "4", "--s", "4", "--d", "9")
         assert code == 2
         assert "depth" in err
+
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_depth_without_information_exits_2(self, capsys, tmp_path, d):
+        # a depth 0 plan is pairs of identical profiles, which verify refuses
+        path = tmp_path / "orbit.csv"
+        code, out, err = run(capsys, "enumerate", "--k", "4", "--s", "4", "--d", d, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: --d must lie in 1..4 (depth 0 carries no information), got {d}\n"
+        assert not path.exists()
 
 
 class TestOptimize:
@@ -600,6 +610,16 @@ class TestExactCsvRoundTrip:
         code, out, _ = run(capsys, "verify", str(plan))
         assert code == 0 and "verdict: optimal" in out
 
+    def test_any_line_ending_verifies(self, capsys, tmp_path):
+        plan = tmp_path / "plan.csv"
+        assert run(capsys, "optimize", "--k", "6", "--s", "6", "--export", str(plan))[0] == 0
+        expected = run(capsys, "verify", str(plan))
+        assert expected[0] == 0 and "verdict: optimal" in expected[1]
+        lf = plan.read_bytes().replace(b"\r\n", b"\n")
+        for text in (lf, lf.removesuffix(b"\n")):  # and no newline after the last row
+            plan.write_bytes(text)
+            assert run(capsys, "verify", str(plan)) == expected
+
     @pytest.mark.parametrize(
         "text,value",
         [("1/1344", Fraction(1, 1344)), ("1", Fraction(1)), ("0.25", 0.25), ("1e-05", 1e-05)],
@@ -659,7 +679,10 @@ class TestPlanLimit:
 
 
 def run_fresh(*argv, block_numpy=False):
-    """Run the CLI in a fresh interpreter; with ``block_numpy`` any numpy import raises."""
+    """Run the CLI in a fresh interpreter; with ``block_numpy`` any numpy import raises.
+
+    Output is decoded without newline translation, so CRLF rows stay CRLF.
+    """
     src = str(Path(pairdesign.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -670,14 +693,23 @@ def run_fresh(*argv, block_numpy=False):
         + "sys.exit(main(sys.argv[1:]))\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code, *argv], capture_output=True, env=env, timeout=120
     )
-    return done.returncode, done.stdout, done.stderr
+    return done.returncode, done.stdout.decode(), done.stderr.decode()
 
 
 def test_closed_form_subcommands_never_load_numpy(capsys, tmp_path):
     document = tmp_path / "d66.json"
     document.write_text(run(capsys, "optimize", "--k", "6", "--s", "6", "--json")[1])
+    # plans are written and read as text: the same exit code, stdout and file bytes
+    for argv, name in [
+        (("optimize", "--k", "7", "--s", "5", "--export"), "d75.csv"),
+        (("enumerate", "--k", "7", "--s", "5", "--d", "2", "--out"), "e752.csv"),
+    ]:
+        path = tmp_path / name
+        here = run(capsys, *argv, str(path)), path.read_bytes()
+        path.unlink()
+        assert (run_fresh(*argv, str(path), block_numpy=True), path.read_bytes()) == here, argv
     closed_form = [
         ("dims", "--k", "8"),
         ("hvalues", "--k", "6", "--s", "5"),
@@ -687,18 +719,16 @@ def test_closed_form_subcommands_never_load_numpy(capsys, tmp_path):
         ("tables", "2", "--check"),
         ("tables", "3", "--check"),
         ("verify", str(document)),
+        ("verify", str(tmp_path / "d75.csv")),
+        ("enumerate", "--k", "7", "--s", "5", "--d", "2"),
     ]
     for argv in closed_form:
         # the same exit code and bytes as in this process, where numpy is loaded
         assert run_fresh(*argv, block_numpy=True) == run(capsys, *argv), argv
     assert run(capsys, "tables", "2", "--check")[1].endswith("check: OK\n")
-    # the commands that spell pairs out still load it on demand
-    plan = tmp_path / "plan.csv"
-    code, out, err = run_fresh("optimize", "--k", "6", "--s", "6", "--export", str(plan))
-    assert (code, err) == (0, "") and f"exported 1344 rows to {plan}" in out.splitlines()
-    code, out, err = run_fresh("enumerate", "--k", "4", "--s", "4", "--d", "2")
-    assert (code, err) == (0, "") and len(out.splitlines()) == 1 + count_pairs((4, 4), 2)
-    for design in (plan, document):
+    assert run(capsys, "verify", str(tmp_path / "d75.csv"))[1].endswith("verdict: optimal\n")
+    # only the oracle still loads it, on demand
+    for design in (tmp_path / "d75.csv", document):
         code, out, err = run_fresh("verify", str(design), "--oracle")
         assert (code, err) == (0, "")
         assert "oracle block deviation: 0.000e+00" in out.splitlines()
@@ -738,14 +768,14 @@ class TestPlanStream:
 
         def recording(handle, n_attributes, blocks):
             def counted():
-                for firsts, seconds, cells in blocks:
-                    sizes.append(len(firsts))
-                    yield firsts, seconds, cells
+                for block, weight in blocks:
+                    sizes.append(block.n_rows)
+                    yield block, weight
 
             return write(handle, n_attributes, counted())
 
         monkeypatch.setattr(cli, "_write_plan_csv", recording)
-        monkeypatch.setattr(explicit, "_ORBIT_BLOCK_ROWS", 64)
+        monkeypatch.setattr(design_space, "_ORBIT_BLOCK_ROWS", 64)
         chunked = tmp_path / "chunked.csv"
         assert run(capsys, "optimize", "--k", "6", "--s", "6", "--export", str(chunked))[0] == 0
         assert max(sizes) <= 64 and sum(sizes) == 1344
@@ -753,14 +783,16 @@ class TestPlanStream:
 
     def test_one_weighted_stream(self, capsys, tmp_path, monkeypatch):
         streams = []
-        plan_blocks = explicit._plan_blocks
+        plan_blocks = design_space._plan_blocks
 
         def recording(spec, depth_weights):
             streams.append(dict(depth_weights))
             return plan_blocks(spec, depth_weights)
 
-        # realization, the export and enumerate all read explicit's one stream
-        monkeypatch.setattr(explicit, "_plan_blocks", recording)
+        # realization, the export and enumerate all read design_space's one stream
+        for module in (explicit, cli):
+            assert module._plan_blocks is plan_blocks
+            monkeypatch.setattr(module, "_plan_blocks", recording)
         realize_design(DepthDesign({2: Fraction(1)}, ModelSpec(4, 4)))
         plan = tmp_path / "plan.csv"
         assert run(capsys, "optimize", "--k", "6", "--s", "6", "--export", str(plan))[0] == 0
@@ -769,6 +801,42 @@ class TestPlanStream:
         # a bad depth raises when the stream is made, before any block exists
         with pytest.raises(ValueError, match="depth"):
             plan_blocks(ModelSpec(4, 4), {1: Fraction(1, 2), 5: Fraction(1, 2)})
+
+    @pytest.mark.parametrize("block_rows", [1 << 16, 100])
+    @pytest.mark.parametrize("k,s", [(7, 5), (6, 6), (10, 4)])
+    def test_text_rows_are_the_realized_rows(self, monkeypatch, k, s, block_rows):
+        # the CSV text and the int8 arrays render one orbit order, row by row
+        monkeypatch.setattr(design_space, "_ORBIT_BLOCK_ROWS", block_rows)
+        design = optimize_full(ModelSpec(k, s)).design
+        realized = realize_design(design)
+        rows = []
+        weights = {d: design.weights[d] for d in design.support}
+        for block, weight in design_space._plan_blocks(design.spec, weights):
+            block_rows = cli._plan_rows(k, block, cli._weight_text(weight), len(rows) + 1, "\n")
+            assert len(block_rows) == block.n_rows
+            rows += block_rows
+        assert len(rows) == len(realized.weights)
+        for row, text in enumerate(rows):
+            levels = [*realized.firsts[row].tolist(), *realized.seconds[row].tolist()]
+            cell = cli._weight_text(realized.weight_at(row))
+            assert text == f"{row + 1},{','.join(map(str, levels))},{cell}\n"
+
+    def test_first_block_of_a_huge_orbit_stays_small(self):
+        # K=S=20, d=1: 2^20 level patterns, of which one 65 520-row block is made;
+        # a table of every pattern's text would take about 100 MB
+        tracemalloc.start()
+        try:
+            block = next(design_space._orbit_order((20, 20), 1))
+            rows = cli._plan_rows(20, block, "1/20971520", 1, "\r\n")
+            text_peak = tracemalloc.get_traced_memory()[1]
+            del rows
+            tracemalloc.reset_peak()
+            firsts, seconds = next(explicit._orbit_blocks((20, 20), 1))
+            array_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.n_rows == len(firsts) == 65_520
+        assert text_peak < 24 * 2**20 and array_peak < 8 * 2**20
 
     @pytest.mark.parametrize(
         "argv",

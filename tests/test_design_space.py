@@ -25,7 +25,7 @@ from pairdesign import (
     regression_vector,
 )
 
-from pairdesign import explicit
+from pairdesign import design_space
 from pairdesign.explicit import _orbit_blocks
 from pairdesign.oracle import _regression_matrix, _subset_terms
 
@@ -295,7 +295,7 @@ class TestOrbitBlocks:
     @pytest.mark.parametrize("chunk", [1 << 16, 1, 5, 16, 100, 1000])
     def test_blocks_concatenate_to_orbit_stream(self, k, s, d, chunk, monkeypatch):
         # small chunks split flip masks, level patterns and subsets across blocks
-        monkeypatch.setattr(explicit, "_ORBIT_BLOCK_ROWS", chunk)
+        monkeypatch.setattr(design_space, "_ORBIT_BLOCK_ROWS", chunk)
         blocks = list(_orbit_blocks((k, s), d))
         assert all(f.dtype == np.int8 and g.dtype == np.int8 for f, g in blocks)
         assert all(0 < len(f) == len(g) <= chunk for f, g in blocks)
@@ -317,7 +317,7 @@ class TestOrbitBlocks:
         # at S=70 attributes 0..5 read bits 69..64 of the pattern index, which
         # numpy's >> must read as 0 (not wrap round to bits 5..0)
         firsts, seconds = next(_orbit_blocks((70, 70), 1))
-        assert len(firsts) == (explicit._ORBIT_BLOCK_ROWS // 70) * 70
+        assert len(firsts) == (design_space._ORBIT_BLOCK_ROWS // 70) * 70
         head = itertools.islice(reference_orbit_stream(70, 70, 1), len(firsts))
         rows = list(zip(map(tuple, firsts.tolist()), map(tuple, seconds.tolist())))
         assert rows == list(head)
