@@ -8,10 +8,11 @@ region by comparison depth, evaluates information matrices both in closed
 form and by brute force, certifies D-optimality through the equivalence
 theorem, and computes optimal depth weightings.
 
-The closed forms import no numpy.  The names of the two modules that do,
-``explicit`` (explicit pairs) and ``oracle`` (the brute-force oracle), are
-served on first use by the module ``__getattr__`` below (PEP 562), so
-``import pairdesign`` leaves numpy unloaded.
+The closed forms and the pair stream ``enumerate_orbit`` import no numpy.
+The names of the two modules that do, ``explicit`` (explicit designs as
+level arrays) and ``oracle`` (the brute-force oracle), are served on first
+use by the module ``__getattr__`` below (PEP 562), so ``import pairdesign``
+leaves numpy unloaded.
 """
 
 from .design_space import (
@@ -22,6 +23,7 @@ from .design_space import (
     Profile,
     comparison_depth,
     count_pairs,
+    enumerate_orbit,
     param_dims,
 )
 from .equivalence import (
@@ -52,7 +54,7 @@ from .optimizer import (
 )
 
 # names served on first use by __getattr__, from the modules that import numpy
-_EXPLICIT_NAMES = ("ExplicitDesign", "enumerate_orbit", "realize_design")
+_EXPLICIT_NAMES = ("ExplicitDesign", "realize_design")
 _ORACLE_NAMES = (
     "DenseInfo",
     "info_matrix_exact",

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import itertools
 import json
 import math
@@ -234,6 +233,12 @@ def _plan_rows(
     return rows
 
 
+def _plan_header(n_attributes: int) -> str:
+    """A plan's header line ``pair_id,i_1..i_K,j_1..j_K,weight``, without its line ending."""
+    columns = [f"{side}_{n}" for side in "ij" for n in range(1, n_attributes + 1)]
+    return ",".join(["pair_id", *columns, "weight"])
+
+
 def _write_plan_csv(handle, n_attributes: int, blocks) -> int:
     """Write ``_plan_blocks`` blocks, one ``_weight_text`` cell each; returns the row count.
 
@@ -242,8 +247,7 @@ def _write_plan_csv(handle, n_attributes: int, blocks) -> int:
     without an error (a reader that closed the pipe, a full disk), and a
     later small write then raises.
     """
-    columns = [f"{side}_{n}" for side in "ij" for n in range(1, n_attributes + 1)]
-    handle.write(",".join(["pair_id", *columns, "weight"]) + "\r\n")
+    handle.write(_plan_header(n_attributes) + "\r\n")
     n_rows = 0
     for block, weight in blocks:
         handle.writelines(_plan_rows(n_attributes, block, _weight_text(weight), n_rows + 1, "\r\n"))
@@ -254,19 +258,20 @@ def _write_plan_csv(handle, n_attributes: int, blocks) -> int:
 def _plan_segments(path: str):
     """Read an exported plan: yield its spec, then ``(depth, weight)`` per segment.
 
-    K comes from the header and S from the first row, yielded before the
-    second row is read.  Each depth segment, in ascending order, must equal
-    the ``_orbit_order(spec, depth)`` rows as ``_plan_rows`` renders them,
-    pair ids included, one block at a time, with one weight cell c: it is
-    the depth weight c * N_d, exact when c is (the inverse of
-    ``_plan_blocks``'s row weight w_d / N_d).  Any line ending is accepted.
-    A row that differs is named, by its field count when that is not 2 + 2K
-    (a row's weight cell is its text after the last comma).
+    The header must be ``_plan_header(K)``, K read from its field count, and
+    S comes from the first row, yielded before the second row is read.  Each
+    depth segment, in ascending order, must equal the ``_orbit_order(spec,
+    depth)`` rows as ``_plan_rows`` renders them, pair ids included, one
+    block at a time, with one weight cell c: it is the depth weight c * N_d,
+    exact when c is (the inverse of ``_plan_blocks``'s row weight w_d / N_d).
+    Any line ending is accepted.  A row that differs is named, by its field
+    count when that is not 2 + 2K (a row's weight cell is its text after the
+    last comma).
     """
     with open(path) as handle:
-        header = next(csv.reader([handle.readline()]), [])
-        k = sum(1 for c in header if c.startswith("i_"))
-        if not k or k != sum(1 for c in header if c.startswith("j_")) or header[-1] != "weight":
+        header = handle.readline().removesuffix("\n")
+        k = (header.count(",") - 1) // 2
+        if header != _plan_header(k):
             raise ValueError(f"{path} does not look like an exported plan")
 
         def check_fields(line: str, row: int) -> None:

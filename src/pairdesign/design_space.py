@@ -12,9 +12,9 @@ comparison depth.
 
 The order in which an orbit's rows are spelled out, and the weight each row
 carries, are decided here once (``_orbit_order``, ``_plan_blocks``), with no
-numpy: the CLI renders that order as CSV text rows, and ``explicit`` renders
-it as the numpy level arrays of an explicit design.  This module, like the
-closed forms built on it, imports no numpy.
+numpy: ``enumerate_orbit`` renders that order as pair objects, the CLI as
+CSV text rows, and ``explicit`` as the numpy level arrays of an explicit
+design.  This module, like the closed forms built on it, imports no numpy.
 """
 
 from __future__ import annotations
@@ -35,13 +35,14 @@ __all__ = [
     "Weight",
     "comparison_depth",
     "count_pairs",
+    "enumerate_orbit",
     "param_dims",
 ]
 
 Weight = Fraction | float | int
 
 _WEIGHT_SUM_TOL = 1e-12
-# Rows per block when orbits stream (realization, plan writing and plan reading).
+# Rows per block when orbits stream (enumeration, realization, plan writing and reading).
 _ORBIT_BLOCK_ROWS = 1 << 16
 
 
@@ -240,6 +241,33 @@ def _orbit_order(spec: ModelSpec | tuple[int, int], depth: int) -> Iterator[_Orb
             patterns = range(start, min(start + level_batch, n_levels))
             for flips in flips_once or flip_batches():
                 yield _OrbitBlock(subsets, patterns, flips)
+
+
+def enumerate_orbit(
+    spec: ModelSpec | tuple[int, int], depth: int
+) -> Iterator[ComparisonPair]:
+    """Yield every ordered pair of the given comparison depth exactly once.
+
+    The stream is deterministic: attribute subsets, then first-profile levels,
+    then flipped positions, each in lexicographic order.  Pairs are built
+    block by block of ``_orbit_order``, so large spaces can be consumed
+    incrementally.
+    """
+    k, s = _dims_of(spec)
+    bits = range(s - 1, -1, -1)
+    for block in _orbit_order(spec, depth):
+        for subset in block.subsets:
+            for pattern in block.patterns:
+                levels = [0] * k
+                for column, bit in zip(subset, bits):
+                    levels[column] = 1 if pattern >> bit & 1 else -1
+                # the rows of one pattern share their first profile
+                first = Profile(levels)
+                for flips in block.flips:
+                    other = levels.copy()
+                    for j in flips:
+                        other[subset[j]] = -levels[subset[j]]
+                    yield ComparisonPair(first, Profile(other))
 
 
 @dataclass(frozen=True)

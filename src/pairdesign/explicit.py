@@ -1,21 +1,20 @@
 """Explicit designs: depth orbits spelled out as weighted ordered pairs.
 
-An explicit design spells an invariant design (``design_space.DepthDesign``)
-out as int8 level arrays, one row per ordered pair, rendered from the
-numpy-free orbit order and row weights of ``design_space._plan_blocks``
-(the CLI renders the same blocks as CSV text).  The row weights are held as
-int64 numerators over one common denominator when they are exact (floats
-otherwise); no pair object is made.  ``Profile`` and ``ComparisonPair``
-remain the single-pair API, ``ExplicitDesign.entries`` shows the rows as
-pairs on demand, and model rows f(i) and the brute-force oracle live in
-``oracle``.  This is the only module besides ``oracle`` that imports numpy:
-the closed forms never need an array.
+An explicit design (``ExplicitDesign``, made by ``realize_design``) spells
+an invariant design (``design_space.DepthDesign``) out as int8 level arrays,
+one row per ordered pair, written by ``_fill_block``, the one array renderer
+of the numpy-free orbit order and row weights of ``design_space._plan_blocks``
+(the CLI renders them as CSV text, ``enumerate_orbit`` as pair objects).  The
+row weights are int64 numerators over one common denominator when they are
+exact (floats otherwise).  ``ExplicitDesign.entries`` shows the rows as pairs
+on demand; model rows f(i) and the brute-force oracle live in ``oracle``.
+This is the only module besides ``oracle`` that imports numpy.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,14 +28,12 @@ from .design_space import (
     ModelSpec,
     Profile,
     Weight,
-    _dims_of,
-    _orbit_order,
     _OrbitBlock,
     _plan_blocks,
     count_pairs,
 )
 
-__all__ = ["ExplicitDesign", "enumerate_orbit", "realize_design"]
+__all__ = ["ExplicitDesign", "realize_design"]
 
 # Exact row weights are stored as int64 numerators over a denominator up to this.
 _MAX_EXACT_DENOMINATOR = 10**12
@@ -62,41 +59,6 @@ def _fill_block(block: _OrbitBlock, firsts: np.ndarray, seconds: np.ndarray) -> 
     for j in range(s):
         firsts[subsets, :, :, columns[:, j]] = levels[:, None, j]
         seconds[subsets, :, :, columns[:, j]] = levels[:, None, j] * signs[:, j]
-
-
-def _orbit_blocks(
-    spec: ModelSpec | tuple[int, int], depth: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stream one depth orbit as int8 ``(firsts, seconds)`` level blocks.
-
-    One pair of arrays per block of ``design_space._orbit_order``: rows in
-    ``enumerate_orbit``'s order, at most ``_ORBIT_BLOCK_ROWS`` at a time.
-    """
-    k, _ = _dims_of(spec)
-    for block in _orbit_order(spec, depth):
-        firsts = np.zeros((block.n_rows, k), dtype=np.int8)
-        seconds = np.zeros((block.n_rows, k), dtype=np.int8)
-        _fill_block(block, firsts, seconds)
-        yield firsts, seconds
-
-
-def enumerate_orbit(
-    spec: ModelSpec | tuple[int, int], depth: int
-) -> Iterator[ComparisonPair]:
-    """Yield every ordered pair of the given comparison depth exactly once.
-
-    The stream is deterministic: attribute subsets, then first-profile levels,
-    then flipped positions, each in lexicographic order.  Pairs are built
-    block by block from ``_orbit_blocks``, so large spaces can be consumed
-    incrementally.
-    """
-    shared = None
-    for firsts, seconds in _orbit_blocks(spec, depth):
-        for levels, other in zip(firsts.tolist(), seconds.tolist()):
-            # consecutive rows share their first profile; Profile makes tuples
-            if levels != shared:
-                shared, first = levels, Profile(levels)
-            yield ComparisonPair(first, Profile(other))
 
 
 def _weight_column(values: Sequence[Weight]) -> tuple[np.ndarray, int | None]:

@@ -4,14 +4,16 @@ Each parameter block is served best by specific depths: the argmax of its
 block information over d = 1..S (ties are returned in full).  For the whole
 parameter vector the objective log det M = sum_r p_r ln h_r(w) is concave in
 the depth weights and depends on them only through h in R^4, so an optimum
-needs at most four depths.  optimize_full therefore works on a small active
-set of depths with vertex-direction steps and a Newton polish, all stopping
-tests relative to p or |phi|.  Its results are certified by kw_certify, the
-one equivalence-theorem check: at tol 0 in exact arithmetic when each weight
-snaps (limit_denominator(_SNAP_DENOMINATOR)) to a positive rational and the
-snapped weights sum to exactly 1, at tol otherwise.  An OptimResult is the
-design, that certificate and the iteration count; the excess, the proof's tol
-and the verdict are read from the certificate, never copied.
+needs at most four depths.  optimize_full therefore works on an active set
+of at most five depths with vertex-direction steps and a Newton polish, all
+stopping tests relative to p or |phi|.  Five distinct depths are affinely
+independent in h (det[1, h_numerators] is 16384 times their Vandermonde), so
+the Newton system is positive definite.  Its results are certified by
+kw_certify, the one equivalence-theorem check: at tol 0 in exact arithmetic
+when each weight snaps (limit_denominator(_SNAP_DENOMINATOR)) to a positive
+rational and the snapped weights sum to exactly 1, at tol otherwise.  An
+OptimResult is the design, that certificate and the iteration count; the
+excess, the proof's tol and the verdict are read from the certificate.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ _FLOAT_RTOL = 1e-12
 _PHI_ULPS = 8
 _MAX_SUPPORT = 4
 _RULE_MAX_STRENGTH = 18
-_PIVOT_RTOL = 1e-12
 
 
 def _strength_of(spec: ModelSpec | int) -> int:
@@ -191,35 +192,28 @@ def _line_search(h: list[float], h_target, p_blocks: list[float]) -> float:
     return low
 
 
-def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
-    """x with matrix @ x = rhs for a symmetric positive semidefinite matrix.
+def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
+    """x with matrix @ x = rhs for a symmetric positive definite matrix, or None.
 
     Gauss-Jordan elimination, each column pivoting on its largest remaining
-    entry.  A pivot at most _PIVOT_RTOL times the largest diagonal entry
-    counts as zero, and its unknown stays 0: the Newton Hessian has rank <= 4,
-    so on a larger active set some unknowns are free, and fixing them at 0
-    gives one solution of the consistent system.
+    entry; a zero pivot means the matrix is singular, and gives None.
     """
     n = len(rhs)
     rows = [[*row, b] for row, b in zip(matrix, rhs)]
-    cutoff = _PIVOT_RTOL * max(rows[i][i] for i in range(n))
     unused, pivots = list(range(n)), []
     for column in range(n):
-        top = max(unused, key=lambda i: abs(rows[i][column]), default=None)
-        if top is None or abs(rows[top][column]) <= cutoff:
-            continue
+        top = max(unused, key=lambda i: abs(rows[i][column]))
+        if not rows[top][column]:
+            return None
         unused.remove(top)
-        pivots.append((top, column))
+        pivots.append(top)
         pivot = [v / rows[top][column] for v in rows[top]]
         rows[top] = pivot
         for i in range(n):
             factor = rows[i][column]
             if i != top and factor:
                 rows[i] = [v - factor * u for v, u in zip(rows[i], pivot)]
-    x = [0.0] * n
-    for row, column in pivots:
-        x[column] = rows[row][n]
-    return x
+    return [rows[top][n] for top in pivots]
 
 
 def _newton_on_support(
@@ -228,7 +222,8 @@ def _newton_on_support(
     """Damped Newton polish of phi on the current support.
 
     Stops once the support variances agree to _FLOAT_RTOL * p; weights pushed
-    below _PRUNE_EPS leave the support.  None means the iterate is singular.
+    below _PRUNE_EPS leave the support.  None means the iterate or its Newton
+    system is singular.
     """
     w = list(weights)
     p_total = math.fsum(p_blocks)
@@ -250,6 +245,8 @@ def _newton_on_support(
         scaled = [[x * c for x, c in zip(diff, curvature)] for diff in diffs]
         hessian = [[sum(x * y for x, y in zip(a, b)) for b in scaled] for a in diffs]
         step = _solve(hessian, grad)
+        if step is None:
+            return None
         direction = dict(zip(support, [*step, -math.fsum(step)]))
         # largest feasible step, halved until phi is within rounding of phi_now
         scale = min([1.0, *(-w[j] / v for j, v in direction.items() if v < 0)])
@@ -293,10 +290,11 @@ def optimize_full(
 
     Starts uniform on depths 1..S-1 (depth S alone would start on a singular
     boundary).  Each iteration steps toward the worst-variance depth with an
-    exact line search, keeps it and the heaviest other depths above
-    _PRUNE_EPS, at most 2 * _MAX_SUPPORT in all, and Newton-polishes on that
-    active set, until max_d V(d) - p <= _FLOAT_RTOL * p.  Weights at most
-    _PRUNE_EPS are then dropped.  The result carries exact weights when the
+    exact line search, keeps it and at most _MAX_SUPPORT of the heaviest
+    other depths above _PRUNE_EPS, and Newton-polishes on that active set of
+    at most five depths (an iterate the polish finds singular stays as the
+    step left it), until max_d V(d) - p <= _FLOAT_RTOL * p.  Weights at
+    most _PRUNE_EPS are then dropped.  The result carries exact weights when the
     snap to small rationals passes ``kw_certify`` at tol 0; otherwise the
     pruned float weights go through ``kw_certify`` at ``tol``.  The float
     work runs in plain Python, h, phi and the renormalization as correctly
@@ -326,7 +324,7 @@ def optimize_full(
         w[target] += alpha
         # active set: the depth just stepped toward and the heaviest others
         others = [j for j in sorted(range(s), key=w.__getitem__, reverse=True) if j != target]
-        active = {target, *(j for j in others[: 2 * _MAX_SUPPORT - 1] if w[j] >= _PRUNE_EPS)}
+        active = {target, *(j for j in others[:_MAX_SUPPORT] if w[j] >= _PRUNE_EPS)}
         w = [x if j in active else 0.0 for j, x in enumerate(w)]
         total = math.fsum(w)
         w = [x / total for x in w]

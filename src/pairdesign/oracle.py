@@ -23,7 +23,6 @@ import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,12 +45,12 @@ _MAX_ORACLE_PARAMS = 500
 _MAX_ORACLE_PAIRS = 10_000_000
 
 
-@lru_cache(maxsize=None)
 def _combo_indices(n_attributes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lexicographic index tuples for the two-, three- and four-way blocks."""
+    """Lexicographic index tuples for the two-, three- and four-way blocks, built per call."""
     return tuple(
-        np.array(
-            list(itertools.combinations(range(n_attributes), r)), dtype=np.intp
+        np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(n_attributes), r)),
+            dtype=np.intp,
         ).reshape(-1, r)
         for r in (2, 3, 4)
     )
@@ -101,16 +100,22 @@ def regression_vector(profile: Profile, spec: ModelSpec) -> np.ndarray:
     are concatenated in order of interaction order, so the layout is
     byte-reproducible.  Entries are -1, 0 or +1 (no zeros for full profiles).
     """
-    if len(profile.levels) != spec.n_attributes:
-        raise ValueError(
-            f"profile has {len(profile.levels)} attributes, spec has {spec.n_attributes}"
-        )
-    if profile.strength != spec.strength:
-        raise ValueError(
-            f"profile has strength {profile.strength}, spec has {spec.strength}"
-        )
-    levels = np.array([profile.levels], dtype=np.int64)
-    return _regression_matrix(levels, spec.n_attributes)[0]
+    return _model_rows([profile], spec)[0]
+
+
+def _model_rows(profiles: Sequence[Profile], spec: ModelSpec) -> np.ndarray:
+    """``regression_vector`` of each profile, as the int64 rows of one matrix."""
+    for profile in profiles:
+        if len(profile.levels) != spec.n_attributes:
+            raise ValueError(
+                f"profile has {len(profile.levels)} attributes, spec has {spec.n_attributes}"
+            )
+        if profile.strength != spec.strength:
+            raise ValueError(
+                f"profile has strength {profile.strength}, spec has {spec.strength}"
+            )
+    levels = np.array([profile.levels for profile in profiles], dtype=np.int64)
+    return _regression_matrix(levels, spec.n_attributes)
 
 
 @dataclass(frozen=True)
@@ -278,10 +283,8 @@ def variance_exact(
     """
     if info is None:
         info = info_matrix_exact(design)
-    diff = (
-        regression_vector(pair.first, design.spec)
-        - regression_vector(pair.second, design.spec)
-    ).astype(float)
+    first, second = _model_rows([pair.first, pair.second], design.spec)
+    diff = (first - second).astype(float)
     try:
         solution = np.linalg.solve(info.entries, diff)
     except np.linalg.LinAlgError as exc:

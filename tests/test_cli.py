@@ -503,6 +503,10 @@ def k6_plan_lines(capsys, tmp_path) -> list[str]:
     return plan.read_text().splitlines()
 
 
+# the header fields of a K=6 plan
+K6_FIELDS = ["pair_id", *(f"{side}_{n}" for side in "ij" for n in range(1, 7)), "weight"]
+
+
 def with_cell(line: str, cell: str) -> str:
     return line.rsplit(",", 1)[0] + "," + cell
 
@@ -551,6 +555,22 @@ class TestPlanReader:
             code, out, err = run(capsys, "verify", str(path), *extra)
             assert (code, out) == (2, "")
             assert err == f"error: cannot parse {path}: row {row} has {n_fields} fields, not 14\n"
+
+    @pytest.mark.parametrize(
+        "header",
+        ["id," + ",".join(K6_FIELDS[1:]), ",".join(f'"{field}"' for field in K6_FIELDS)],
+        ids=["pair-id-renamed", "quoted-fields"],
+    )
+    def test_header_other_than_the_written_one_exits_2(self, capsys, tmp_path, header):
+        lines = k6_plan_lines(capsys, tmp_path)
+        assert lines[0] == ",".join(K6_FIELDS)
+        path = tmp_path / "edited.csv"
+        path.write_text("\n".join([header, *lines[1:]]) + "\n")
+        for extra in ((), ("--oracle",)):
+            code, out, err = run(capsys, "verify", str(path), *extra)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: cannot parse {path}: ")
+            assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("k,s", [(4, 4), (6, 6), (7, 5), (6, 5), (7, 6), (8, 6)])
     def test_plan_verifies_as_its_document(self, capsys, tmp_path, k, s):
@@ -831,7 +851,9 @@ class TestPlanStream:
             text_peak = tracemalloc.get_traced_memory()[1]
             del rows
             tracemalloc.reset_peak()
-            firsts, seconds = next(explicit._orbit_blocks((20, 20), 1))
+            firsts = np.zeros((block.n_rows, 20), dtype=np.int8)
+            seconds = np.zeros_like(firsts)
+            explicit._fill_block(block, firsts, seconds)
             array_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -26,7 +26,7 @@ from pairdesign import (
 )
 
 from pairdesign import design_space
-from pairdesign.explicit import _orbit_blocks
+from pairdesign.explicit import _fill_block
 from pairdesign.oracle import _regression_matrix, _subset_terms
 
 from conftest import reference_pairs, reference_regression
@@ -290,13 +290,22 @@ class TestEnumerateOrbit:
         assert union == everything
 
 
+def filled_blocks(k, s, d):
+    """Each ``_orbit_order`` block of one orbit as int8 ``(firsts, seconds)`` arrays."""
+    for block in design_space._orbit_order((k, s), d):
+        firsts = np.zeros((block.n_rows, k), dtype=np.int8)
+        seconds = np.zeros_like(firsts)
+        _fill_block(block, firsts, seconds)
+        yield firsts, seconds
+
+
 class TestOrbitBlocks:
     @pytest.mark.parametrize("k,s,d", [(5, 4, 2), (6, 6, 1), (7, 7, 7)])
     @pytest.mark.parametrize("chunk", [1 << 16, 1, 5, 16, 100, 1000])
     def test_blocks_concatenate_to_orbit_stream(self, k, s, d, chunk, monkeypatch):
         # small chunks split flip masks, level patterns and subsets across blocks
         monkeypatch.setattr(design_space, "_ORBIT_BLOCK_ROWS", chunk)
-        blocks = list(_orbit_blocks((k, s), d))
+        blocks = list(filled_blocks(k, s, d))
         assert all(f.dtype == np.int8 and g.dtype == np.int8 for f, g in blocks)
         assert all(0 < len(f) == len(g) <= chunk for f, g in blocks)
         firsts = np.concatenate([f for f, _ in blocks]).tolist()
@@ -309,14 +318,14 @@ class TestOrbitBlocks:
 
     def test_default_block_holds_many_subsets(self):
         # 495 subsets x 16 level patterns x 6 flip masks = 47 520 rows in one block
-        (firsts, seconds), = _orbit_blocks((12, 4), 2)
+        (firsts, seconds), = filled_blocks(12, 4, 2)
         rows = list(zip(map(tuple, firsts.tolist()), map(tuple, seconds.tolist())))
         assert rows == ordered_reference_orbit(12, 4, 2)
 
     def test_level_pattern_bits_past_64(self):
         # at S=70 attributes 0..5 read bits 69..64 of the pattern index, which
         # numpy's >> must read as 0 (not wrap round to bits 5..0)
-        firsts, seconds = next(_orbit_blocks((70, 70), 1))
+        firsts, seconds = next(filled_blocks(70, 70, 1))
         assert len(firsts) == (design_space._ORBIT_BLOCK_ROWS // 70) * 70
         head = itertools.islice(reference_orbit_stream(70, 70, 1), len(firsts))
         rows = list(zip(map(tuple, firsts.tolist()), map(tuple, seconds.tolist())))
@@ -329,10 +338,10 @@ class TestOrbitBlocks:
         assert pair.second.levels == (1,) * 20 + (-1,) * 20
 
     def test_depth_zero_and_bad_depth(self):
-        (firsts, seconds), = _orbit_blocks((4, 4), 0)
+        (firsts, seconds), = filled_blocks(4, 4, 0)
         assert len(firsts) == 16 and np.array_equal(firsts, seconds)
         with pytest.raises(ValueError):
-            next(_orbit_blocks((4, 4), 5))
+            next(filled_blocks(4, 4, 5))
 
 
 class TestDesigns:

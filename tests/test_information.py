@@ -1,5 +1,6 @@
 """Closed-form block informations against the brute-force oracle."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -89,6 +90,23 @@ class TestReferenceOracle:
 
 
 class TestInfoMatrixExact:
+    def test_model_row_leaves_nothing_behind(self):
+        # the term index arrays are built per call: kept, they would hold
+        # about 3 MiB at K=40
+        from pairdesign import Profile, regression_vector
+
+        spec = ModelSpec(40, 40)
+        profile = Profile((1, -1) * 20)
+        tracemalloc.start()
+        try:
+            row = regression_vector(profile, spec)
+            assert row.shape == (spec.n_params,)
+            del row
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
+
     def test_single_pair_rank_one(self, spec44):
         from pairdesign import ComparisonPair, Profile, regression_vector
 

@@ -74,6 +74,8 @@ def test_import_pairdesign_loads_no_numpy():
     code = (
         "import sys, pairdesign, pairdesign.cli\n"
         "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "assert sum(1 for _ in pairdesign.enumerate_orbit(pairdesign.ModelSpec(6, 6), 3)) == 1280\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported by the pair stream'\n"
         "pairdesign.realize_design\n"
         "assert 'numpy' in sys.modules, 'numpy not imported on demand'\n"
     )

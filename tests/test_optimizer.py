@@ -1,6 +1,9 @@
 """Per-block optimal depths and the full D-criterion optimizer."""
 
+import itertools
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -27,6 +30,7 @@ from pairdesign import (
     variance_profile,
 )
 from pairdesign.information import h_numerators, h_values
+from pairdesign import optimizer
 from pairdesign.optimizer import _h_matrix
 
 THIRD_ORDER_REPORTED_DEPTH = {4: 1, 5: 1, 6: 1, 7: 1, 8: 2, 9: 2, 10: 2, 11: 3, 12: 3}
@@ -291,3 +295,63 @@ def test_h_matrix_matches_per_depth_fractions(k, s):
         for r, h in enumerate(h_values(spec, depth).values):
             # the correctly rounded float of the exact fraction
             assert type(matrix[r][j]) is float and matrix[r][j] == float(h)
+
+
+def integer_det(matrix):
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    rows = [list(row) for row in matrix]
+    n, sign, previous = len(rows), 1, 1
+    for c in range(n - 1):
+        pivot = next((r for r in range(c, n) if rows[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            sign = -sign
+        for r in range(c + 1, n):
+            for j in range(c + 1, n):
+                rows[r][j] = (rows[r][j] * rows[c][c] - rows[r][c] * rows[c][j]) // previous
+        previous = rows[c][c]
+    return sign * rows[-1][-1]
+
+
+def five_depth_sets():
+    """Every 5-subset of 1..S for S <= 12, then 300 random ones with S up to 10^4."""
+    for s in range(5, 13):
+        for depths in itertools.combinations(range(1, s + 1), 5):
+            yield s, depths
+    rng = random.Random(20)
+    for _ in range(300):
+        s = rng.randint(5, 10_000)
+        yield s, tuple(sorted(rng.sample(range(1, s + 1), 5)))
+
+
+class TestActiveSet:
+    """optimize_full's Newton system never needs rank handling."""
+
+    def test_any_five_depths_are_affinely_independent(self):
+        # det[1, h_numerators(S, d_i)] is the product of the leading coefficients
+        # 4, -8, 16, -32 of h1..h4 in d times a Vandermonde, whatever S is
+        for s, depths in five_depth_sets():
+            det = integer_det([[1, *h_numerators(s, d)] for d in depths])
+            vandermonde = math.prod(b - a for a, b in itertools.combinations(depths, 2))
+            assert det == 16384 * vandermonde != 0, (s, depths)
+
+    def test_newton_solves_at_most_four_unknowns(self, monkeypatch):
+        # the 703 specs 4 <= S <= K <= 40: the entering depth and at most four others
+        sizes = []
+        solve = optimizer._solve
+
+        def spy(matrix, rhs):
+            sizes.append(len(rhs))
+            return solve(matrix, rhs)
+
+        monkeypatch.setattr(optimizer, "_solve", spy)
+        specs = [ModelSpec(k, s) for k in range(4, 41) for s in range(4, k + 1)]
+        assert len(specs) == 703
+        assert all(optimize_full(spec).certified for spec in specs)
+        assert sizes and max(sizes) <= optimizer._MAX_SUPPORT
+
+    def test_singular_system_gives_none(self):
+        assert optimizer._solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0]) is None
+        assert optimizer._solve([[4.0, 2.0], [2.0, 3.0]], [2.0, 1.0]) == [0.5, 0.0]
