@@ -13,9 +13,9 @@ Exit codes: 0 ok, 1 ``tables --check`` drift or a reader that closed stdout
 early (nothing is printed to stderr then), 2 usage or parse failure, a
 malformed design file (a CSV plan must be whole orbits in export order), a
 file that cannot be read or written, a plan past ``_MAX_PLAN_ROWS`` rows or
-a ``verify --oracle`` request past the oracle gate (one ``error:`` line on
-stderr), 3 optimizer non-convergence, 4 singular (non-identifiable) design,
-from any subcommand.  All output is deterministic.
+a ``verify --oracle`` request past the oracle gate or without numpy (one
+``error:`` line on stderr), 3 optimizer non-convergence, 4 singular
+(non-identifiable) design, from any subcommand.  All output is deterministic.
 
 Only the brute-force oracle needs numpy: ``explicit`` and ``oracle`` are
 imported inside ``verify --oracle``.  CSV plans are written and read as text
@@ -369,14 +369,9 @@ def _table_1() -> dict[int, int]:
 def _table_2() -> dict[int, tuple[int, float, int, float]]:
     table = {}
     for s in range(5, 13):
-        result = optimize_full(ModelSpec(s, s))
-        d_low, d_high = result.support
-        table[s] = (
-            d_low,
-            float(result.design.weights[d_low]),
-            d_high,
-            float(result.design.weights[d_high]),
-        )
+        design = optimize_full(ModelSpec(s, s)).design
+        d_low, d_high = design.support
+        table[s] = (d_low, float(design.weights[d_low]), d_high, float(design.weights[d_high]))
     return table
 
 
@@ -427,38 +422,33 @@ def _render_table_3(table: dict[int, tuple[tuple[float, ...], tuple[int, ...]]])
     return "\n".join(lines)
 
 
+# which: (compute, render, reference of the computed table).  ``--check``
+# renders the reference with the table's own renderer; table 3's reference
+# takes its support marks from the computed table.
+_TABLES = {
+    1: (_table_1, _render_table_1, lambda table: EXPECTED_THIRD_ORDER_DEPTHS),
+    2: (_table_2, _render_table_2, lambda table: EXPECTED_TWO_DEPTH_DESIGNS),
+    3: (
+        _table_3,
+        _render_table_3,
+        lambda table: {k: (row, table[k][1]) for k, row in EXPECTED_NORMALIZED_VARIANCES.items()},
+    ),
+}
+
+
 def cmd_tables(args: argparse.Namespace) -> int:
-    failures: list[str] = []
-    if args.which == 1:
-        table = _table_1()
-        print(_render_table_1(table))
-        if args.check:
-            for s, expected in EXPECTED_THIRD_ORDER_DEPTHS.items():
-                if table[s] != expected:
-                    failures.append(f"S={s}: got {table[s]}, expected {expected}")
-    elif args.which == 2:
-        table = _table_2()
-        print(_render_table_2(table))
-        if args.check:
-            for s, expected in EXPECTED_TWO_DEPTH_DESIGNS.items():
-                got = table[s]
-                if got[0] != expected[0] or got[2] != expected[2]:
-                    failures.append(f"S={s}: support ({got[0]},{got[2]}) != ({expected[0]},{expected[2]})")
-                if round(got[1], 3) != expected[1] or round(got[3], 3) != expected[3]:
-                    failures.append(f"S={s}: weights {got[1]:.3f}/{got[3]:.3f} != {expected[1]}/{expected[3]}")
-    else:
-        table = _table_3()
-        print(_render_table_3(table))
-        if args.check:
-            for k, expected_row in EXPECTED_NORMALIZED_VARIANCES.items():
-                row, _ = table[k]
-                for d, (got, expected) in enumerate(zip(row, expected_row), start=1):
-                    if round(got, 3) != expected:
-                        failures.append(f"K={k} d={d}: {got:.3f} != {expected}")
+    compute, render, reference = _TABLES[args.which]
+    table = compute()
+    text = render(table)
+    print(text)
     if args.check:
+        rows = itertools.zip_longest(
+            text.splitlines(), render(reference(table)).splitlines(), fillvalue=""
+        )
+        failures = [(got, want) for got, want in rows if got != want]
+        for got, want in failures:
+            print(f"check FAILED: {got!r}, expected {want!r}", file=sys.stderr)
         if failures:
-            for failure in failures:
-                print(f"check FAILED: {failure}", file=sys.stderr)
             return 1
         print("check: OK")
     return EXIT_OK
@@ -476,9 +466,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 document = DesignDocument.from_json_dict(json.load(handle))
             spec, weights = document.spec, document.depth_weights.items()
     if args.oracle:  # for a plan, before its second row is read
-        from .explicit import realize_design
-        from .oracle import _check_oracle_gate, info_matrix_exact, variance_sweep_max_deviation
-
+        try:
+            from .explicit import realize_design
+            from .oracle import _check_oracle_gate, info_matrix_exact, variance_sweep_max_deviation
+        except ImportError as exc:
+            raise ValueError("verify --oracle needs numpy (pip install numpy)") from exc
         _check_oracle_gate(spec)
     with _parsing(args.design):
         design = DepthDesign(dict(weights), spec)
@@ -536,14 +528,15 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--s", type=int, required=True, help="profile strength")
     optimize.add_argument(
         "--tol", type=float, default=1e-9,
-        help="optimizer tolerance, relative to p (positive and finite)",
+        help="tolerance, relative to p, of the certificate of a float result "
+        "(positive and finite; the solver's stopping test does not read it)",
     )
     optimize.add_argument("--json", action="store_true", help="emit a JSON design document")
     optimize.add_argument("--export", metavar="FILE", help="write explicit pair rows as CSV")
     optimize.set_defaults(handler=cmd_optimize)
 
     tables = subparsers.add_parser("tables", help="regenerate a reference table")
-    tables.add_argument("which", type=int, choices=(1, 2, 3))
+    tables.add_argument("which", type=int, choices=tuple(_TABLES))
     tables.add_argument("--check", action="store_true", help="diff against embedded values")
     tables.set_defaults(handler=cmd_tables)
 

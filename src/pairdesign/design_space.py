@@ -42,6 +42,7 @@ __all__ = [
 Weight = Fraction | float | int
 
 _WEIGHT_SUM_TOL = 1e-12
+_LEVELS = {-1: -1, 0: 0, 1: 1}  # a profile level's int: 1.0 and True read as 1
 # Rows per block when orbits stream (enumeration, realization, plan writing and reading).
 _ORBIT_BLOCK_ROWS = 1 << 16
 
@@ -103,9 +104,11 @@ class Profile:
 
     def __post_init__(self) -> None:
         levels = tuple(self.levels)
-        if any(v not in (-1, 0, 1) for v in levels):  # 0.5 and NaN are not truncated
-            raise ValueError(f"levels must be -1, 0 or +1, got {self.levels!r}")
-        object.__setattr__(self, "levels", tuple(int(v) for v in levels))
+        try:  # 0.5 and NaN are not truncated
+            levels = tuple(map(_LEVELS.__getitem__, levels))
+        except (KeyError, TypeError):  # TypeError: an unhashable level
+            raise ValueError(f"levels must be -1, 0 or +1, got {self.levels!r}") from None
+        object.__setattr__(self, "levels", levels)
 
     @property
     def strength(self) -> int:
@@ -135,9 +138,13 @@ def comparison_depth(first: Profile, second: Profile) -> int:
         raise InvalidPairError(
             f"profiles have {len(first.levels)} and {len(second.levels)} attributes"
         )
-    if first.active != second.active:
-        raise InvalidPairError("profiles do not show the same attributes")
-    return sum(1 for a, b in zip(first.levels, second.levels) if a != b)
+    depth = 0
+    for a, b in zip(first.levels, second.levels):
+        if a != b:
+            if not (a and b):  # of two levels that differ, one is 0 or both are shown
+                raise InvalidPairError("profiles do not show the same attributes")
+            depth += 1
+    return depth
 
 
 @dataclass(frozen=True)

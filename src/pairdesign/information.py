@@ -92,7 +92,7 @@ class BlockInfo:
         return any(h <= 0 for h in self.values)
 
     def as_matrix(self):
-        """The represented p x p matrix, as a float numpy array."""
+        """The represented p x p matrix, as a float numpy array (needs numpy installed)."""
         import numpy as np
 
         diag = np.repeat([float(h) for h in self.values], self.spec.block_dims)

@@ -293,17 +293,17 @@ def optimize_full(
     exact line search, keeps it and at most _MAX_SUPPORT of the heaviest
     other depths above _PRUNE_EPS, and Newton-polishes on that active set of
     at most five depths (an iterate the polish finds singular stays as the
-    step left it), until max_d V(d) - p <= _FLOAT_RTOL * p.  Weights at
-    most _PRUNE_EPS are then dropped.  The result carries exact weights when the
-    snap to small rationals passes ``kw_certify`` at tol 0; otherwise the
-    pruned float weights go through ``kw_certify`` at ``tol``.  The float
-    work runs in plain Python, h, phi and the renormalization as correctly
-    rounded sums (``math.fsum``), so a float optimum does not depend on the
-    summation order of a linear algebra library.  The result
-    carries that report: ``certified`` comes from it, and so do the max
-    excess and the proof's tol, so a result that does not certify (say,
-    because the budget ran out) is returned with ``certified=False`` and its
-    true excess, never silently.
+    step left it), until max_d V(d) - p <= _FLOAT_RTOL * p, whatever ``tol``
+    is.  Weights at most _PRUNE_EPS are then dropped.  The result carries
+    exact weights when the snap to small rationals passes ``kw_certify`` at
+    tol 0; otherwise the pruned float weights go through ``kw_certify`` at
+    ``tol``, its one use.  The float work runs in plain Python, h, phi and
+    the renormalization as correctly rounded sums (``math.fsum``), so a float
+    optimum does not depend on the summation order of a linear algebra
+    library.  The result carries that report: ``certified`` comes from it,
+    and so do the max excess and the proof's tol, so a result that does not
+    certify (say, because the budget ran out) is returned with
+    ``certified=False`` and its true excess, never silently.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")

@@ -747,11 +747,15 @@ def test_closed_form_subcommands_never_load_numpy(capsys, tmp_path):
         assert run_fresh(*argv, block_numpy=True) == run(capsys, *argv), argv
     assert run(capsys, "tables", "2", "--check")[1].endswith("check: OK\n")
     assert run(capsys, "verify", str(tmp_path / "d75.csv"))[1].endswith("verdict: optimal\n")
-    # only the oracle still loads it, on demand
+    # only the oracle still loads it, on demand; without numpy it is a usage error
     for design in (tmp_path / "d75.csv", document):
         code, out, err = run_fresh("verify", str(design), "--oracle")
         assert (code, err) == (0, "")
         assert "oracle block deviation: 0.000e+00" in out.splitlines()
+        code, out, err = run_fresh("verify", str(design), "--oracle", block_numpy=True)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "numpy" in err
 
 
 def reference_plan(k: int, s: int) -> bytes:

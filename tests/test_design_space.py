@@ -94,7 +94,7 @@ class TestProfile:
         with pytest.raises(ValueError):
             Profile((1, 2, 0, 1))
 
-    @pytest.mark.parametrize("bad", [0.5, -0.5, 0.9, 1.9, -1.7, float("nan")])
+    @pytest.mark.parametrize("bad", [0.5, -0.5, 0.9, 1.9, -1.7, float("nan"), "1", [1]])
     def test_non_integral_level_is_refused_not_truncated(self, bad):
         with pytest.raises(ValueError, match="levels must be -1, 0 or \\+1"):
             Profile((bad, 1, -1, 1, 1))
@@ -417,8 +417,13 @@ class TestExplicitDesignArrays:
 
     @pytest.mark.parametrize(
         "second,error",
-        [((-1, 1, 1, 0, 1), InvalidPairError), ((-1, 1, 1, 2, 0), ValueError)],
-        ids=["shown-attributes-differ", "level-2"],
+        [
+            ((-1, 1, 1, 0, 1), InvalidPairError),
+            ((1, 1, 1, 1, 1), InvalidPairError),
+            ((-1, 1, 1, 0, 0), InvalidPairError),
+            ((-1, 1, 1, 2, 0), ValueError),
+        ],
+        ids=["shown-attributes-differ", "hidden-in-first-only", "hidden-in-second-only", "level-2"],
     )
     def test_rejects_bad_levels(self, spec54, second, error):
         with pytest.raises(error):

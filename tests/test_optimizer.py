@@ -191,6 +191,11 @@ class TestOptimizeFull:
         assert result.certified
         assert result.report.tol == 1e-9
 
+    def test_snap_refuses_a_weight_that_rounds_to_zero(self):
+        # 1e-6 snaps to 0: the snapped weights sum to 1 and {1: 1} is the K=40 S=4
+        # optimum, but a kept depth at weight 0 is no snap of a positive weight
+        assert optimizer._snap_to_exact(ModelSpec(40, 4), {1: 1 - 1e-6, 3: 1e-6}) is None
+
     @pytest.mark.parametrize("k,s", [(5, 4), (6, 4), (8, 5), (10, 7), (12, 4), (12, 12)])
     def test_partial_profiles_certify_with_small_support(self, k, s):
         result = optimize_full(ModelSpec(k, s))
