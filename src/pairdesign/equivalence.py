@@ -25,6 +25,15 @@ one verdict, optimal with the support condition.  With rational weights the
 whole check runs in exact arithmetic, so a verdict of "optimal" at tol 0 is a
 proof, not an approximation.  A design with some h_r = 0 is neither: it
 raises the one "not identifiable" SingularDesignError of information.py.
+
+On full profiles K = S the exact optima the solver returns are mirror pairs
+{d, e = S+1-d} weighted e/(S+1) on d and d/(S+1) on e, and on that family the
+profile factors, with u = x(S+1-x), a = 2(S-1)(S-2) and g0, q(d) > 0 the
+integer polynomials in S and d of ``_mirror_law_values``:
+
+    V(x) - p = S(S+1) (u - de) (g0 - a u) / (24 d e q(d)).
+
+``TestMirrorLaw.test_mirror_law_identity`` proves it for every S, d and x.
 """
 
 from __future__ import annotations
@@ -98,11 +107,37 @@ class VarianceProfile:
         return {d: float(v) / self.p for d, v in self.values.items()}
 
 
+def _mirror_law_values(design: DepthDesign) -> dict[int, Fraction] | None:
+    """V at every depth by the factored identity, or None outside the mirror-pair family."""
+    spec, s, support = design.spec, design.spec.strength, design.support
+    if not (design.is_exact and spec.n_attributes == s and len(support) == 2):
+        return None
+    d, e = support
+    if d + e != s + 1 or design.weights[d] * (s + 1) != e or design.weights[e] * (s + 1) != d:
+        return None
+    a, de = 2 * (s - 1) * (s - 2), d * e
+    g0 = (
+        s**4 - 2 * s**3 * d - 4 * s**3 + 2 * s**2 * d**2 + 4 * s**2 * d + 19 * s**2
+        - 6 * s * d**2 - 22 * s * d - 20 * s + 28 * d**2 - 28 * d + 28
+    )
+    den = 24 * de * (s**2 - 2 * s * d - s + 2 * d**2 - 2 * d + 2)  # 24 d e q(d)
+    base, scale = spec.n_params * den, s * (s + 1)
+    return {
+        x: Fraction(base + scale * ((u := x * (s + 1 - x)) - de) * (g0 - a * u), den)
+        for x in spec.depths
+    }
+
+
 def variance_profile(design: DepthDesign) -> VarianceProfile:
-    """Evaluate the variance function of an invariant design at every depth."""
+    """Evaluate the variance function of an invariant design at every depth.
+
+    An exact K = S mirror design takes the module docstring's factored identity.
+    """
     spec = design.spec
-    coefficients = _gradient_coefficients(mix_h(design))
-    values = {d: _dot(coefficients, h_numerators(spec.strength, d)) for d in spec.depths}
+    values = _mirror_law_values(design)
+    if values is None:
+        coefficients = _gradient_coefficients(mix_h(design))
+        values = {d: _dot(coefficients, h_numerators(spec.strength, d)) for d in spec.depths}
     return VarianceProfile(values=values, p=spec.n_params)
 
 

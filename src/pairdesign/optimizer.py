@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .design_space import DepthDesign, ModelSpec
-from .equivalence import CertificationReport, kw_certify
-from .information import SingularDesignError, _h_denominators, h_numerators
+from .equivalence import CertificationReport, kw_certify, variance_from_blocks
+from .information import SingularDesignError, _h_denominators, h_numerators, mix_h
 
 __all__ = [
     "OptimResult",
@@ -276,8 +276,13 @@ def _snap_to_exact(spec: ModelSpec, kept: dict[int, float]) -> CertificationRepo
     exact = {d: Fraction(w).limit_denominator(_SNAP_DENOMINATOR) for d, w in kept.items()}
     if min(exact.values()) <= 0 or sum(exact.values()) != 1:
         return None
+    design = DepthDesign(exact, spec)
+    info = mix_h(design)
     try:
-        report = kw_certify(DepthDesign(exact, spec), tol=0)
+        # V(d) = p on the support first: a miss costs no full profile
+        if any(variance_from_blocks(info, d) != spec.n_params for d in exact):
+            return None
+        report = kw_certify(design, tol=0)
     except SingularDesignError:
         return None
     return report if report.certified else None

@@ -26,7 +26,7 @@ from pairdesign import (
     variance_sweep_max_deviation,
     variance_uniform,
 )
-from pairdesign import oracle
+from pairdesign import equivalence, oracle
 from pairdesign.oracle import _pair_variances, info_matrix_exact
 
 
@@ -161,6 +161,66 @@ def test_profile_matches_paper_display(data):
         )
         assert profile.values[d] == display
         assert variance_from_blocks(info, d) == display
+
+
+def law_design(s, d):
+    """The full-profile law design on {d, S+1-d}: weight (S+1-d)/(S+1) on d."""
+    e = s + 1 - d
+    return DepthDesign({d: Fraction(e, s + 1), e: Fraction(d, s + 1)}, ModelSpec(s, s))
+
+
+def dot_values(design, depths):
+    """V(x) by the dot product of ``variance_from_blocks``, the reference path."""
+    info = mix_h(design)
+    return {x: variance_from_blocks(info, x) for x in depths}
+
+
+class TestMirrorLaw:
+    def test_mirror_law_identity(self):
+        # Multiplied by 24 d e q(d) prod_r (e n_r(d) + d n_r(e)), n_r = h_numerators,
+        # the factored form minus the dot product is a polynomial of degree at most
+        # 17 in S, 14 in d and 4 in x.  It vanishes on this grid of 18 x 15 x 5
+        # points (every point a law design with d < e), so it vanishes identically:
+        # the two forms agree at every S, d and x.
+        for s in range(30, 48):
+            for d in range(1, 16):
+                design = law_design(s, d)
+                law = equivalence._mirror_law_values(design)
+                assert law == variance_profile(design).values
+                assert {x: law[x] for x in range(1, 6)} == dot_values(design, range(1, 6))
+
+    @pytest.mark.parametrize(
+        "s,d", [(4, 1), (4, 2), (200, 88), (600, 279), (1000, 473)]
+    )
+    def test_full_profiles_match_the_dot_product(self, s, d):
+        design = law_design(s, d)
+        law = equivalence._mirror_law_values(design)
+        assert law == dot_values(design, design.spec.depths)
+        assert list(law) == list(design.spec.depths)
+
+    def test_law_designs_skip_the_dot_product(self, monkeypatch):
+        def refuse(info):
+            raise AssertionError("the dot product ran on a law design")
+
+        monkeypatch.setattr(equivalence, "_gradient_coefficients", refuse)
+        assert kw_certify(law_design(1000, 473), tol=0).certified
+
+    @pytest.mark.parametrize(
+        "k,s,weights",
+        [
+            (7, 7, {2: 0.75, 6: 0.25}),  # the law's weights, but floats
+            (8, 7, {2: Fraction(3, 4), 6: Fraction(1, 4)}),  # K = S + 1
+            (7, 7, {2: Fraction(1, 2), 6: Fraction(1, 2)}),  # not the law's weights
+            (7, 7, {2: Fraction(3, 4), 5: Fraction(1, 4)}),  # not a mirror pair
+        ],
+    )
+    def test_other_designs_keep_the_dot_product(self, k, s, weights):
+        design = DepthDesign(weights, ModelSpec(k, s))
+        assert equivalence._mirror_law_values(design) is None
+        values = variance_profile(design).values
+        assert values == dot_values(design, design.spec.depths)
+        assert all(type(v) is type(values[1]) for v in values.values())
+        assert isinstance(values[1], float) == (not design.is_exact)
 
 
 class TestVarianceUniform:

@@ -196,6 +196,18 @@ class TestOptimizeFull:
         # optimum, but a kept depth at weight 0 is no snap of a positive weight
         assert optimizer._snap_to_exact(ModelSpec(40, 4), {1: 1 - 1e-6, 3: 1e-6}) is None
 
+    def test_failed_snap_builds_no_profile(self, monkeypatch):
+        # the (8,6) optimum's weight is the root of an irreducible cubic, so V(d) = p
+        # misses on the snapped support and the full tol-0 profile is never built
+        spec = ModelSpec(8, 6)
+        kept = {d: float(w) for d, w in optimize_full(spec).design.weights.items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a snap that misses V(d) = p built the full profile")
+
+        monkeypatch.setattr(optimizer, "kw_certify", refuse)
+        assert optimizer._snap_to_exact(spec, kept) is None
+
     @pytest.mark.parametrize("k,s", [(5, 4), (6, 4), (8, 5), (10, 7), (12, 4), (12, 12)])
     def test_partial_profiles_certify_with_small_support(self, k, s):
         result = optimize_full(ModelSpec(k, s))
@@ -230,7 +242,11 @@ class TestOptimizeFull:
     def test_full_profile_law(self, s):
         self.assert_full_profile_law(s)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_full_profile_law_at_every_s(self):
+        for s in range(5, 459):
+            self.assert_full_profile_law(s)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
     @pytest.mark.parametrize("s", [459, 648, 2000, 3500])
     def test_full_profile_law_misses(self, s):
         self.assert_full_profile_law(s)
