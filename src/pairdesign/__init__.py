@@ -46,6 +46,7 @@ from .information import (
 from .optimizer import (
     OptimResult,
     conjectured_design,
+    full_profile_design,
     optimal_depth_first_order,
     optimal_depth_main,
     optimal_depth_second_order,
@@ -82,6 +83,7 @@ __all__ = [
     "conjectured_design",
     "count_pairs",
     "enumerate_orbit",
+    "full_profile_design",
     "h_numerators",
     "h_values",
     "info_matrix_exact",

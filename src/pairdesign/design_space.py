@@ -299,10 +299,12 @@ class DepthDesign:
             if weight < 0:
                 raise ValueError(f"negative weight {weight} at depth {depth}")
             cleaned[depth] = weight
+        object.__setattr__(self, "weights", cleaned)
         total = sum(cleaned.values())
+        if self.is_exact and total != 1:
+            raise ValueError(f"exact weights sum to {total}, not 1")
         if not abs(float(total) - 1.0) <= _WEIGHT_SUM_TOL:  # a NaN weight fails too
             raise ValueError(f"weights sum to {float(total)!r}, not 1")
-        object.__setattr__(self, "weights", cleaned)
 
     @classmethod
     def point_mass(cls, spec: ModelSpec, depth: int) -> "DepthDesign":

@@ -26,10 +26,10 @@ whole check runs in exact arithmetic, so a verdict of "optimal" at tol 0 is a
 proof, not an approximation.  A design with some h_r = 0 is neither: it
 raises the one "not identifiable" SingularDesignError of information.py.
 
-On full profiles K = S the exact optima the solver returns are mirror pairs
-{d, e = S+1-d} weighted e/(S+1) on d and d/(S+1) on e, and on that family the
-profile factors, with u = x(S+1-x), a = 2(S-1)(S-2) and g0, q(d) > 0 the
-integer polynomials in S and d of ``_mirror_law_values``:
+On full profiles K = S >= 5 the optimum (optimizer.full_profile_design) is a
+mirror pair {d, e = S+1-d} weighted e/(S+1) on d and d/(S+1) on e, and on that
+family the profile factors, with u = x(S+1-x), a = 2(S-1)(S-2) and g0, q(d) > 0
+the integer polynomials in S and d of ``_mirror_g0`` and ``_mirror_law_values``:
 
     V(x) - p = S(S+1) (u - de) (g0 - a u) / (24 d e q(d)).
 
@@ -107,6 +107,14 @@ class VarianceProfile:
         return {d: float(v) / self.p for d, v in self.values.items()}
 
 
+def _mirror_g0(s: int, d: int) -> int:
+    """g0 of the factored identity for the mirror pair {d, S+1-d} at K = S."""
+    return (
+        s**4 - 2 * s**3 * d - 4 * s**3 + 2 * s**2 * d**2 + 4 * s**2 * d + 19 * s**2
+        - 6 * s * d**2 - 22 * s * d - 20 * s + 28 * d**2 - 28 * d + 28
+    )
+
+
 def _mirror_law_values(design: DepthDesign) -> dict[int, Fraction] | None:
     """V at every depth by the factored identity, or None outside the mirror-pair family."""
     spec, s, support = design.spec, design.spec.strength, design.support
@@ -115,17 +123,15 @@ def _mirror_law_values(design: DepthDesign) -> dict[int, Fraction] | None:
     d, e = support
     if d + e != s + 1 or design.weights[d] * (s + 1) != e or design.weights[e] * (s + 1) != d:
         return None
-    a, de = 2 * (s - 1) * (s - 2), d * e
-    g0 = (
-        s**4 - 2 * s**3 * d - 4 * s**3 + 2 * s**2 * d**2 + 4 * s**2 * d + 19 * s**2
-        - 6 * s * d**2 - 22 * s * d - 20 * s + 28 * d**2 - 28 * d + 28
-    )
+    a, de, g0 = 2 * (s - 1) * (s - 2), d * e, _mirror_g0(s, d)
     den = 24 * de * (s**2 - 2 * s * d - s + 2 * d**2 - 2 * d + 2)  # 24 d e q(d)
     base, scale = spec.n_params * den, s * (s + 1)
-    return {
-        x: Fraction(base + scale * ((u := x * (s + 1 - x)) - de) * (g0 - a * u), den)
-        for x in spec.depths
-    }
+    # u = x(S+1-x), so V(S+1-x) = V(x): only x <= ceil(S/2) is evaluated
+    half = [
+        Fraction(base + scale * ((u := x * (s + 1 - x)) - de) * (g0 - a * u), den)
+        for x in range(1, (s + 1) // 2 + 1)
+    ]
+    return {x: half[min(x, s + 1 - x) - 1] for x in spec.depths}
 
 
 def variance_profile(design: DepthDesign) -> VarianceProfile:

@@ -4,11 +4,13 @@ Each parameter block is served best by specific depths: the argmax of its
 block information over d = 1..S (ties are returned in full).  For the whole
 parameter vector the objective log det M = sum_r p_r ln h_r(w) is concave in
 the depth weights and depends on them only through h in R^4, so an optimum
-needs at most four depths.  optimize_full therefore works on an active set
-of at most five depths with vertex-direction steps and a Newton polish, all
-stopping tests relative to p or |phi|.  Five distinct depths are affinely
-independent in h (det[1, h_numerators] is 16384 times their Vandermonde), so
-the Newton system is positive definite.  Its results are certified by
+needs at most four depths.  On full profiles K = S >= 5 optimize_full
+returns the closed-form law of full_profile_design once kw_certify proves it
+at tol 0.  Elsewhere it works on an active set of at most five depths with
+vertex-direction steps and a Newton polish, all stopping tests relative to
+p or |phi|.  Five distinct depths are affinely independent in h
+(det[1, h_numerators] is 16384 times their Vandermonde), so the Newton
+system is positive definite.  Its results are certified by
 kw_certify, the one equivalence-theorem check: at tol 0 in exact arithmetic
 when each weight snaps (limit_denominator(_SNAP_DENOMINATOR)) to a positive
 rational and the snapped weights sum to exactly 1, at tol otherwise.  An
@@ -23,12 +25,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .design_space import DepthDesign, ModelSpec
-from .equivalence import CertificationReport, kw_certify, variance_from_blocks
+from .equivalence import CertificationReport, _mirror_g0, kw_certify, variance_from_blocks
 from .information import SingularDesignError, _h_denominators, h_numerators, mix_h
 
 __all__ = [
     "OptimResult",
     "conjectured_design",
+    "full_profile_design",
     "optimal_depth_first_order",
     "optimal_depth_main",
     "optimal_depth_second_order",
@@ -104,7 +107,7 @@ def conjectured_design(spec: ModelSpec) -> DepthDesign:
     with 5 <= S <= 18 and raises ValueError elsewhere: it first fails at
     S = 19, and no partial profile K > S satisfies it.  The strength-4
     optimum needs all four depths, with weights 4/15, 2/5, 4/15, 1/15 on
-    depths 1..4.  Use optimize_full outside the rule's range.
+    depths 1..4.  Use full_profile_design or optimize_full outside its range.
     """
     s = spec.strength
     if not 5 <= s <= _RULE_MAX_STRENGTH or spec.n_attributes != s:
@@ -112,13 +115,40 @@ def conjectured_design(spec: ModelSpec) -> DepthDesign:
             f"the two-depth rule holds only for full profiles K = S with "
             f"5 <= S <= {_RULE_MAX_STRENGTH}, got K={spec.n_attributes} S={s} "
             "(the strength-4 optimum mixes all four depths with weights "
-            "4/15, 2/5, 4/15, 1/15); use optimize_full instead"
+            "4/15, 2/5, 4/15, 1/15); use full_profile_design or optimize_full"
         )
     d_low = (s + 1) // 3
     d_high = s + 1 - d_low
     return DepthDesign(
         {d_low: Fraction(d_high, s + 1), d_high: Fraction(d_low, s + 1)}, spec
     )
+
+
+def full_profile_design(spec: ModelSpec) -> DepthDesign:
+    """The full-profile law: the mirror pair {d, e = S+1-d}, w(d) = e/(S+1), w(e) = d/(S+1).
+
+    With a = 2(S-1)(S-2) and u = x(S+1-x), V(x) - p has the sign of
+    (u - de)(g0 - a u), so the design is D-optimal exactly when no attainable u
+    lies strictly between de and g0/a: a (d-1)(e+1) <= g0 <= a (d+1)(e-1).
+    g0 - a de vanishes at d0 = ((S+1) - sqrt(N/D)) / 2, N = (S-1)(3S^2-13S+20)
+    and D = S^2-3S+8, so only d0-1 .. d0+2 are checked, in integers.  Raises
+    ValueError unless K = S >= 5 and exactly one passes (exactly one did at
+    every S in 5..20000 and at samples up to 10^15).  kw_certify(design,
+    tol=0) is the proof.
+    """
+    s = spec.strength
+    if spec.n_attributes != s or s < 5:
+        raise ValueError(f"the full-profile law needs K = S >= 5, got K={spec.n_attributes} S={s}")
+    a, n, den = 2 * (s - 1) * (s - 2), (s - 1) * (3 * s * s - 13 * s + 20), s * s - 3 * s + 8
+    d0 = ((s + 1) * den - math.isqrt(n * den)) // (2 * den)
+    passing = [
+        d for d in range(max(1, d0 - 1), d0 + 3)
+        if 2 * d < s + 1 and a * (d - 1) * (s + 2 - d) <= _mirror_g0(s, d) <= a * (d + 1) * (s - d)
+    ]
+    if len(passing) != 1:
+        raise ValueError(f"the full-profile law passes at depths {passing} for S={s}")
+    (d,) = passing
+    return DepthDesign({d: Fraction(s + 1 - d, s + 1), s + 1 - d: Fraction(d, s + 1)}, spec)
 
 
 @dataclass(frozen=True)
@@ -293,25 +323,45 @@ def optimize_full(
 ) -> OptimResult:
     """Maximize log det over depth weightings and certify the result.
 
-    Starts uniform on depths 1..S-1 (depth S alone would start on a singular
-    boundary).  Each iteration steps toward the worst-variance depth with an
-    exact line search, keeps it and at most _MAX_SUPPORT of the heaviest
-    other depths above _PRUNE_EPS, and Newton-polishes on that active set of
-    at most five depths (an iterate the polish finds singular stays as the
-    step left it), until max_d V(d) - p <= _FLOAT_RTOL * p, whatever ``tol``
-    is.  Weights at most _PRUNE_EPS are then dropped.  The result carries
-    exact weights when the snap to small rationals passes ``kw_certify`` at
-    tol 0; otherwise the pruned float weights go through ``kw_certify`` at
-    ``tol``, its one use.  The float work runs in plain Python, h, phi and
-    the renormalization as correctly rounded sums (``math.fsum``), so a float
-    optimum does not depend on the summation order of a linear algebra
-    library.  The result carries that report: ``certified`` comes from it,
-    and so do the max excess and the proof's tol, so a result that does not
-    certify (say, because the budget ran out) is returned with
-    ``certified=False`` and its true excess, never silently.
+    Full profiles K = S >= 5 take ``full_profile_design``, the closed-form
+    law, and return it with iterations=0 once ``kw_certify`` proves it at
+    tol 0, with no float solve.  Every other spec (K > S, and K = S = 4), or
+    a rule that raises or fails its proof (never seen), takes the float solve
+    of ``_float_solve``; ``max_iter`` and ``tol`` govern only that solve.
+    The result carries its certificate: ``certified`` comes from it, and so
+    do the max excess and the proof's tol, so a result that does not certify
+    (say, because the budget ran out) is returned with ``certified=False``
+    and its true excess, never silently.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if spec.n_attributes == spec.strength >= 5:
+        try:
+            report = kw_certify(full_profile_design(spec), tol=0)
+        except ValueError:  # the rule found no single depth: never seen
+            report = None
+        if report is not None and report.certified:
+            return OptimResult(design=report.design, report=report, iterations=0)
+    return _float_solve(spec, tol=tol, max_iter=max_iter)
+
+
+def _float_solve(spec: ModelSpec, *, tol: float, max_iter: int) -> OptimResult:
+    """optimize_full's float solve: any spec, with its snap and certificate.
+
+    It starts uniform on depths 1..S-1 (depth S alone would start on a
+    singular boundary).  Each iteration steps toward the worst-variance depth
+    with an exact line search, keeps it and at most _MAX_SUPPORT of the
+    heaviest other depths above _PRUNE_EPS, and Newton-polishes on that
+    active set of at most five depths (an iterate the polish finds singular
+    stays as the step left it), until max_d V(d) - p <= _FLOAT_RTOL * p,
+    whatever ``tol`` is, or ``max_iter`` iterations have run.  Weights at
+    most _PRUNE_EPS are then dropped.  The result carries exact weights when
+    the snap to small rationals passes ``kw_certify`` at tol 0; otherwise the
+    pruned float weights go through ``kw_certify`` at ``tol``, its one use.
+    The float work runs in plain Python, h, phi and the renormalization as
+    correctly rounded sums (``math.fsum``), so a float optimum does not
+    depend on the summation order of a linear algebra library.
+    """
     s, p = spec.strength, spec.n_params
     h_matrix = _h_matrix(spec)
     p_blocks = [float(n) for n in spec.block_dims]

@@ -483,6 +483,22 @@ class TestVerify:
         if exact:
             assert "max excess: 0.000e+00 (tol 0 relative to p)" in out.splitlines()
 
+    def test_exact_weights_off_one_exit_2(self, capsys, tmp_path):
+        # the K=S=4 optimum with 10^-13 added on depth 1: within a float tolerance,
+        # but exact weights must sum to exactly 1
+        path = tmp_path / "off-one.json"
+        path.write_text(
+            '{"K": 4, "S": 4, "depth_weights": {"1": "8000000000003/30000000000000", '
+            '"2": "2/5", "3": "4/15", "4": "1/15"}}'
+        )
+        code, out, err = run(capsys, "verify", str(path), "--tol", "0")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: cannot parse {path}: exact weights sum to "
+            "10000000000001/10000000000000, not 1\n"
+        )
+
     def test_singular_oracle_exits_4(self, capsys, tmp_path, monkeypatch):
         def singular(*args, **kwargs):
             raise SingularDesignError("oracle information matrix is singular")

@@ -371,6 +371,15 @@ class TestDesigns:
         with pytest.raises(ValueError, match="sum"):
             DepthDesign(weights, spec44)
 
+    def test_exact_weights_sum_to_exactly_one(self, spec44):
+        optimum = {1: Fraction(4, 15), 2: Fraction(2, 5), 3: Fraction(4, 15), 4: Fraction(1, 15)}
+        off = {**optimum, 1: optimum[1] + Fraction(1, 10**13)}
+        with pytest.raises(ValueError, match="sum to 10000000000001/10000000000000, not 1"):
+            DepthDesign(off, spec44)
+        # float weights keep the 1e-12 tolerance
+        assert not DepthDesign({d: float(w) for d, w in off.items()}, spec44).is_exact
+        assert DepthDesign(optimum, spec44).is_exact
+
     def test_support_and_exactness(self, spec44):
         from fractions import Fraction
 

@@ -15,6 +15,7 @@ from pairdesign import (
     ModelSpec,
     SingularDesignError,
     enumerate_orbit,
+    full_profile_design,
     h_values,
     kw_certify,
     mix_h,
@@ -197,6 +198,14 @@ class TestMirrorLaw:
         law = equivalence._mirror_law_values(design)
         assert law == dot_values(design, design.spec.depths)
         assert list(law) == list(design.spec.depths)
+
+    def test_mirrored_half_matches_the_dot_product(self):
+        # only x <= ceil(S/2) is evaluated; odd S has a middle depth of its own
+        for s in range(5, 120):
+            for d in sorted({1, full_profile_design(ModelSpec(s, s)).support[0]}):
+                design = law_design(s, d)
+                values = variance_profile(design).values
+                assert list(values.items()) == list(dot_values(design, design.spec.depths).items())
 
     def test_law_designs_skip_the_dot_product(self, monkeypatch):
         def refuse(info):

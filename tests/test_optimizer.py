@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from pairdesign import (
     DepthDesign,
     ModelSpec,
     conjectured_design,
+    full_profile_design,
     kw_certify,
     log_det,
     mix_h,
@@ -31,6 +33,7 @@ from pairdesign import (
 )
 from pairdesign.information import h_numerators, h_values
 from pairdesign import optimizer
+from pairdesign.equivalence import _mirror_g0
 from pairdesign.optimizer import _h_matrix
 
 THIRD_ORDER_REPORTED_DEPTH = {4: 1, 5: 1, 6: 1, 7: 1, 8: 2, 9: 2, 10: 2, 11: 3, 12: 3}
@@ -122,6 +125,62 @@ class TestConjecturedDesign:
     def test_outside_stated_range_rejected(self, k, s):
         with pytest.raises(ValueError, match="optimize_full"):
             conjectured_design(ModelSpec(k, s))
+
+
+class TestFullProfileDesign:
+    @staticmethod
+    def passes(s, d):
+        """The exact condition a (d-1)(e+1) <= g0 <= a (d+1)(e-1), e = S+1-d."""
+        a, e = 2 * (s - 1) * (s - 2), s + 1 - d
+        return a * (d - 1) * (e + 1) <= _mirror_g0(s, d) <= a * (d + 1) * (e - 1)
+
+    def test_exactly_one_depth_passes(self):
+        for s in range(5, 4001):
+            design = full_profile_design(ModelSpec(s, s))
+            d, e = design.support
+            assert d + e == s + 1 and d < e
+            assert design.weights == {d: Fraction(e, s + 1), e: Fraction(d, s + 1)}
+            # the condition is met at d and nowhere else below the mirror
+            window = range(max(1, d - 6), min(d + 7, s // 2 + 1))  # d < S+1-d
+            assert [x for x in window if self.passes(s, x)] == [d]
+
+    def test_only_passing_depth_at_small_s(self):
+        for s in range(5, 120):
+            mirror_depths = range(1, s // 2 + 1)
+            passing = [d for d in mirror_depths if self.passes(s, d)]
+            assert passing == [full_profile_design(ModelSpec(s, s)).support[0]]
+        # at S = 4 no mirror pair passes: the optimum weights all four depths
+        assert not any(self.passes(4, d) for d in (1, 2))
+
+    @pytest.mark.parametrize("s", [*range(5, 1300, 37), 2000, 3500, 10_000])
+    def test_rule_is_proved_at_tol_0(self, s):
+        report = kw_certify(full_profile_design(ModelSpec(s, s)), tol=0)
+        assert report.certified
+        assert report.max_excess == 0
+
+    def test_paper_rule_parts_from_the_law_at_19(self):
+        for s in range(5, 19):
+            assert full_profile_design(ModelSpec(s, s)) == conjectured_design(ModelSpec(s, s))
+        # the paper's floor((S+1)/3) gives 6
+        assert full_profile_design(ModelSpec(19, 19)).support == (7, 13)
+
+    def test_large_s_in_under_a_millisecond(self):
+        rng = random.Random(7)
+        for s in [10**6, 10**9, *(rng.randint(5, 10**9) for _ in range(20))]:
+            spec = ModelSpec(s, s)
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                design = full_profile_design(spec)
+                times.append(time.perf_counter() - start)
+            assert min(times) < 1e-3
+            d, e = design.support
+            assert self.passes(s, d) and not self.passes(s, d - 1) and not self.passes(s, d + 1)
+
+    @pytest.mark.parametrize("k,s", [(6, 5), (41, 40), (4, 4), (5, 4)])
+    def test_outside_k_equals_s_at_least_5_rejected(self, k, s):
+        with pytest.raises(ValueError, match="K = S >= 5"):
+            full_profile_design(ModelSpec(k, s))
 
 
 class TestOptimizeFull:
@@ -236,6 +295,7 @@ class TestOptimizeFull:
             d_low: Fraction(s + 1 - d_low, s + 1), s + 1 - d_low: Fraction(d_low, s + 1)
         }
         assert result.certified and result.report.tol == 0
+        assert result.iterations == 0  # the rule, with no float solve
 
     @given(st.integers(min_value=5, max_value=458))
     @settings(max_examples=30, deadline=None)
@@ -243,13 +303,24 @@ class TestOptimizeFull:
         self.assert_full_profile_law(s)
 
     def test_full_profile_law_at_every_s(self):
+        # optimize_full takes the rule at K = S >= 5; the float solve, which it
+        # falls back to, still reaches the same design on its own
         for s in range(5, 459):
-            self.assert_full_profile_law(s)
+            spec = ModelSpec(s, s)
+            result = optimizer._float_solve(spec, tol=1e-9, max_iter=5000)
+            assert result.design == full_profile_design(spec)
+            assert result.certified and result.report.tol == 0
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
-    @pytest.mark.parametrize("s", [459, 648, 2000, 3500])
-    def test_full_profile_law_misses(self, s):
+    # the float solve misses here: float weights from S = 459, one depth from S = 3460
+    @pytest.mark.parametrize("s", [459, 648, 2000, 3500, 10_000])
+    def test_full_profile_law_at_large_s(self, s):
         self.assert_full_profile_law(s)
+
+    def test_full_profile_without_iterations(self):
+        result = optimize_full(ModelSpec(12, 12), max_iter=0)
+        assert result.certified and result.report.tol == 0
+        assert result.iterations == 0
+        assert result.design == full_profile_design(ModelSpec(12, 12))
 
     def test_budget_exhaustion_reports_best_iterate(self, spec44):
         result = optimize_full(spec44, max_iter=0)
