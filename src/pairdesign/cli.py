@@ -32,7 +32,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .design_space import (
@@ -47,6 +46,7 @@ from .design_space import (
 )
 from .equivalence import (
     DEFAULT_CERTIFY_TOL,
+    CertificationReport,
     kw_certify,
     variance_profile,
 )
@@ -91,45 +91,55 @@ EXPECTED_NORMALIZED_VARIANCES = {
 }
 
 
-@dataclass
-class DesignDocument:
-    """Design file contents: spec, depth weights, report.
+def _document_json(report: CertificationReport) -> dict:
+    """The JSON design document of ``report``: ``K``, ``S``, ``depth_weights``, ``certification``.
 
-    A JSON document holds ``K``, ``S``, ``depth_weights`` and
-    ``certification`` only; explicit pairs travel as a CSV plan.
+    Explicit pairs travel as a CSV plan, not in the document.
     """
+    weights = {}
+    for depth, weight in sorted(report.design.weights.items()):
+        weights[str(depth)] = {"decimal": float(weight)}
+        if isinstance(weight, (int, Fraction)):
+            weights[str(depth)]["fraction"] = str(Fraction(weight))
+    spec = report.design.spec
+    return {
+        "K": spec.n_attributes,
+        "S": spec.strength,
+        "depth_weights": weights,
+        "certification": report.to_dict(),
+    }
 
-    spec: ModelSpec
-    depth_weights: dict[int, Weight]
-    certification: dict | None = None
 
-    def to_json_dict(self) -> dict:
-        weights = {}
-        for depth, weight in sorted(self.depth_weights.items()):
-            weights[str(depth)] = {"decimal": float(weight)}
-            if isinstance(weight, (int, Fraction)):
-                weights[str(depth)]["fraction"] = str(Fraction(weight))
-        document = {
-            "K": self.spec.n_attributes,
-            "S": self.spec.strength,
-            "depth_weights": weights,
-        }
-        if self.certification is not None:
-            document["certification"] = self.certification
-        return document
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a repeated key (``json`` would keep the last)."""
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            raise ValueError(f"key {key!r} appears twice")
+        document[key] = value
+    return document
 
-    @classmethod
-    def from_json_dict(cls, document: dict) -> "DesignDocument":
-        if "explicit_rows" in document:
-            raise ValueError(
-                "explicit_rows are not read; verify the plan exported as CSV instead"
-            )
-        for key in ("K", "S"):
-            if type(document[key]) is not int:  # bool is an int subclass
-                raise ValueError(f"{key} must be a JSON integer, got {document[key]!r}")
-        spec = ModelSpec(document["K"], document["S"])
-        weights = {int(key): _parse_weight(v) for key, v in document["depth_weights"].items()}
-        return cls(spec, weights, certification=document.get("certification"))
+
+def _read_document(handle) -> tuple[ModelSpec, dict[int, Weight]]:
+    """Read a JSON design document into its spec and ``{depth: weight}``.
+
+    Its ``certification`` block is not read.  A key repeated in any object is
+    refused, and so is a depth key other than the plain decimal of its depth
+    (``"05"``, ``" 5"``, ``"+5"``), so that no weight silently replaces another.
+    """
+    document = json.load(handle, object_pairs_hook=_unique_keys)
+    if "explicit_rows" in document:
+        raise ValueError("explicit_rows are not read; verify the plan exported as CSV instead")
+    for key in ("K", "S"):
+        if type(document[key]) is not int:  # bool is an int subclass
+            raise ValueError(f"{key} must be a JSON integer, got {document[key]!r}")
+    spec = ModelSpec(document["K"], document["S"])
+    weights = {}
+    for key, value in document["depth_weights"].items():
+        if key != str(int(key)):
+            raise ValueError(f"depth key {key!r} is not a plain decimal depth")
+        weights[int(key)] = _parse_weight(value)
+    return spec, weights
 
 
 def _parse_weight(value) -> Weight:
@@ -351,10 +361,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         if not args.json:
             print(f"exported {n_rows} rows to {args.export}")
     if args.json:
-        document = DesignDocument(
-            spec, dict(design.weights), certification=result.report.to_dict()
-        )
-        print(json.dumps(document.to_json_dict(), indent=2, sort_keys=True))
+        print(json.dumps(_document_json(result.report), indent=2, sort_keys=True))
     else:
         _print_optimize_text(spec, result)
     return EXIT_OK if result.certified else EXIT_NONCONVERGED
@@ -463,8 +470,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             spec = next(weights)
         else:
             with open(args.design) as handle:
-                document = DesignDocument.from_json_dict(json.load(handle))
-            spec, weights = document.spec, document.depth_weights.items()
+                spec, weights = _read_document(handle)
     if args.oracle:  # for a plan, before its second row is read
         try:
             from .explicit import realize_design

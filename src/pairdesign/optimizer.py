@@ -5,17 +5,18 @@ block information over d = 1..S (ties are returned in full).  For the whole
 parameter vector the objective log det M = sum_r p_r ln h_r(w) is concave in
 the depth weights and depends on them only through h in R^4, so an optimum
 needs at most four depths.  On full profiles K = S >= 5 optimize_full
-returns the closed-form law of full_profile_design once kw_certify proves it
-at tol 0.  Elsewhere it works on an active set of at most five depths with
-vertex-direction steps and a Newton polish, all stopping tests relative to
-p or |phi|.  Five distinct depths are affinely independent in h
-(det[1, h_numerators] is 16384 times their Vandermonde), so the Newton
-system is positive definite.  Its results are certified by
-kw_certify, the one equivalence-theorem check: at tol 0 in exact arithmetic
-when each weight snaps (limit_denominator(_SNAP_DENOMINATOR)) to a positive
-rational and the snapped weights sum to exactly 1, at tol otherwise.  An
-OptimResult is the design, that certificate and the iteration count; the
-excess, the proof's tol and the verdict are read from the certificate.
+returns the closed-form law of full_profile_design with its tol-0 kw_certify
+report and runs nothing else.  Elsewhere it holds an active set of at most
+five depths as a {depth index: weight} map, with vertex-direction steps and
+a Newton polish, all stopping tests relative to p or |phi|.  Five distinct
+depths are affinely independent in h (det[1, h_numerators] is 16384 times
+their Vandermonde), so the Newton system is positive definite and is solved
+with no pivot search.  Results are certified by kw_certify, the one
+equivalence-theorem check: at tol 0 in exact arithmetic when each weight
+snaps (limit_denominator(_SNAP_DENOMINATOR)) to a positive rational and the
+snapped weights sum to exactly 1, at tol otherwise.  An OptimResult is the
+design, that certificate and the iteration count; the excess, the proof's
+tol and the verdict are read from the certificate.
 """
 
 from __future__ import annotations
@@ -172,21 +173,20 @@ class OptimResult:
         return self.report.certified
 
 
-def _h_matrix(spec: ModelSpec) -> list[list[float]]:
-    """Block informations h_r(d) as 4 lists of S floats, list r holding h_r(1..S).
+def _h_matrix(spec: ModelSpec) -> list[tuple[float, ...]]:
+    """Block informations as one float tuple (h_1..h_4)(d) per depth d = 1..S.
 
     Int true division n / den rounds correctly at any size, as
     float(Fraction(n, den)) does.
     """
-    numerators = zip(*(h_numerators(spec.strength, d) for d in spec.depths))
-    dens = _h_denominators(spec.n_attributes)
-    return [[n / den for n in row] for row, den in zip(numerators, dens)]
+    den1, den2, den3, den4 = _h_denominators(spec.n_attributes)
+    numerators = (h_numerators(spec.strength, d) for d in spec.depths)
+    return [(n1 / den1, n2 / den2, n3 / den3, n4 / den4) for n1, n2, n3, n4 in numerators]
 
 
-def _mix(h_matrix: list[list[float]], w: list[float]) -> list[float]:
+def _mix(h_matrix: list[tuple[float, ...]], w: dict[int, float]) -> list[float]:
     """h = sum_d w_d h(d), each block summed over the support with one rounding (fsum)."""
-    support = [(j, x) for j, x in enumerate(w) if x]
-    return [math.fsum(row[j] * x for j, x in support) for row in h_matrix]
+    return [math.fsum(h_matrix[j][r] * x for j, x in w.items()) for r in range(4)]
 
 
 def _phi(h: list[float], p_blocks: list[float]) -> float:
@@ -196,7 +196,7 @@ def _phi(h: list[float], p_blocks: list[float]) -> float:
 
 
 def _variances(h: list[float], p_blocks: list[float], columns) -> list[float]:
-    """V(d) for each depth's column (h_1..h_4)(d): the gradient of phi over the simplex."""
+    """V(d) for each depth's tuple (h_1..h_4)(d): the gradient of phi over the simplex."""
     c1, c2, c3, c4 = (p / x for p, x in zip(p_blocks, h))
     return [c1 * a + c2 * b + c3 * c + c4 * d for a, b, c, d in columns]
 
@@ -225,46 +225,40 @@ def _line_search(h: list[float], h_target, p_blocks: list[float]) -> float:
 def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
     """x with matrix @ x = rhs for a symmetric positive definite matrix, or None.
 
-    Gauss-Jordan elimination, each column pivoting on its largest remaining
-    entry; a zero pivot means the matrix is singular, and gives None.
+    Gauss-Jordan elimination in row order: a positive definite matrix needs
+    no pivot search.  A zero pivot means the matrix is singular, and gives None.
     """
     n = len(rhs)
     rows = [[*row, b] for row, b in zip(matrix, rhs)]
-    unused, pivots = list(range(n)), []
     for column in range(n):
-        top = max(unused, key=lambda i: abs(rows[i][column]))
-        if not rows[top][column]:
+        if not rows[column][column]:
             return None
-        unused.remove(top)
-        pivots.append(top)
-        pivot = [v / rows[top][column] for v in rows[top]]
-        rows[top] = pivot
+        pivot = rows[column] = [v / rows[column][column] for v in rows[column]]
         for i in range(n):
             factor = rows[i][column]
-            if i != top and factor:
+            if i != column and factor:
                 rows[i] = [v - factor * u for v, u in zip(rows[i], pivot)]
-    return [rows[top][n] for top in pivots]
+    return [row[n] for row in rows]
 
 
 def _newton_on_support(
-    h_matrix: list[list[float]], p_blocks: list[float], weights: list[float]
-) -> list[float] | None:
-    """Damped Newton polish of phi on the current support.
+    h_matrix: list[tuple[float, ...]], p_blocks: list[float], w: dict[int, float]
+) -> dict[int, float] | None:
+    """Damped Newton polish of phi on the support of ``w``, a {depth index: weight > 0} map.
 
     Stops once the support variances agree to _FLOAT_RTOL * p; weights pushed
-    below _PRUNE_EPS leave the support.  None means the iterate or its Newton
+    below _PRUNE_EPS leave the map.  None means the iterate or its Newton
     system is singular.
     """
-    w = list(weights)
     p_total = math.fsum(p_blocks)
     for _ in range(200):
-        support = [j for j, x in enumerate(w) if x > 0]
-        if len(support) <= 1:
+        if len(w) <= 1:
             return w
+        support = sorted(w)
         h = _mix(h_matrix, w)
         if min(h) <= 0:
             return None
-        columns = [[row[j] for row in h_matrix] for j in support]
+        columns = [h_matrix[j] for j in support]
         variances = _variances(h, p_blocks, columns)
         # the last support depth anchors the simplex constraint
         grad = [v - variances[-1] for v in variances[:-1]]
@@ -283,10 +277,9 @@ def _newton_on_support(
         phi_now = _phi(h, p_blocks)
         slack = _PHI_ULPS * math.ulp(1.0) * abs(phi_now)
         while scale > 1e-14:
-            trial = [x + scale * direction.get(j, 0.0) for j, x in enumerate(w)]
-            trial = [x if x >= _PRUNE_EPS else 0.0 for x in trial]
-            total = math.fsum(trial)
-            trial = [x / total for x in trial]
+            trial = {j: x + scale * direction[j] for j, x in w.items()}
+            total = math.fsum(x for x in trial.values() if x >= _PRUNE_EPS)
+            trial = {j: x / total for j, x in trial.items() if x >= _PRUNE_EPS}
             if _phi(_mix(h_matrix, trial), p_blocks) >= phi_now - slack:
                 break
             scale /= 2.0
@@ -324,34 +317,31 @@ def optimize_full(
     """Maximize log det over depth weightings and certify the result.
 
     Full profiles K = S >= 5 take ``full_profile_design``, the closed-form
-    law, and return it with iterations=0 once ``kw_certify`` proves it at
-    tol 0, with no float solve.  Every other spec (K > S, and K = S = 4), or
-    a rule that raises or fails its proof (never seen), takes the float solve
-    of ``_float_solve``; ``max_iter`` and ``tol`` govern only that solve.
-    The result carries its certificate: ``certified`` comes from it, and so
-    do the max excess and the proof's tol, so a result that does not certify
-    (say, because the budget ran out) is returned with ``certified=False``
-    and its true excess, never silently.
+    law, with iterations=0 and its ``kw_certify`` report at tol 0; no float
+    solve runs, so a rule that raises surfaces as its ``ValueError`` and a
+    failed proof as ``certified=False`` (neither has been seen).  Every
+    other spec (K > S, and K = S = 4) takes ``_float_solve``, which alone
+    reads ``max_iter`` and ``tol``.  The result carries its certificate:
+    ``certified``, the max excess and the proof's tol come from it, so a
+    result that does not certify (say, because the budget ran out) is
+    returned with ``certified=False`` and its true excess, never silently.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if spec.n_attributes == spec.strength >= 5:
-        try:
-            report = kw_certify(full_profile_design(spec), tol=0)
-        except ValueError:  # the rule found no single depth: never seen
-            report = None
-        if report is not None and report.certified:
-            return OptimResult(design=report.design, report=report, iterations=0)
+        report = kw_certify(full_profile_design(spec), tol=0)
+        return OptimResult(design=report.design, report=report, iterations=0)
     return _float_solve(spec, tol=tol, max_iter=max_iter)
 
 
 def _float_solve(spec: ModelSpec, *, tol: float, max_iter: int) -> OptimResult:
     """optimize_full's float solve: any spec, with its snap and certificate.
 
-    It starts uniform on depths 1..S-1 (depth S alone would start on a
-    singular boundary).  Each iteration steps toward the worst-variance depth
-    with an exact line search, keeps it and at most _MAX_SUPPORT of the
-    heaviest other depths above _PRUNE_EPS, and Newton-polishes on that
+    The weights are a {depth index: weight > 0} map.  It starts uniform on
+    depths 1..S-1 (depth S alone would start on a singular boundary).  Each
+    iteration steps toward the worst-variance depth with an exact line
+    search, keeps it and at most _MAX_SUPPORT of the heaviest other depths
+    above _PRUNE_EPS (ties to the lower depth), and Newton-polishes on that
     active set of at most five depths (an iterate the polish finds singular
     stays as the step left it), until max_d V(d) - p <= _FLOAT_RTOL * p,
     whatever ``tol`` is, or ``max_iter`` iterations have run.  Weights at
@@ -365,29 +355,28 @@ def _float_solve(spec: ModelSpec, *, tol: float, max_iter: int) -> OptimResult:
     s, p = spec.strength, spec.n_params
     h_matrix = _h_matrix(spec)
     p_blocks = [float(n) for n in spec.block_dims]
-    w = [1.0 / (s - 1)] * (s - 1) + [0.0]
+    w = dict.fromkeys(range(s - 1), 1.0 / (s - 1))
     iterations = 0
     while iterations < max_iter:
         h = _mix(h_matrix, w)
-        variances = _variances(h, p_blocks, zip(*h_matrix))
+        variances = _variances(h, p_blocks, h_matrix)
         worst = max(variances)
         if worst - p <= _FLOAT_RTOL * p:
             break
         target = variances.index(worst)
-        alpha = _line_search(h, [row[target] for row in h_matrix], p_blocks)
-        w = [x * (1.0 - alpha) for x in w]
-        w[target] += alpha
-        # active set: the depth just stepped toward and the heaviest others
-        others = [j for j in sorted(range(s), key=w.__getitem__, reverse=True) if j != target]
-        active = {target, *(j for j in others[:_MAX_SUPPORT] if w[j] >= _PRUNE_EPS)}
-        w = [x if j in active else 0.0 for j, x in enumerate(w)]
-        total = math.fsum(w)
-        w = [x / total for x in w]
+        alpha = _line_search(h, h_matrix[target], p_blocks)
+        w = {j: x * (1.0 - alpha) for j, x in w.items()}
+        w[target] = w.get(target, 0.0) + alpha
+        # active set: the depth just stepped toward and the heaviest others (stable sort)
+        others = [j for j in sorted(sorted(w), key=w.__getitem__, reverse=True) if j != target]
+        active = [target, *(j for j in others[:_MAX_SUPPORT] if w[j] >= _PRUNE_EPS)]
+        total = math.fsum(w[j] for j in active)
+        w = {j: w[j] / total for j in active if w[j] > 0}
         polished = _newton_on_support(h_matrix, p_blocks, w)
         if polished is not None:
             w = polished
         iterations += 1
-    kept = {j + 1: float(weight) for j, weight in enumerate(w) if weight > _PRUNE_EPS}
+    kept = {j + 1: weight for j, weight in sorted(w.items()) if weight > _PRUNE_EPS}
     report = _snap_to_exact(spec, kept)
     if report is None:
         total = sum(kept.values())

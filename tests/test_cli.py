@@ -191,8 +191,8 @@ class TestOptimize:
         document = json.loads(out)
         cells = document["depth_weights"].values()
         assert all(("fraction" in cell) == exact for cell in cells)
-        loaded = cli.DesignDocument.from_json_dict(document)
-        design = DepthDesign(loaded.depth_weights, loaded.spec)
+        spec, weights = cli._read_document(io.StringIO(out))
+        design = DepthDesign(weights, spec)
         assert design.is_exact == exact
         if not exact:
             assert list(design.weights.values()) == [
@@ -470,6 +470,41 @@ class TestVerify:
         assert err.startswith(f"error: cannot parse {path}")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "key",
+        ['"05"', '" 5"', '"+5"', '"\u0665"'],
+        ids=["leading-zero", "space", "plus", "arabic-indic-digit"],
+    )
+    def test_depth_key_not_plain_decimal_exits_2(self, capsys, tmp_path, key):
+        # the key would read as depth 5 and replace its weight: 5/7 + 1/7 + 2/7 = 8/7
+        # as written, yet the K=S=6 optimum once 1/7 is dropped
+        path = tmp_path / "key.json"
+        weights = '{"2": "5/7", "5": "1/7", %s: "2/7"}' % key
+        path.write_text('{"K": 6, "S": 6, "depth_weights": %s}' % weights)
+        code, out, err = run(capsys, "verify", str(path), "--tol", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot parse {path}: depth key")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"K": 6, "S": 6, "depth_weights": {"2": "5/7", "5": "1/7", "5": "2/7"}}', "5"),
+            ('{"K": 7, "S": 6, "K": 6, "depth_weights": {"2": "5/7", "5": "2/7"}}', "K"),
+            ('{"K": 6, "S": 6, "depth_weights": {"2": {"fraction": "1/7", "fraction": "5/7"}, '
+             '"5": "2/7"}}', "fraction"),
+        ],
+        ids=["depth", "top-level", "weight-cell"],
+    )
+    def test_repeated_key_exits_2(self, capsys, tmp_path, text, key):
+        # json keeps a repeated key's last value, which here is the K=S=6 optimum
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", str(path), "--tol", "0")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot parse {path}: key {key!r} appears twice\n"
 
     @pytest.mark.parametrize("text,exact", [("1", True), ("1.0", False)], ids=["int", "float"])
     def test_bare_json_integer_weight_is_exact(self, capsys, tmp_path, text, exact):

@@ -1,5 +1,8 @@
 """Per-block optimal depths and the full D-criterion optimizer."""
 
+import collections
+import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -33,6 +36,7 @@ from pairdesign import (
 )
 from pairdesign.information import h_numerators, h_values
 from pairdesign import optimizer
+from pairdesign.cli import main
 from pairdesign.equivalence import _mirror_g0
 from pairdesign.optimizer import _h_matrix
 
@@ -304,7 +308,7 @@ class TestOptimizeFull:
 
     def test_full_profile_law_at_every_s(self):
         # optimize_full takes the rule at K = S >= 5; the float solve, which it
-        # falls back to, still reaches the same design on its own
+        # no longer runs there, still reaches the same design on its own
         for s in range(5, 459):
             spec = ModelSpec(s, s)
             result = optimizer._float_solve(spec, tol=1e-9, max_iter=5000)
@@ -370,6 +374,64 @@ class TestOptimizeFull:
         assert result.certified == report.certified == (report.optimal and report.support_ok)
 
 
+class TestOnePath:
+    """At K = S >= 5 optimize_full returns the law's result, whatever it is: no float solve."""
+
+    @pytest.fixture
+    def float_solves(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(optimizer, "_float_solve", lambda *args, **kwargs: calls.append(args))
+        return calls
+
+    def test_rule_that_raises_surfaces(self, monkeypatch, capsys, float_solves):
+        def no_depth(spec):
+            raise ValueError("the full-profile law passes at depths [] for S=12")
+
+        monkeypatch.setattr(optimizer, "full_profile_design", no_depth)
+        with pytest.raises(ValueError, match="passes at depths"):
+            optimize_full(ModelSpec(12, 12))
+        assert main(["optimize", "--k", "12", "--s", "12"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+        assert float_solves == []
+
+    def test_failed_proof_is_returned_uncertified(self, monkeypatch, float_solves):
+        certify = optimizer.kw_certify
+        monkeypatch.setattr(
+            optimizer,
+            "kw_certify",
+            lambda design, **kwargs: dataclasses.replace(certify(design, **kwargs), optimal=False),
+        )
+        spec = ModelSpec(12, 12)
+        result = optimize_full(spec)
+        assert result.design == full_profile_design(spec)
+        assert not result.certified and result.iterations == 0
+        assert float_solves == []
+
+
+# one line "K S support weights" per exact optimum of the 703-spec grid, weights as
+# fractions; float weights are left out, since their last digits follow the platform's libm
+GRID_K40_EXACT_SHA256 = "b6d97eb4d54ff10ee21f7b6ccb99c2ca811cda4dc064446368310e434a2840fc"
+
+
+def test_grid_k40_optima_are_pinned():
+    counts, three_depth, lines = collections.Counter(), [], []
+    for k in range(4, 41):
+        for s in range(4, k + 1):
+            result = optimize_full(ModelSpec(k, s))
+            assert result.certified
+            design = result.design
+            counts[len(design.support), design.is_exact] += 1
+            if len(design.support) == 3:
+                three_depth.append((k, s))
+            if design.is_exact:
+                weights = (str(design.weights[d]) for d in design.support)
+                lines.append(" ".join([str(k), str(s), *map(str, design.support), *weights]))
+    assert counts == {(1, True): 504, (2, True): 97, (2, False): 99, (3, False): 2, (4, True): 1}
+    assert three_depth == [(6, 5), (16, 14)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GRID_K40_EXACT_SHA256
+
+
 def test_import_does_not_load_scipy():
     src = str(Path(pairdesign.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -382,11 +444,11 @@ def test_import_does_not_load_scipy():
 def test_h_matrix_matches_per_depth_fractions(k, s):
     spec = ModelSpec(k, s)
     matrix = _h_matrix(spec)
-    assert [len(row) for row in matrix] == [s] * 4
-    for j, depth in enumerate(spec.depths):
-        for r, h in enumerate(h_values(spec, depth).values):
+    assert len(matrix) == s and all(type(row) is tuple and len(row) == 4 for row in matrix)
+    for row, depth in zip(matrix, spec.depths):
+        for x, h in zip(row, h_values(spec, depth).values):
             # the correctly rounded float of the exact fraction
-            assert type(matrix[r][j]) is float and matrix[r][j] == float(h)
+            assert type(x) is float and x == float(h)
 
 
 def integer_det(matrix):
