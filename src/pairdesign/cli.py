@@ -14,7 +14,7 @@ early (nothing is printed to stderr then), 2 usage or parse failure, a
 malformed design file (a CSV plan must be whole orbits in export order), a
 file that cannot be read or written, a plan past ``_MAX_PLAN_ROWS`` rows or
 a ``verify --oracle`` request past the oracle gate or without numpy (one
-``error:`` line on stderr), 3 optimizer non-convergence, 4 singular
+``error:`` line on stderr), 3 a float result that fails its tol, 4 singular
 (non-identifiable) design, from any subcommand.  All output is deterministic.
 
 Only the brute-force oracle needs numpy: ``explicit`` and ``oracle`` are
@@ -55,7 +55,7 @@ from .optimizer import OptimResult, optimize_full
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_NONCONVERGED = 3
+EXIT_UNCERTIFIED = 3
 EXIT_SINGULAR = 4
 
 # Rows a written plan may hold (``enumerate``, ``optimize --export``), counted
@@ -346,7 +346,7 @@ def _print_optimize_text(spec: ModelSpec, result: OptimResult) -> None:
     if report.certified:
         print(f"certified D-optimal: {excess} (tol {report.tol:g} relative to p)")
     else:
-        print(f"NOT certified within iteration budget: best iterate shown, {excess}")
+        print(f"NOT certified at tol {report.tol:g} relative to p: {excess}")
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -364,7 +364,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         print(json.dumps(_document_json(result.report), indent=2, sort_keys=True))
     else:
         _print_optimize_text(spec, result)
-    return EXIT_OK if result.certified else EXIT_NONCONVERGED
+    return EXIT_OK if result.certified else EXIT_UNCERTIFIED
 
 
 def _table_1() -> dict[int, int]:
@@ -534,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--s", type=int, required=True, help="profile strength")
     optimize.add_argument(
         "--tol", type=float, default=1e-9,
-        help="tolerance, relative to p, of the certificate of a float result "
-        "(positive and finite; the solver's stopping test does not read it)",
+        help="tolerance, relative to p, of the certificate of a float result, an irrational "
+        "pair weight or a three-depth optimum (positive and finite; all else is exact)",
     )
     optimize.add_argument("--json", action="store_true", help="emit a JSON design document")
     optimize.add_argument("--export", metavar="FILE", help="write explicit pair rows as CSV")

@@ -241,21 +241,21 @@ class CertificationReport:
 def kw_certify(design: DepthDesign, *, tol: float = DEFAULT_CERTIFY_TOL) -> CertificationReport:
     """Certify D-optimality of an invariant design.
 
-    Optimal means max_d V(d) - p <= tol * p over all depths 1..S.  The report
-    also flags the support condition: every weighted depth must sit within
-    tol * p of p itself; ``certified`` asks for both.  ``tol`` must be finite
-    and at least 0 (ValueError otherwise).  Singular designs raise
-    SingularDesignError, they are neither optimal nor suboptimal.
+    Optimal means max_d V(d) - p <= tol * p over all depths 1..S, in exact
+    arithmetic for exact weights; the support condition asks every weighted
+    depth to sit within tol * p of p; ``certified`` asks for both.  ``tol``
+    must be finite and at least 0 (ValueError otherwise).  Singular designs
+    raise SingularDesignError, they are neither optimal nor suboptimal.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and at least 0, got {tol}")
     profile = variance_profile(design)
     p = design.spec.n_params
     max_excess = profile.max_value - p
-    optimal = float(max_excess) <= tol * p
-    support_ok = all(
-        abs(float(profile.values[d] - p)) <= tol * p for d in design.support
-    )
+    # exact designs compare exactly: float() rounds an excess below 5e-324 to 0
+    bound = Fraction(tol) * p if design.is_exact else tol * p
+    optimal = max_excess <= bound
+    support_ok = all(abs(profile.values[d] - p) <= bound for d in design.support)
     return CertificationReport(
         design=design,
         profile=profile,

@@ -4,30 +4,27 @@ Each parameter block is served best by specific depths: the argmax of its
 block information over d = 1..S (ties are returned in full).  For the whole
 parameter vector the objective log det M = sum_r p_r ln h_r(w) is concave in
 the depth weights and depends on them only through h in R^4, so an optimum
-needs at most four depths.  On full profiles K = S >= 5 optimize_full
-returns the closed-form law of full_profile_design with its tol-0 kw_certify
-report and runs nothing else.  Elsewhere it holds an active set of at most
-five depths as a {depth index: weight} map, with vertex-direction steps and
-a Newton polish, all stopping tests relative to p or |phi|.  Five distinct
-depths are affinely independent in h (det[1, h_numerators] is 16384 times
-their Vandermonde), so the Newton system is positive definite and is solved
-with no pivot search.  Results are certified by kw_certify, the one
-equivalence-theorem check: at tol 0 in exact arithmetic when each weight
-snaps (limit_denominator(_SNAP_DENOMINATOR)) to a positive rational and the
-snapped weights sum to exactly 1, at tol otherwise.  An OptimResult is the
-design, that certificate and the iteration count; the excess, the proof's
-tol and the verdict are read from the certificate.
+needs at most four depths.  On full profiles K = S >= 5 optimize_full returns
+the closed-form law of full_profile_design.  Every other spec is solved on
+the candidate depths C(S), the law's support at strength S with the four-way
+argmax (all four depths at S = 4), one support at a time, each decided by an
+exact proof: point masses, pairs with a rational weight and four depths by
+kw_certify at tol 0, pairs with an irrational weight by a rational bracket of
+it.  Only C(S) itself, when it is three depths, is solved in floats.  At most
+one support proves: log det is strictly concave in h, and any five h(d) are
+affinely independent.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .design_space import DepthDesign, ModelSpec
-from .equivalence import CertificationReport, _mirror_g0, kw_certify, variance_from_blocks
-from .information import SingularDesignError, _h_denominators, h_numerators, mix_h
+from .equivalence import CertificationReport, _mirror_g0, kw_certify
+from .information import _h_denominators, h_numerators
 
 __all__ = [
     "OptimResult",
@@ -40,12 +37,6 @@ __all__ = [
     "optimize_full",
 ]
 
-_PRUNE_EPS = 1e-8
-_LINE_SEARCH_XTOL = 1e-12
-_SNAP_DENOMINATOR = 10**4
-_FLOAT_RTOL = 1e-12
-_PHI_ULPS = 8
-_MAX_SUPPORT = 4
 _RULE_MAX_STRENGTH = 18
 
 
@@ -160,7 +151,11 @@ class OptimResult:
     # the kw_certify report of ``design``; its tol is the proof's: 0 for
     # exact weights, the run's ``tol`` for float ones
     report: CertificationReport = field(repr=False, compare=False)
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        """Always 0: no step of the solve ascends over the depth simplex."""
+        return 0
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -184,49 +179,10 @@ def _h_matrix(spec: ModelSpec) -> list[tuple[float, ...]]:
     return [(n1 / den1, n2 / den2, n3 / den3, n4 / den4) for n1, n2, n3, n4 in numerators]
 
 
-def _mix(h_matrix: list[tuple[float, ...]], w: dict[int, float]) -> list[float]:
-    """h = sum_d w_d h(d), each block summed over the support with one rounding (fsum)."""
-    return [math.fsum(h_matrix[j][r] * x for j, x in w.items()) for r in range(4)]
+def _solve(matrix: list[list], rhs: list) -> list | None:
+    """x with matrix @ x = rhs, or None at a zero pivot: Gauss-Jordan in row order.
 
-
-def _phi(h: list[float], p_blocks: list[float]) -> float:
-    if min(h) <= 0:
-        return -math.inf
-    return math.fsum(p * math.log(x) for p, x in zip(p_blocks, h))
-
-
-def _variances(h: list[float], p_blocks: list[float], columns) -> list[float]:
-    """V(d) for each depth's tuple (h_1..h_4)(d): the gradient of phi over the simplex."""
-    c1, c2, c3, c4 = (p / x for p, x in zip(p_blocks, h))
-    return [c1 * a + c2 * b + c3 * c + c4 * d for a, b, c, d in columns]
-
-
-def _line_search(h: list[float], h_target, p_blocks: list[float]) -> float:
-    """Maximize phi((1-a) h + a h_target) over a in [0, 1] by bisection.
-
-    The section is concave, so its slope falls with a.  a = 1 itself, where a
-    target with an empty block would divide by zero, is never evaluated.
-    """
-    rows = list(zip(p_blocks, h, h_target))
-
-    def slope(a: float) -> float:
-        return sum(p * (t - x) / ((1.0 - a) * x + a * t) for p, x, t in rows)
-
-    low, high = 0.0, 1.0
-    while high - low > _LINE_SEARCH_XTOL:
-        mid = 0.5 * (low + high)
-        if slope(mid) > 0.0:
-            low = mid
-        else:
-            high = mid
-    return low
-
-
-def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
-    """x with matrix @ x = rhs for a symmetric positive definite matrix, or None.
-
-    Gauss-Jordan elimination in row order: a positive definite matrix needs
-    no pivot search.  A zero pivot means the matrix is singular, and gives None.
+    Exact in Fractions.  The four-depth systems of S = 4 need no pivot search.
     """
     n = len(rhs)
     rows = [[*row, b] for row, b in zip(matrix, rhs)]
@@ -241,152 +197,196 @@ def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
     return [row[n] for row in rows]
 
 
-def _newton_on_support(
-    h_matrix: list[tuple[float, ...]], p_blocks: list[float], w: dict[int, float]
-) -> dict[int, float] | None:
-    """Damped Newton polish of phi on the support of ``w``, a {depth index: weight > 0} map.
+def _slope(p_blocks, h_from, h_to, a: float) -> float:
+    """Slope of log det at (1-a) h_from + a h_to, toward h_to: it falls with a."""
+    return sum(p * (t - x) / ((1.0 - a) * x + a * t) for p, x, t in zip(p_blocks, h_from, h_to))
 
-    Stops once the support variances agree to _FLOAT_RTOL * p; weights pushed
-    below _PRUNE_EPS leave the map.  None means the iterate or its Newton
-    system is singular.
+
+def _bisect(rises) -> float:
+    """The last float of [0, 1) at which the falling function ``rises`` is still true."""
+    low, high = 0.0, 1.0
+    while (mid := 0.5 * (low + high)) not in (low, high):
+        low, high = (mid, high) if rises(mid) else (low, mid)
+    return low
+
+
+def _bound_holds(spec: ModelSpec, support, low: list[int], den: int) -> bool:
+    """sum_r p_r h_r(y) den / low_r <= p at every depth y off ``support``, in integers.
+
+    low_r / den is a lower bound of the design's block r numerator, as in h_numerators.
     """
-    p_total = math.fsum(p_blocks)
-    for _ in range(200):
-        if len(w) <= 1:
-            return w
-        support = sorted(w)
-        h = _mix(h_matrix, w)
-        if min(h) <= 0:
-            return None
-        columns = [h_matrix[j] for j in support]
-        variances = _variances(h, p_blocks, columns)
-        # the last support depth anchors the simplex constraint
-        grad = [v - variances[-1] for v in variances[:-1]]
-        if max(abs(g) for g in grad) <= _FLOAT_RTOL * p_total:
-            return w
-        diffs = [[x - a for x, a in zip(column, columns[-1])] for column in columns[:-1]]
-        curvature = [p / (x * x) for p, x in zip(p_blocks, h)]
-        scaled = [[x * c for x, c in zip(diff, curvature)] for diff in diffs]
-        hessian = [[sum(x * y for x, y in zip(a, b)) for b in scaled] for a in diffs]
-        step = _solve(hessian, grad)
-        if step is None:
-            return None
-        direction = dict(zip(support, [*step, -math.fsum(step)]))
-        # largest feasible step, halved until phi is within rounding of phi_now
-        scale = min([1.0, *(-w[j] / v for j, v in direction.items() if v < 0)])
-        phi_now = _phi(h, p_blocks)
-        slack = _PHI_ULPS * math.ulp(1.0) * abs(phi_now)
-        while scale > 1e-14:
-            trial = {j: x + scale * direction[j] for j, x in w.items()}
-            total = math.fsum(x for x in trial.values() if x >= _PRUNE_EPS)
-            trial = {j: x / total for j, x in trial.items() if x >= _PRUNE_EPS}
-            if _phi(_mix(h_matrix, trial), p_blocks) >= phi_now - slack:
-                break
-            scale /= 2.0
-        else:
-            return w
-        w = trial
-    return w
+    total = math.prod(low)
+    coefficients = [den * p_r * (total // m) for p_r, m in zip(spec.block_dims, low)]
+    limit = spec.n_params * total
+    return all(
+        sum(c * n for c, n in zip(coefficients, h_numerators(spec.strength, y))) <= limit
+        for y in spec.depths
+        if y not in support
+    )
 
 
-def _snap_to_exact(spec: ModelSpec, kept: dict[int, float]) -> CertificationReport | None:
-    """Snap each kept weight to limit_denominator(_SNAP_DENOMINATOR) and certify exactly.
+def _pair_cubic(spec: ModelSpec, d: int, e: int) -> list[int]:
+    """Integer coefficients c0..c3 of P(a) = sum_r p_r (t_r - x_r) prod_{q!=r} ((1-a) x_q + a t_q).
 
-    None unless the snapped weights are all positive and sum to exactly 1,
-    and unless their tol-0 certificate proves optimality: V(d) <= p for every
-    depth and V(d) = p on the support, in exact arithmetic.
+    x, t are the h_numerators of d < e, and a is the weight on e.  P is the
+    slope of log det along the edge, sum_r p_r (t_r - x_r) / ((1-a) x_r + a t_r),
+    times its denominators, so on (0, 1) P has the sign of the falling slope.
     """
-    exact = {d: Fraction(w).limit_denominator(_SNAP_DENOMINATOR) for d, w in kept.items()}
-    if min(exact.values()) <= 0 or sum(exact.values()) != 1:
+    x, t = h_numerators(spec.strength, d), h_numerators(spec.strength, e)
+    cubic = [0, 0, 0, 0]
+    for r, p_r in enumerate(spec.block_dims):
+        term = [p_r * (t[r] - x[r])]
+        for q in range(4):
+            if q != r:  # times x_q + (t_q - x_q) a
+                term = [x[q] * c + (t[q] - x[q]) * b for c, b in zip([*term, 0], [0, *term])]
+        cubic = [c + b for c, b in zip(cubic, term)]
+    return cubic
+
+
+def _cubic_at(cubic: list[int], value: Fraction) -> int:
+    """P(value) times the cube of value's denominator: an integer with P(value)'s sign."""
+    return sum(c * value.numerator**i * value.denominator ** (3 - i) for i, c in enumerate(cubic))
+
+
+def _pair_bracket(cubic: list[int], start: float) -> tuple[Fraction, Fraction]:
+    """(root, root) if P's root next to ``start`` is rational, else its nearest float and the next.
+
+    A rational root u/v has v dividing the leading coefficient L of P over its
+    content, and fractions with denominators up to L lie 1/L^2 apart, so Newton
+    in integers at 2^-k, far below 1/(2 L^2) and the float spacing, finds it by
+    limit_denominator(L).  Else P's exact sign at the nearest float picks the next.
+    """
+    lead = abs(next(c for c in reversed(cubic) if c)) // math.gcd(*cubic)
+    k = 2 * lead.bit_length() + 64 - math.frexp(start)[1]
+    m = int(Fraction(start) * (1 << k))
+    for _ in range(16):
+        value = sum(c * m**i << k * (3 - i) for i, c in enumerate(cubic))
+        step = value // sum(i * c * m ** (i - 1) << k * (3 - i) for i, c in enumerate(cubic) if i)
+        m -= step
+        if not step:
+            break
+    root = Fraction(m, 1 << k).limit_denominator(lead)
+    if _cubic_at(cubic, root) == 0:
+        return root, root
+    alpha = float(Fraction(m, 1 << k))
+    beyond = math.nextafter(alpha, 1.0 if _cubic_at(cubic, Fraction(alpha)) > 0 else 0.0)
+    return Fraction(alpha), Fraction(beyond)
+
+
+def _bracket_proves(spec: ModelSpec, d: int, e: int, lo, hi) -> bool:
+    """Prove the optimum on {d < e} D-optimal, with its weight on e in [lo, hi].
+
+    Exact signs P(lo) >= 0 >= P(hi) put the edge's optimum a*, where V(d) =
+    V(e) = p, in [lo, hi].  Each h_r is linear in a, so V(y) <= sum_r p_r h_r(y)
+    / min(h_r(lo), h_r(hi)) there; that bound at most p at every other depth
+    proves a* optimal (Kiefer & Wolfowitz 1960).  lo = hi checks a rational root.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    cubic = _pair_cubic(spec, d, e)
+    if not (0 < lo <= hi < 1 and any(cubic) and _cubic_at(cubic, lo) >= 0 >= _cubic_at(cubic, hi)):
+        return False
+    den = math.lcm(lo.denominator, hi.denominator)
+    ends = [int(a * den) for a in (lo, hi)]
+    x, t = h_numerators(spec.strength, d), h_numerators(spec.strength, e)
+    low = [min((den - a) * x_r + a * t_r for a in ends) for x_r, t_r in zip(x, t)]
+    return _bound_holds(spec, (d, e), low, den)
+
+
+def _point_step(spec: ModelSpec, support, h_matrix, tol: float) -> CertificationReport | None:
+    """A point mass whose V is at most p off its depth, with its kw_certify report at tol 0."""
+    x = h_numerators(spec.strength, support[0])
+    if 0 in x or not _bound_holds(spec, support, list(x), 1):
         return None
-    design = DepthDesign(exact, spec)
-    info = mix_h(design)
-    try:
-        # V(d) = p on the support first: a miss costs no full profile
-        if any(variance_from_blocks(info, d) != spec.n_params for d in exact):
-            return None
-        report = kw_certify(design, tol=0)
-    except SingularDesignError:
+    return kw_certify(DepthDesign.point_mass(spec, support[0]), tol=0)
+
+
+def _pair_step(spec: ModelSpec, support, h_matrix, tol: float) -> CertificationReport | None:
+    """The optimum on {d, e} if its edge's slope has an interior root whose bracket proves.
+
+    A rational weight is reported at tol 0, an irrational one's float at ``tol``.
+    """
+    d, e = support
+    cubic = _pair_cubic(spec, d, e)
+    h_d, h_e = h_matrix[d - 1], h_matrix[e - 1]
+    # the slope is +inf at a = 0 when d alone leaves a block empty, and -inf at a = 1 likewise
+    if not (any(cubic) and (0 in h_d or cubic[0] > 0) and (0 in h_e or sum(cubic) < 0)):
         return None
+    near, far = _pair_bracket(cubic, _bisect(lambda a: _slope(spec.block_dims, h_d, h_e, a) > 0))
+    if not _bracket_proves(spec, d, e, min(near, far), max(near, far)):
+        return None
+    weights = {d: 1 - near, e: near} if near == far else {d: float(1 - near), e: float(near)}
+    return kw_certify(DepthDesign(weights, spec), tol=0 if near == far else tol)
+
+
+def _four_step(spec: ModelSpec, support, h_matrix, tol: float) -> CertificationReport | None:
+    """Four depths, exactly: V(d) = sum_r (p_r / h_r) h_r(d) = p at each is linear in the
+    p_r / h_r, and the weights follow from h_r = sum_d w_d h_r(d).  Proved at tol 0.
+    """
+    rows = [[Fraction(n) for n in h_numerators(spec.strength, d)] for d in support]
+    inverse_h = _solve(rows, [Fraction(spec.n_params)] * 4)
+    if inverse_h is None or min(inverse_h) <= 0:
+        return None
+    h = [p_r / z for p_r, z in zip(spec.block_dims, inverse_h)]
+    weights = _solve([list(column) for column in zip(*rows)], h)
+    if weights is None or min(weights) <= 0:
+        return None
+    report = kw_certify(DepthDesign(dict(zip(support, weights)), spec), tol=0)
     return report if report.certified else None
 
 
-def optimize_full(
-    spec: ModelSpec, *, tol: float = 1e-9, max_iter: int = 5000
-) -> OptimResult:
+def _three_step(spec: ModelSpec, support, h_matrix, tol: float) -> CertificationReport:
+    """Three depths d1 < d2 < d3 in floats, certified at ``tol``.
+
+    At weight b on d3, d1 and d2 split the rest at the root a of their edge's
+    slope; log det there is concave in b with the slope toward d3 as its
+    derivative.  Both roots are found by bisection.
+    """
+    p_blocks, (h1, h2, h3) = spec.block_dims, (h_matrix[d - 1] for d in support)
+
+    def mix(h_from, h_to, a: float) -> list[float]:
+        return [(1.0 - a) * x + a * t for x, t in zip(h_from, h_to)]
+
+    def split(b: float) -> float:
+        low, high = mix(h1, h3, b), mix(h2, h3, b)
+        return _bisect(lambda a: _slope(p_blocks, low, high, a) > 0)
+
+    b = _bisect(lambda b: _slope(p_blocks, mix(h1, h2, split(b)), h3, b) > 0)
+    a = split(b)
+    weights = dict(zip(support, ((1.0 - a) * (1.0 - b), a * (1.0 - b), b)))
+    return kw_certify(DepthDesign(weights, spec), tol=tol)
+
+
+# support sizes in the order they are tried: the exact steps first
+_STEPS = {1: _point_step, 2: _pair_step, 4: _four_step, 3: _three_step}
+
+
+def _solve_on_candidates(spec: ModelSpec, tol: float) -> CertificationReport:
+    """optimize_full off full profiles: the report of the first support in C(S) that proves."""
+    s, h_matrix = spec.strength, _h_matrix(spec)
+    law = full_profile_design(ModelSpec(s, s)).support if s > 4 else (1, 2, 3, 4)
+    candidates = sorted({*law, *optimal_depth_third_order(s)})
+    for size, step in _STEPS.items():
+        for support in itertools.combinations(candidates, size):
+            report = step(spec, support, h_matrix, tol)
+            if report is not None:
+                return report
+    raise ValueError(f"no support in C(S) = {candidates} proves optimal for {spec}")
+
+
+def optimize_full(spec: ModelSpec, *, tol: float = 1e-9) -> OptimResult:
     """Maximize log det over depth weightings and certify the result.
 
     Full profiles K = S >= 5 take ``full_profile_design``, the closed-form
-    law, with iterations=0 and its ``kw_certify`` report at tol 0; no float
-    solve runs, so a rule that raises surfaces as its ``ValueError`` and a
-    failed proof as ``certified=False`` (neither has been seen).  Every
-    other spec (K > S, and K = S = 4) takes ``_float_solve``, which alone
-    reads ``max_iter`` and ``tol``.  The result carries its certificate:
-    ``certified``, the max excess and the proof's tol come from it, so a
-    result that does not certify (say, because the budget ran out) is
-    returned with ``certified=False`` and its true excess, never silently.
+    law, with its ``kw_certify`` report at tol 0; every other spec is solved
+    on C(S).  ``tol`` is the tolerance of a float result's certificate; a
+    float result that fails it is returned with ``certified=False`` and its
+    true excess.  A ValueError means that the law or every support inside
+    C(S) failed (neither has been seen).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if spec.n_attributes == spec.strength >= 5:
         report = kw_certify(full_profile_design(spec), tol=0)
-        return OptimResult(design=report.design, report=report, iterations=0)
-    return _float_solve(spec, tol=tol, max_iter=max_iter)
-
-
-def _float_solve(spec: ModelSpec, *, tol: float, max_iter: int) -> OptimResult:
-    """optimize_full's float solve: any spec, with its snap and certificate.
-
-    The weights are a {depth index: weight > 0} map.  It starts uniform on
-    depths 1..S-1 (depth S alone would start on a singular boundary).  Each
-    iteration steps toward the worst-variance depth with an exact line
-    search, keeps it and at most _MAX_SUPPORT of the heaviest other depths
-    above _PRUNE_EPS (ties to the lower depth), and Newton-polishes on that
-    active set of at most five depths (an iterate the polish finds singular
-    stays as the step left it), until max_d V(d) - p <= _FLOAT_RTOL * p,
-    whatever ``tol`` is, or ``max_iter`` iterations have run.  Weights at
-    most _PRUNE_EPS are then dropped.  The result carries exact weights when
-    the snap to small rationals passes ``kw_certify`` at tol 0; otherwise the
-    pruned float weights go through ``kw_certify`` at ``tol``, its one use.
-    The float work runs in plain Python, h, phi and the renormalization as
-    correctly rounded sums (``math.fsum``), so a float optimum does not
-    depend on the summation order of a linear algebra library.
-    """
-    s, p = spec.strength, spec.n_params
-    h_matrix = _h_matrix(spec)
-    p_blocks = [float(n) for n in spec.block_dims]
-    w = dict.fromkeys(range(s - 1), 1.0 / (s - 1))
-    iterations = 0
-    while iterations < max_iter:
-        h = _mix(h_matrix, w)
-        variances = _variances(h, p_blocks, h_matrix)
-        worst = max(variances)
-        if worst - p <= _FLOAT_RTOL * p:
-            break
-        target = variances.index(worst)
-        alpha = _line_search(h, h_matrix[target], p_blocks)
-        w = {j: x * (1.0 - alpha) for j, x in w.items()}
-        w[target] = w.get(target, 0.0) + alpha
-        # active set: the depth just stepped toward and the heaviest others (stable sort)
-        others = [j for j in sorted(sorted(w), key=w.__getitem__, reverse=True) if j != target]
-        active = [target, *(j for j in others[:_MAX_SUPPORT] if w[j] >= _PRUNE_EPS)]
-        total = math.fsum(w[j] for j in active)
-        w = {j: w[j] / total for j in active if w[j] > 0}
-        polished = _newton_on_support(h_matrix, p_blocks, w)
-        if polished is not None:
-            w = polished
-        iterations += 1
-    kept = {j + 1: weight for j, weight in sorted(w.items()) if weight > _PRUNE_EPS}
-    report = _snap_to_exact(spec, kept)
-    if report is None:
-        total = sum(kept.values())
-        floats = DepthDesign({d: weight / total for d, weight in kept.items()}, spec)
-        report = kw_certify(floats, tol=tol)
-    design = report.design
-    if report.certified:
-        # V(d) - p is a quartic in d, so a true optimum weights at most four depths
-        assert len(design.support) <= _MAX_SUPPORT, (
-            f"certified design on {len(design.support)} depths; "
-            "at most four can satisfy the support condition"
-        )
-    return OptimResult(design=design, report=report, iterations=iterations)
+    else:
+        report = _solve_on_candidates(spec, tol)
+    return OptimResult(design=report.design, report=report)

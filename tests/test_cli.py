@@ -234,6 +234,11 @@ class TestOptimize:
         assert code == 0
         assert out.splitlines()[-1].endswith(f"({tol_text} relative to p)")
 
+    def test_float_result_that_fails_its_tol_exits_3(self, capsys):
+        code, out, _ = run(capsys, "optimize", "--k", "27", "--s", "25", "--tol", "1e-300")
+        assert code == 3
+        assert out.splitlines()[-1].startswith("NOT certified at tol 1e-300 relative to p: max excess")
+
     def test_json_document_runs_the_exact_oracle(self, capsys, tmp_path):
         plan, doc = tmp_path / "plan.csv", tmp_path / "doc.json"
         code, out, _ = run(
@@ -336,6 +341,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0
         assert "verdict: not optimal" in out
+
+    def test_exact_excess_below_the_least_float_is_not_optimal(self, capsys, tmp_path):
+        # 10^-400 of weight moved from depth 6 to depth 2 of the K=S=7 law design
+        eps = Fraction(1, 10**400)
+        weights = {"2": str(Fraction(3, 4) + eps), "6": str(Fraction(1, 4) - eps)}
+        path = tmp_path / "eps.json"
+        path.write_text(json.dumps({"K": 7, "S": 7, "depth_weights": weights}))
+        code, out, _ = run(capsys, "verify", str(path), "--tol", "0")
+        assert code == 0
+        assert out.splitlines()[-1] == "verdict: not optimal (support condition violated)"
 
     def test_parse_failure(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -501,3 +501,17 @@ class TestKWCertify:
         assert report.optimal
         assert not report.support_ok
         assert not report.certified
+
+    def test_exact_excess_below_the_least_float_is_not_optimal(self):
+        # 10^-400 of weight moved from depth 6 to depth 2 of the K=S=7 law design: the
+        # exact excess and the support miss are positive, but each rounds to 0.0 as a float
+        spec = ModelSpec(7, 7)
+        law = full_profile_design(spec)
+        assert law.weights == {2: Fraction(3, 4), 6: Fraction(1, 4)}
+        eps = Fraction(1, 10**400)
+        design = DepthDesign({2: Fraction(3, 4) + eps, 6: Fraction(1, 4) - eps}, spec)
+        report = kw_certify(design, tol=0)
+        assert report.max_excess > 0 and float(report.max_excess) == 0.0
+        assert report.profile.values[6] != spec.n_params
+        assert not report.optimal and not report.support_ok
+        assert report.verdict == "not optimal"

@@ -200,7 +200,7 @@ class TestOptimizeFull:
         }
         for depth, weight in expected.items():
             assert abs(float(result.design.weights[depth]) - float(weight)) <= 1e-8
-        # the polish actually lands on the exact fractions
+        # the four-depth step solves for the exact fractions
         assert result.design.is_exact
         assert dict(result.design.weights) == expected
         profile = variance_profile(result.design)
@@ -243,7 +243,7 @@ class TestOptimizeFull:
         assert result.certified == report.certified == (report.optimal and report.support_ok)
         assert result.certified
 
-    # the only specs where the snap's closeness test or residue absorption fired
+    # the two three-depth optima, and a pair whose weight is irrational
     @pytest.mark.parametrize(
         "k,s,support", [(6, 5, (1, 2, 4)), (16, 14, (4, 5, 10)), (27, 25, (9, 17))]
     )
@@ -254,22 +254,53 @@ class TestOptimizeFull:
         assert result.certified
         assert result.report.tol == 1e-9
 
-    def test_snap_refuses_a_weight_that_rounds_to_zero(self):
-        # 1e-6 snaps to 0: the snapped weights sum to 1 and {1: 1} is the K=40 S=4
-        # optimum, but a kept depth at weight 0 is no snap of a positive weight
-        assert optimizer._snap_to_exact(ModelSpec(40, 4), {1: 1 - 1e-6, 3: 1e-6}) is None
+    def test_irrational_weight_builds_no_exact_profile(self, monkeypatch):
+        # the (8,6) optimum's weight is the root of an irreducible cubic: no candidate
+        # reaches a tol-0 profile, and only the float design is certified
+        calls = []
+        certify = optimizer.kw_certify
 
-    def test_failed_snap_builds_no_profile(self, monkeypatch):
-        # the (8,6) optimum's weight is the root of an irreducible cubic, so V(d) = p
-        # misses on the snapped support and the full tol-0 profile is never built
+        def counting(design, *, tol):
+            calls.append(tol)
+            return certify(design, tol=tol)
+
+        monkeypatch.setattr(optimizer, "kw_certify", counting)
+        assert optimize_full(ModelSpec(8, 6)).certified
+        assert calls == [1e-9]
+
+    def test_rational_weight_of_any_denominator_is_exact(self):
+        # 20568 lies past a denominator guess of 10^4; the cubic's leading coefficient bounds it
+        result = optimize_full(ModelSpec(60, 50))
+        assert result.design.weights == {19: Fraction(8959, 20568), 31: Fraction(11609, 20568)}
+        assert result.certified and result.report.tol == 0
+
+    @pytest.mark.parametrize(
+        "s,law", [(3200, (1552, 1649)), (5000, (2439, 2562)), (20_000, (9878, 10123))]
+    )
+    def test_one_more_attribute_than_shown_takes_the_law_support(self, s, law):
+        # a float stop test relative to p ~ K^4/24 once stopped here on a point mass
+        assert full_profile_design(ModelSpec(s, s)).support == law
+        result = optimize_full(ModelSpec(s + 1, s))
+        assert result.support == law
+        assert result.certified and result.report.tol == 1e-9
+        for depth in law:
+            point = kw_certify(DepthDesign.point_mass(ModelSpec(s + 1, s), depth), tol=0)
+            assert point.max_excess > 0 and not point.certified
+
+    def test_bracket_of_the_8_6_optimum(self):
         spec = ModelSpec(8, 6)
-        kept = {d: float(w) for d, w in optimize_full(spec).design.weights.items()}
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a snap that misses V(d) = p built the full profile")
-
-        monkeypatch.setattr(optimizer, "kw_certify", refuse)
-        assert optimizer._snap_to_exact(spec, kept) is None
+        lo = optimize_full(spec).design.weights[5]
+        hi = math.nextafter(lo, 1.0)
+        assert optimizer._bracket_proves(spec, 2, 5, lo, hi)
+        # one ulp up or down, the root lies outside
+        assert not optimizer._bracket_proves(spec, 2, 5, hi, math.nextafter(hi, 1.0))
+        assert not optimizer._bracket_proves(spec, 2, 5, math.nextafter(lo, 0.0), lo)
+        # widened by 1/4 the root stays inside, but the off-support bound fails
+        cubic = optimizer._pair_cubic(spec, 2, 5)
+        assert optimizer._cubic_at(cubic, Fraction(lo - 0.25)) > 0
+        assert optimizer._cubic_at(cubic, Fraction(hi + 0.25)) < 0
+        assert optimizer._bracket_proves(spec, 2, 5, lo - 0.125, hi + 0.125)
+        assert not optimizer._bracket_proves(spec, 2, 5, lo - 0.25, hi + 0.25)
 
     @pytest.mark.parametrize("k,s", [(5, 4), (6, 4), (8, 5), (10, 7), (12, 4), (12, 12)])
     def test_partial_profiles_certify_with_small_support(self, k, s):
@@ -307,32 +338,24 @@ class TestOptimizeFull:
         self.assert_full_profile_law(s)
 
     def test_full_profile_law_at_every_s(self):
-        # optimize_full takes the rule at K = S >= 5; the float solve, which it
-        # no longer runs there, still reaches the same design on its own
+        # optimize_full takes the rule at K = S >= 5; the solve on the candidate
+        # depths, which it does not run there, reaches the same design on its own
         for s in range(5, 459):
             spec = ModelSpec(s, s)
-            result = optimizer._float_solve(spec, tol=1e-9, max_iter=5000)
-            assert result.design == full_profile_design(spec)
-            assert result.certified and result.report.tol == 0
+            report = optimizer._solve_on_candidates(spec, 1e-9)
+            assert report.design == full_profile_design(spec)
+            assert report.certified and report.tol == 0
 
-    # the float solve misses here: float weights from S = 459, one depth from S = 3460
+    # an S-depth float ascent missed here: float weights from S = 459, one depth from S = 3460
     @pytest.mark.parametrize("s", [459, 648, 2000, 3500, 10_000])
     def test_full_profile_law_at_large_s(self, s):
         self.assert_full_profile_law(s)
 
     def test_full_profile_without_iterations(self):
-        result = optimize_full(ModelSpec(12, 12), max_iter=0)
+        result = optimize_full(ModelSpec(12, 12))
         assert result.certified and result.report.tol == 0
         assert result.iterations == 0
         assert result.design == full_profile_design(ModelSpec(12, 12))
-
-    def test_budget_exhaustion_reports_best_iterate(self, spec44):
-        result = optimize_full(spec44, max_iter=0)
-        assert not result.certified
-        assert result.report.max_excess > 0
-        assert result.iterations == 0
-        # the reported design is still a valid weighting
-        assert abs(sum(float(w) for w in result.design.weights.values()) - 1) <= 1e-12
 
     def test_concavity_of_objective(self):
         spec = ModelSpec(7, 7)
@@ -375,15 +398,15 @@ class TestOptimizeFull:
 
 
 class TestOnePath:
-    """At K = S >= 5 optimize_full returns the law's result, whatever it is: no float solve."""
+    """At K = S >= 5 optimize_full returns the law's result, whatever it is: no candidate solve."""
 
     @pytest.fixture
-    def float_solves(self, monkeypatch):
+    def candidate_solves(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(optimizer, "_float_solve", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(optimizer, "_solve_on_candidates", lambda *args: calls.append(args))
         return calls
 
-    def test_rule_that_raises_surfaces(self, monkeypatch, capsys, float_solves):
+    def test_rule_that_raises_surfaces(self, monkeypatch, capsys, candidate_solves):
         def no_depth(spec):
             raise ValueError("the full-profile law passes at depths [] for S=12")
 
@@ -393,9 +416,9 @@ class TestOnePath:
         assert main(["optimize", "--k", "12", "--s", "12"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
-        assert float_solves == []
+        assert candidate_solves == []
 
-    def test_failed_proof_is_returned_uncertified(self, monkeypatch, float_solves):
+    def test_failed_proof_is_returned_uncertified(self, monkeypatch, candidate_solves):
         certify = optimizer.kw_certify
         monkeypatch.setattr(
             optimizer,
@@ -406,7 +429,7 @@ class TestOnePath:
         result = optimize_full(spec)
         assert result.design == full_profile_design(spec)
         assert not result.certified and result.iterations == 0
-        assert float_solves == []
+        assert candidate_solves == []
 
 
 # one line "K S support weights" per exact optimum of the 703-spec grid, weights as
@@ -481,7 +504,7 @@ def five_depth_sets():
 
 
 class TestActiveSet:
-    """optimize_full's Newton system never needs rank handling."""
+    """optimize_full's linear systems never need rank handling."""
 
     def test_any_five_depths_are_affinely_independent(self):
         # det[1, h_numerators(S, d_i)] is the product of the leading coefficients
@@ -492,7 +515,7 @@ class TestActiveSet:
             assert det == 16384 * vandermonde != 0, (s, depths)
 
     def test_newton_solves_at_most_four_unknowns(self, monkeypatch):
-        # the 703 specs 4 <= S <= K <= 40: the entering depth and at most four others
+        # the 703 specs 4 <= S <= K <= 40: only the exact four-depth systems of K = S = 4
         sizes = []
         solve = optimizer._solve
 
@@ -504,7 +527,7 @@ class TestActiveSet:
         specs = [ModelSpec(k, s) for k in range(4, 41) for s in range(4, k + 1)]
         assert len(specs) == 703
         assert all(optimize_full(spec).certified for spec in specs)
-        assert sizes and max(sizes) <= optimizer._MAX_SUPPORT
+        assert sizes == [4, 4]
 
     def test_singular_system_gives_none(self):
         assert optimizer._solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0]) is None
