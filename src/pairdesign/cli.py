@@ -14,8 +14,9 @@ early (nothing is printed to stderr then), 2 usage or parse failure, a
 malformed design file (a CSV plan must be whole orbits in export order), a
 file that cannot be read or written, a plan past ``_MAX_PLAN_ROWS`` rows or
 a ``verify --oracle`` request past the oracle gate or without numpy (one
-``error:`` line on stderr), 3 a float result that fails its tol, 4 singular
-(non-identifiable) design, from any subcommand.  All output is deterministic.
+``error:`` line on stderr), 3 an ``optimize`` result that fails its certificate
+(never seen), 4 singular (non-identifiable) design, from any subcommand.
+All output is deterministic.
 
 Only the brute-force oracle needs numpy: ``explicit`` and ``oracle`` are
 imported inside ``verify --oracle``.  CSV plans are written and read as text
@@ -346,12 +347,13 @@ def _print_optimize_text(spec: ModelSpec, result: OptimResult) -> None:
     if report.certified:
         print(f"certified D-optimal: {excess} (tol {report.tol:g} relative to p)")
     else:
-        print(f"NOT certified at tol {report.tol:g} relative to p: {excess}")
+        half = "" if report.support_ok else " (support condition violated)"
+        print(f"NOT certified at tol {report.tol:g} relative to p: {excess}{half}")
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     spec = ModelSpec(args.k, args.s)
-    result = optimize_full(spec, tol=args.tol)
+    result = optimize_full(spec)
     design = result.design
     if args.export:
         _check_plan_rows(spec, design.support)
@@ -532,11 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize = subparsers.add_parser("optimize", help="compute a D-optimal design")
     optimize.add_argument("--k", type=int, required=True, help="number of attributes")
     optimize.add_argument("--s", type=int, required=True, help="profile strength")
-    optimize.add_argument(
-        "--tol", type=float, default=1e-9,
-        help="tolerance, relative to p, of the certificate of a float result, an irrational "
-        "pair weight or a three-depth optimum (positive and finite; all else is exact)",
-    )
     optimize.add_argument("--json", action="store_true", help="emit a JSON design document")
     optimize.add_argument("--export", metavar="FILE", help="write explicit pair rows as CSV")
     optimize.set_defaults(handler=cmd_optimize)

@@ -7,12 +7,12 @@ the depth weights and depends on them only through h in R^4, so an optimum
 needs at most four depths.  On full profiles K = S >= 5 optimize_full returns
 the closed-form law of full_profile_design.  Every other spec is solved on
 the candidate depths C(S), the law's support at strength S with the four-way
-argmax (all four depths at S = 4), one support at a time, each decided by an
-exact proof: point masses, pairs with a rational weight and four depths by
-kw_certify at tol 0, pairs with an irrational weight by a rational bracket of
-it.  Only C(S) itself, when it is three depths, is solved in floats.  At most
-one support proves: log det is strictly concave in h, and any five h(d) are
-affinely independent.
+argmax (all four depths at S = 4), one support at a time, each decided by one
+integer check: V(y) = sum_r z_r h_numerators(S, y)[r] <= p off the support for
+an upper bound of the design's dual z.  A pair's or a triple's optimum is the
+root of one integer cubic, exact when rational, else bracketed by two adjacent
+floats.  At most one support proves: log det is strictly concave in h, and
+any five h(d) are affinely independent.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .design_space import DepthDesign, ModelSpec
 from .equivalence import CertificationReport, _mirror_g0, kw_certify
-from .information import _h_denominators, h_numerators
+from .information import h_numerators
 
 __all__ = [
     "OptimResult",
@@ -143,13 +143,17 @@ def full_profile_design(spec: ModelSpec) -> DepthDesign:
     return DepthDesign({d: Fraction(s + 1 - d, s + 1), s + 1 - d: Fraction(d, s + 1)}, spec)
 
 
+# the certificate tolerance, relative to p, of the floats of an irrational optimum
+_FLOAT_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class OptimResult:
-    """Outcome of one D-optimality run over the depth simplex."""
+    """Outcome of one D-optimality run: the optimal design and its certificate."""
 
     design: DepthDesign
-    # the kw_certify report of ``design``; its tol is the proof's: 0 for
-    # exact weights, the run's ``tol`` for float ones
+    # the kw_certify report of ``design``: at tol 0 for exact weights, at
+    # _FLOAT_TOL for the nearest floats of an irrational optimum
     report: CertificationReport = field(repr=False, compare=False)
 
     @property
@@ -168,56 +172,35 @@ class OptimResult:
         return self.report.certified
 
 
-def _h_matrix(spec: ModelSpec) -> list[tuple[float, ...]]:
-    """Block informations as one float tuple (h_1..h_4)(d) per depth d = 1..S.
-
-    Int true division n / den rounds correctly at any size, as
-    float(Fraction(n, den)) does.
-    """
-    den1, den2, den3, den4 = _h_denominators(spec.n_attributes)
-    numerators = (h_numerators(spec.strength, d) for d in spec.depths)
-    return [(n1 / den1, n2 / den2, n3 / den3, n4 / den4) for n1, n2, n3, n4 in numerators]
+def _det(m: list[list]):
+    """Determinant by Laplace expansion along the first row, exact for ints and Fractions."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * v * _det([row[:j] + row[j + 1 :] for row in m[1:]]) for j, v in enumerate(m[0])
+    )
 
 
 def _solve(matrix: list[list], rhs: list) -> list | None:
-    """x with matrix @ x = rhs, or None at a zero pivot: Gauss-Jordan in row order.
+    """x with matrix @ x = rhs by Cramer's rule, or None when singular; exact without floats."""
+    det = _det(matrix)
+    if not det:
+        return None
+    return [
+        _det([[*row[:i], b, *row[i + 1 :]] for row, b in zip(matrix, rhs)]) / Fraction(det)
+        for i in range(len(rhs))
+    ]
 
-    Exact in Fractions.  The four-depth systems of S = 4 need no pivot search.
+
+def _bound_holds(spec: ModelSpec, support, z) -> bool:
+    """V(y) = sum_r z_r n_r(y) <= p at every depth y off ``support``, in integers.
+
+    n = h_numerators, and each rational z_r bounds the design's dual p_r / N_r
+    from above, N_r = sum_d w_d n_r(d).
     """
-    n = len(rhs)
-    rows = [[*row, b] for row, b in zip(matrix, rhs)]
-    for column in range(n):
-        if not rows[column][column]:
-            return None
-        pivot = rows[column] = [v / rows[column][column] for v in rows[column]]
-        for i in range(n):
-            factor = rows[i][column]
-            if i != column and factor:
-                rows[i] = [v - factor * u for v, u in zip(rows[i], pivot)]
-    return [row[n] for row in rows]
-
-
-def _slope(p_blocks, h_from, h_to, a: float) -> float:
-    """Slope of log det at (1-a) h_from + a h_to, toward h_to: it falls with a."""
-    return sum(p * (t - x) / ((1.0 - a) * x + a * t) for p, x, t in zip(p_blocks, h_from, h_to))
-
-
-def _bisect(rises) -> float:
-    """The last float of [0, 1) at which the falling function ``rises`` is still true."""
-    low, high = 0.0, 1.0
-    while (mid := 0.5 * (low + high)) not in (low, high):
-        low, high = (mid, high) if rises(mid) else (low, mid)
-    return low
-
-
-def _bound_holds(spec: ModelSpec, support, low: list[int], den: int) -> bool:
-    """sum_r p_r h_r(y) den / low_r <= p at every depth y off ``support``, in integers.
-
-    low_r / den is a lower bound of the design's block r numerator, as in h_numerators.
-    """
-    total = math.prod(low)
-    coefficients = [den * p_r * (total // m) for p_r, m in zip(spec.block_dims, low)]
-    limit = spec.n_params * total
+    den = math.lcm(*(z_r.denominator for z_r in z))
+    coefficients = [z_r.numerator * (den // z_r.denominator) for z_r in z]
+    limit = spec.n_params * den
     return all(
         sum(c * n for c, n in zip(coefficients, h_numerators(spec.strength, y))) <= limit
         for y in spec.depths
@@ -225,40 +208,43 @@ def _bound_holds(spec: ModelSpec, support, low: list[int], den: int) -> bool:
     )
 
 
-def _pair_cubic(spec: ModelSpec, d: int, e: int) -> list[int]:
+def _edge_cubic(p_blocks, x, t) -> list[int]:
     """Integer coefficients c0..c3 of P(a) = sum_r p_r (t_r - x_r) prod_{q!=r} ((1-a) x_q + a t_q).
 
-    x, t are the h_numerators of d < e, and a is the weight on e.  P is the
-    slope of log det along the edge, sum_r p_r (t_r - x_r) / ((1-a) x_r + a t_r),
-    times its denominators, so on (0, 1) P has the sign of the falling slope.
+    On (0, 1), for x, t >= 0, P has the sign of the slope sum_r p_r (t_r - x_r) /
+    ((1-a) x_r + a t_r); rational x, t give a P scaled here to integers.
     """
-    x, t = h_numerators(spec.strength, d), h_numerators(spec.strength, e)
     cubic = [0, 0, 0, 0]
-    for r, p_r in enumerate(spec.block_dims):
+    for r, p_r in enumerate(p_blocks):
         term = [p_r * (t[r] - x[r])]
         for q in range(4):
             if q != r:  # times x_q + (t_q - x_q) a
                 term = [x[q] * c + (t[q] - x[q]) * b for c, b in zip([*term, 0], [0, *term])]
         cubic = [c + b for c, b in zip(cubic, term)]
-    return cubic
+    scale = math.lcm(*(c.denominator for c in cubic))
+    return [c.numerator * (scale // c.denominator) for c in cubic]
 
 
-def _cubic_at(cubic: list[int], value: Fraction) -> int:
+def _cubic_at(cubic: list[int], value: Fraction | float) -> int:
     """P(value) times the cube of value's denominator: an integer with P(value)'s sign."""
-    return sum(c * value.numerator**i * value.denominator ** (3 - i) for i, c in enumerate(cubic))
+    (c0, c1, c2, c3), (u, v) = cubic, value.as_integer_ratio()
+    return ((c3 * u + c2 * v) * u + c1 * v * v) * u + c0 * v * v * v
 
 
-def _pair_bracket(cubic: list[int], start: float) -> tuple[Fraction, Fraction]:
-    """(root, root) if P's root next to ``start`` is rational, else its nearest float and the next.
+def _root_bracket(cubic: list[int]) -> tuple[Fraction, Fraction]:
+    """(root, root) if P's falling root in (0, 1) is rational, else its nearest float and the next.
 
-    A rational root u/v has v dividing the leading coefficient L of P over its
-    content, and fractions with denominators up to L lie 1/L^2 apart, so Newton
-    in integers at 2^-k, far below 1/(2 L^2) and the float spacing, finds it by
-    limit_denominator(L).  Else P's exact sign at the nearest float picks the next.
+    Bisection on P's exact sign starts Newton's method in integers at 2^-k.  A
+    rational root u/v has v dividing the leading coefficient L of P over its
+    content, and fractions with denominators up to L lie 1/L^2 apart, so at 2^-k
+    far below 1/(2 L^2) limit_denominator(L) finds it.  Else P's sign picks the next.
     """
+    low, high = 0.0, 1.0
+    while (mid := 0.5 * (low + high)) not in (low, high):
+        low, high = (mid, high) if _cubic_at(cubic, mid) > 0 else (low, mid)
     lead = abs(next(c for c in reversed(cubic) if c)) // math.gcd(*cubic)
-    k = 2 * lead.bit_length() + 64 - math.frexp(start)[1]
-    m = int(Fraction(start) * (1 << k))
+    k = 2 * lead.bit_length() + 64 - math.frexp(low)[1]
+    m = int(Fraction(low) * (1 << k))
     for _ in range(16):
         value = sum(c * m**i << k * (3 - i) for i, c in enumerate(cubic))
         step = value // sum(i * c * m ** (i - 1) << k * (3 - i) for i, c in enumerate(cubic) if i)
@@ -273,120 +259,133 @@ def _pair_bracket(cubic: list[int], start: float) -> tuple[Fraction, Fraction]:
     return Fraction(alpha), Fraction(beyond)
 
 
-def _bracket_proves(spec: ModelSpec, d: int, e: int, lo, hi) -> bool:
-    """Prove the optimum on {d < e} D-optimal, with its weight on e in [lo, hi].
+def _edge(spec: ModelSpec, support):
+    """(x, t, cubic, at) of the segment on which a pair's or triple's optimum is the cubic's root.
 
-    Exact signs P(lo) >= 0 >= P(hi) put the edge's optimum a*, where V(d) =
-    V(e) = p, in [lo, hi].  Each h_r is linear in a, so V(y) <= sum_r p_r h_r(y)
-    / min(h_r(lo), h_r(hi)) there; that bound at most p at every other depth
-    proves a* optimal (Kiefer & Wolfowitz 1960).  lo = hi checks a rational root.
+    ``at(a)`` gives the dual z and, per depth, the terms that sum to its
+    weight; each is monotone in a.  A pair {d, e} walks N(a) = (1-a) n(d) +
+    a n(e) with z = p / N, and the cubic is the slope of log det.  A triple's z
+    lies on the line V(d_i) = sum_r z_r n_r(d_i) = p.  Each nonzero 3 x 3 minor
+    gives, by Cramer's rule, the point where z_r = 0; the two with z >= 0 end
+    the positive part, z(a) = (1-a) x + a t.  The cubic is the slope of
+    sum_r p_r ln z_r: at its root p / z lies in the span of the n(d_i), so the
+    weights that give three blocks N_r = p_r / z_r give the fourth.  None when
+    the positive part is not a segment.
+    """
+    p_blocks, rows = spec.block_dims, [h_numerators(spec.strength, d) for d in support]
+    if len(support) == 2:
+        x, t = rows
+
+        def at(a):
+            n = [(1 - a) * x_r + a * t_r for x_r, t_r in zip(x, t)]
+            return [p_r / n_r for p_r, n_r in zip(p_blocks, n)], [[1 - a], [a]]
+
+        return x, t, _edge_cubic(p_blocks, x, t), at
+    ends = []
+    for r in range(4):
+        others = [q for q in range(4) if q != r]
+        end = _solve([[row[q] for q in others] for row in rows], [spec.n_params] * 3)
+        if end is not None:  # a nonzero minor: its blocks' equations fix the weights too
+            blocks = others
+            end.insert(r, Fraction(0))
+            ends += [end] if min(end) >= 0 and end not in ends else []
+    # a bounded positive part, inside no face z_q = 0
+    if len(ends) != 2 or 0 in map(sum, zip(*ends)):
+        return None
+    x, t = ends
+    columns = [[row[q] for row in rows] for q in blocks]
+    inverse = [_solve(columns, [int(i == j) for i in range(3)]) for j in range(3)]
+
+    def at(a):
+        z = [(1 - a) * x_r + a * t_r for x_r, t_r in zip(x, t)]
+        return z, [[c[i] * p_blocks[q] / z[q] for c, q in zip(inverse, blocks)] for i in range(3)]
+
+    return x, t, _edge_cubic(p_blocks, x, t), at
+
+
+def _bracket_proves(spec: ModelSpec, support, edge, lo, hi) -> bool:
+    """Prove the optimum on a pair or triple D-optimal, given its ``_edge`` and root a* in [lo, hi].
+
+    Exact signs P(lo) >= 0 >= P(hi) put a* there.  Each z_r is monotone in a, so
+    V(y) <= sum_r max(z_r(lo), z_r(hi)) n_r(y), and each weight is at least the sum of
+    its terms' minima at lo and hi.  Positive weights and that bound at most p off
+    the support prove a* optimal (Kiefer & Wolfowitz 1960).  lo = hi: a rational root.
     """
     lo, hi = Fraction(lo), Fraction(hi)
-    cubic = _pair_cubic(spec, d, e)
+    _, _, cubic, at = edge
     if not (0 < lo <= hi < 1 and any(cubic) and _cubic_at(cubic, lo) >= 0 >= _cubic_at(cubic, hi)):
         return False
-    den = math.lcm(lo.denominator, hi.denominator)
-    ends = [int(a * den) for a in (lo, hi)]
-    x, t = h_numerators(spec.strength, d), h_numerators(spec.strength, e)
-    low = [min((den - a) * x_r + a * t_r for a in ends) for x_r, t_r in zip(x, t)]
-    return _bound_holds(spec, (d, e), low, den)
+    (z_lo, w_lo), (z_hi, w_hi) = at(lo), at(hi)
+    if min(sum(map(min, low, high)) for low, high in zip(w_lo, w_hi)) <= 0:
+        return False
+    return _bound_holds(spec, support, list(map(max, z_lo, z_hi)))
 
 
-def _point_step(spec: ModelSpec, support, h_matrix, tol: float) -> CertificationReport | None:
-    """A point mass whose V is at most p off its depth, with its kw_certify report at tol 0."""
+def _point_step(spec: ModelSpec, support) -> DepthDesign | None:
+    """A point mass, if z_r = p_r / n_r(d) bounds V by p off its depth."""
     x = h_numerators(spec.strength, support[0])
-    if 0 in x or not _bound_holds(spec, support, list(x), 1):
+    if 0 in x or not _bound_holds(spec, support, list(map(Fraction, spec.block_dims, x))):
         return None
-    return kw_certify(DepthDesign.point_mass(spec, support[0]), tol=0)
+    return DepthDesign.point_mass(spec, support[0])
 
 
-def _pair_step(spec: ModelSpec, support, h_matrix, tol: float) -> CertificationReport | None:
-    """The optimum on {d, e} if its edge's slope has an interior root whose bracket proves.
-
-    A rational weight is reported at tol 0, an irrational one's float at ``tol``.
-    """
-    d, e = support
-    cubic = _pair_cubic(spec, d, e)
-    h_d, h_e = h_matrix[d - 1], h_matrix[e - 1]
-    # the slope is +inf at a = 0 when d alone leaves a block empty, and -inf at a = 1 likewise
-    if not (any(cubic) and (0 in h_d or cubic[0] > 0) and (0 in h_e or sum(cubic) < 0)):
+def _edge_step(spec: ModelSpec, support) -> DepthDesign | None:
+    """The optimum on a pair or triple: exact at a rational root, else floats at its nearest."""
+    edge = _edge(spec, support)
+    if edge is None:
         return None
-    near, far = _pair_bracket(cubic, _bisect(lambda a: _slope(spec.block_dims, h_d, h_e, a) > 0))
-    if not _bracket_proves(spec, d, e, min(near, far), max(near, far)):
+    x, t, cubic, at = edge
+    # the slope is +inf at a = 0 when x leaves a block empty, and -inf at a = 1 likewise
+    if not (any(cubic) and (0 in x or cubic[0] > 0) and (0 in t or sum(cubic) < 0)):
         return None
-    weights = {d: 1 - near, e: near} if near == far else {d: float(1 - near), e: float(near)}
-    return kw_certify(DepthDesign(weights, spec), tol=0 if near == far else tol)
-
-
-def _four_step(spec: ModelSpec, support, h_matrix, tol: float) -> CertificationReport | None:
-    """Four depths, exactly: V(d) = sum_r (p_r / h_r) h_r(d) = p at each is linear in the
-    p_r / h_r, and the weights follow from h_r = sum_d w_d h_r(d).  Proved at tol 0.
-    """
-    rows = [[Fraction(n) for n in h_numerators(spec.strength, d)] for d in support]
-    inverse_h = _solve(rows, [Fraction(spec.n_params)] * 4)
-    if inverse_h is None or min(inverse_h) <= 0:
+    near, far = _root_bracket(cubic)
+    if not _bracket_proves(spec, support, edge, min(near, far), max(near, far)):
         return None
-    h = [p_r / z for p_r, z in zip(spec.block_dims, inverse_h)]
-    weights = _solve([list(column) for column in zip(*rows)], h)
-    if weights is None or min(weights) <= 0:
+    weights = [sum(terms) for terms in at(near)[1]]
+    return DepthDesign(dict(zip(support, weights if near == far else map(float, weights))), spec)
+
+
+def _four_step(spec: ModelSpec, support) -> DepthDesign | None:
+    """Four depths: V(d) = sum_r z_r n_r(d) = p at each fixes z, and N_r = p_r / z_r the weights."""
+    rows = [h_numerators(spec.strength, d) for d in support]
+    z = _solve(rows, [spec.n_params] * 4)
+    if z is None or min(z) <= 0:
         return None
-    report = kw_certify(DepthDesign(dict(zip(support, weights)), spec), tol=0)
-    return report if report.certified else None
+    numerators = [p_r / z_r for p_r, z_r in zip(spec.block_dims, z)]
+    weights = _solve(list(zip(*rows)), numerators)
+    if min(weights) <= 0 or not _bound_holds(spec, support, z):
+        return None
+    return DepthDesign(dict(zip(support, weights)), spec)
 
 
-def _three_step(spec: ModelSpec, support, h_matrix, tol: float) -> CertificationReport:
-    """Three depths d1 < d2 < d3 in floats, certified at ``tol``.
-
-    At weight b on d3, d1 and d2 split the rest at the root a of their edge's
-    slope; log det there is concave in b with the slope toward d3 as its
-    derivative.  Both roots are found by bisection.
-    """
-    p_blocks, (h1, h2, h3) = spec.block_dims, (h_matrix[d - 1] for d in support)
-
-    def mix(h_from, h_to, a: float) -> list[float]:
-        return [(1.0 - a) * x + a * t for x, t in zip(h_from, h_to)]
-
-    def split(b: float) -> float:
-        low, high = mix(h1, h3, b), mix(h2, h3, b)
-        return _bisect(lambda a: _slope(p_blocks, low, high, a) > 0)
-
-    b = _bisect(lambda b: _slope(p_blocks, mix(h1, h2, split(b)), h3, b) > 0)
-    a = split(b)
-    weights = dict(zip(support, ((1.0 - a) * (1.0 - b), a * (1.0 - b), b)))
-    return kw_certify(DepthDesign(weights, spec), tol=tol)
+# support sizes in the order tried, each step a proof by _bound_holds; the costliest last
+_STEPS = {1: _point_step, 2: _edge_step, 4: _four_step, 3: _edge_step}
 
 
-# support sizes in the order they are tried: the exact steps first
-_STEPS = {1: _point_step, 2: _pair_step, 4: _four_step, 3: _three_step}
-
-
-def _solve_on_candidates(spec: ModelSpec, tol: float) -> CertificationReport:
-    """optimize_full off full profiles: the report of the first support in C(S) that proves."""
-    s, h_matrix = spec.strength, _h_matrix(spec)
+def _solve_on_candidates(spec: ModelSpec) -> DepthDesign:
+    """optimize_full off full profiles: the design on the first support in C(S) that proves."""
+    s = spec.strength
     law = full_profile_design(ModelSpec(s, s)).support if s > 4 else (1, 2, 3, 4)
     candidates = sorted({*law, *optimal_depth_third_order(s)})
     for size, step in _STEPS.items():
         for support in itertools.combinations(candidates, size):
-            report = step(spec, support, h_matrix, tol)
-            if report is not None:
-                return report
+            design = step(spec, support)
+            if design is not None:
+                return design
     raise ValueError(f"no support in C(S) = {candidates} proves optimal for {spec}")
 
 
-def optimize_full(spec: ModelSpec, *, tol: float = 1e-9) -> OptimResult:
+def optimize_full(spec: ModelSpec) -> OptimResult:
     """Maximize log det over depth weightings and certify the result.
 
     Full profiles K = S >= 5 take ``full_profile_design``, the closed-form
-    law, with its ``kw_certify`` report at tol 0; every other spec is solved
-    on C(S).  ``tol`` is the tolerance of a float result's certificate; a
-    float result that fails it is returned with ``certified=False`` and its
-    true excess.  A ValueError means that the law or every support inside
-    C(S) failed (neither has been seen).
+    law; every other spec is solved on C(S).  The one ``kw_certify`` report is
+    at tol 0 for exact weights, at 1e-9 for the floats of an irrational optimum.
+    A ValueError means that the law or every support in C(S) failed (never seen).
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     if spec.n_attributes == spec.strength >= 5:
-        report = kw_certify(full_profile_design(spec), tol=0)
+        design = full_profile_design(spec)
     else:
-        report = _solve_on_candidates(spec, tol)
-    return OptimResult(design=report.design, report=report)
+        design = _solve_on_candidates(spec)
+    report = kw_certify(design, tol=0 if design.is_exact else _FLOAT_TOL)
+    return OptimResult(design=design, report=report)

@@ -1,6 +1,7 @@
 """Command line behavior: output formats, exit codes, file round trips."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -204,13 +205,6 @@ class TestOptimize:
         assert code == 2
         assert "strength" in err
 
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-    def test_bad_tol_exits_2(self, capsys, tol):
-        code, out, err = run(capsys, "optimize", "--k", "4", "--s", "4", "--tol", tol)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "tol" in err
-
     def test_one_certificate_per_optimize(self, capsys, monkeypatch):
         from pairdesign import optimizer
 
@@ -234,10 +228,33 @@ class TestOptimize:
         assert code == 0
         assert out.splitlines()[-1].endswith(f"({tol_text} relative to p)")
 
-    def test_float_result_that_fails_its_tol_exits_3(self, capsys):
-        code, out, _ = run(capsys, "optimize", "--k", "27", "--s", "25", "--tol", "1e-300")
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tol_exits_2(self, capsys, tol):
+        # optimize has no --tol: a float result's tolerance is fixed, and a script
+        # that still passes one gets a usage error, not a silently ignored value
+        with pytest.raises(SystemExit) as exited:
+            main(["optimize", "--k", "4", "--s", "4", "--tol", tol])
+        out, err = capsys.readouterr()
+        assert exited.value.code == 2
+        assert out == "" and "unrecognized arguments: --tol" in err
+
+    def test_float_result_that_fails_its_tol_exits_3(self, capsys, monkeypatch):
+        # the float optimum of (27, 25) with its report's support condition failed
+        solve = cli.optimize_full
+
+        def failing(spec):
+            result = solve(spec)
+            return dataclasses.replace(
+                result, report=dataclasses.replace(result.report, support_ok=False)
+            )
+
+        monkeypatch.setattr(cli, "optimize_full", failing)
+        code, out, _ = run(capsys, "optimize", "--k", "27", "--s", "25")
         assert code == 3
-        assert out.splitlines()[-1].startswith("NOT certified at tol 1e-300 relative to p: max excess")
+        assert out.splitlines()[-1] == (
+            "NOT certified at tol 1e-09 relative to p: max excess 0.000e+00"
+            " (support condition violated)"
+        )
 
     def test_json_document_runs_the_exact_oracle(self, capsys, tmp_path):
         plan, doc = tmp_path / "plan.csv", tmp_path / "doc.json"

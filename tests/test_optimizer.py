@@ -34,11 +34,10 @@ from pairdesign import (
     optimize_full,
     variance_profile,
 )
-from pairdesign.information import h_numerators, h_values
+from pairdesign.information import h_numerators
 from pairdesign import optimizer
 from pairdesign.cli import main
 from pairdesign.equivalence import _mirror_g0
-from pairdesign.optimizer import _h_matrix
 
 THIRD_ORDER_REPORTED_DEPTH = {4: 1, 5: 1, 6: 1, 7: 1, 8: 2, 9: 2, 10: 2, 11: 3, 12: 3}
 
@@ -248,7 +247,7 @@ class TestOptimizeFull:
         "k,s,support", [(6, 5, (1, 2, 4)), (16, 14, (4, 5, 10)), (27, 25, (9, 17))]
     )
     def test_float_optima_certified_at_tol(self, k, s, support):
-        result = optimize_full(ModelSpec(k, s), tol=1e-9)
+        result = optimize_full(ModelSpec(k, s))
         assert not result.design.is_exact
         assert result.support == support
         assert result.certified
@@ -291,16 +290,60 @@ class TestOptimizeFull:
         spec = ModelSpec(8, 6)
         lo = optimize_full(spec).design.weights[5]
         hi = math.nextafter(lo, 1.0)
-        assert optimizer._bracket_proves(spec, 2, 5, lo, hi)
+        edge = optimizer._edge(spec, (2, 5))
+        assert optimizer._bracket_proves(spec, (2, 5), edge, lo, hi)
         # one ulp up or down, the root lies outside
-        assert not optimizer._bracket_proves(spec, 2, 5, hi, math.nextafter(hi, 1.0))
-        assert not optimizer._bracket_proves(spec, 2, 5, math.nextafter(lo, 0.0), lo)
+        assert not optimizer._bracket_proves(spec, (2, 5), edge, hi, math.nextafter(hi, 1.0))
+        assert not optimizer._bracket_proves(spec, (2, 5), edge, math.nextafter(lo, 0.0), lo)
         # widened by 1/4 the root stays inside, but the off-support bound fails
-        cubic = optimizer._pair_cubic(spec, 2, 5)
-        assert optimizer._cubic_at(cubic, Fraction(lo - 0.25)) > 0
-        assert optimizer._cubic_at(cubic, Fraction(hi + 0.25)) < 0
-        assert optimizer._bracket_proves(spec, 2, 5, lo - 0.125, hi + 0.125)
-        assert not optimizer._bracket_proves(spec, 2, 5, lo - 0.25, hi + 0.25)
+        cubic = edge[2]
+        assert optimizer._cubic_at(cubic, lo - 0.25) > 0
+        assert optimizer._cubic_at(cubic, hi + 0.25) < 0
+        assert optimizer._bracket_proves(spec, (2, 5), edge, lo - 0.125, hi + 0.125)
+        assert not optimizer._bracket_proves(spec, (2, 5), edge, lo - 0.25, hi + 0.25)
+
+    @pytest.mark.parametrize(
+        "k,s,support,proves,fails", [(6, 5, (1, 2, 4), 2**-6, 2**-5), (16, 14, (4, 5, 10), 2**-9, 2**-8)]
+    )
+    def test_bracket_of_the_three_depth_optima(self, k, s, support, proves, fails):
+        # a triple's root is a point on its dual line: the floats around it prove it
+        spec = ModelSpec(k, s)
+        edge = optimizer._edge(spec, support)
+        cubic, at = edge[2:]
+        near, far = optimizer._root_bracket(cubic)
+        lo, hi = float(min(near, far)), float(max(near, far))
+        assert hi == math.nextafter(lo, 1.0)
+        assert optimizer._bracket_proves(spec, support, edge, lo, hi)
+        # the design is the weights at the root's nearest float
+        weights = [float(sum(terms)) for terms in at(near)[1]]
+        assert list(optimize_full(spec).design.weights.values()) == weights
+        # one ulp up or down, the root lies outside
+        assert not optimizer._bracket_proves(spec, support, edge, hi, math.nextafter(hi, 1.0))
+        assert not optimizer._bracket_proves(spec, support, edge, math.nextafter(lo, 0.0), lo)
+        # widened, the root stays inside until the weights' lower bound fails
+        assert optimizer._cubic_at(cubic, lo - fails) > 0 > optimizer._cubic_at(cubic, hi + fails)
+        assert optimizer._bracket_proves(spec, support, edge, lo - proves, hi + proves)
+        assert not optimizer._bracket_proves(spec, support, edge, lo - fails, hi + fails)
+
+    @pytest.mark.parametrize("k,s", [(6, 5), (8, 6), (60, 50), (19, 4), (4, 4)])
+    def test_steps_prove_and_optimize_full_certifies_once(self, monkeypatch, k, s):
+        calls, solved = [], []
+        certify, solve = optimizer.kw_certify, optimizer._solve_on_candidates
+
+        def counting(design, *, tol):
+            calls.append(design)
+            return certify(design, tol=tol)
+
+        def solving(spec):
+            design = solve(spec)
+            solved.append(len(calls))
+            return design
+
+        monkeypatch.setattr(optimizer, "kw_certify", counting)
+        monkeypatch.setattr(optimizer, "_solve_on_candidates", solving)
+        result = optimize_full(ModelSpec(k, s))
+        assert solved == [0]  # no step certifies: the integer bound decides
+        assert calls == [result.design] and result.certified
 
     @pytest.mark.parametrize("k,s", [(5, 4), (6, 4), (8, 5), (10, 7), (12, 4), (12, 12)])
     def test_partial_profiles_certify_with_small_support(self, k, s):
@@ -342,9 +385,7 @@ class TestOptimizeFull:
         # depths, which it does not run there, reaches the same design on its own
         for s in range(5, 459):
             spec = ModelSpec(s, s)
-            report = optimizer._solve_on_candidates(spec, 1e-9)
-            assert report.design == full_profile_design(spec)
-            assert report.certified and report.tol == 0
+            assert optimizer._solve_on_candidates(spec) == full_profile_design(spec)
 
     # an S-depth float ascent missed here: float weights from S = 459, one depth from S = 3460
     @pytest.mark.parametrize("s", [459, 648, 2000, 3500, 10_000])
@@ -379,17 +420,18 @@ class TestOptimizeFull:
             assert phi(blend) >= lam * phi(u) + (1 - lam) * phi(v) - 1e-12
 
     def test_bad_tol(self, spec44):
-        with pytest.raises(ValueError):
+        # optimize_full takes no tol: the proof sets its report's tol
+        with pytest.raises(TypeError, match="tol"):
             optimize_full(spec44, tol=0)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_non_finite_or_negative_tol(self, spec44, tol):
-        with pytest.raises(ValueError, match="tol"):
+        with pytest.raises(TypeError, match="tol"):
             optimize_full(spec44, tol=tol)
 
     @pytest.mark.parametrize("k,s,proof_tol", [(6, 6, 0), (8, 6, 1e-9)])
     def test_result_carries_its_report(self, k, s, proof_tol):
-        result = optimize_full(ModelSpec(k, s), tol=1e-9)
+        result = optimize_full(ModelSpec(k, s))
         report = result.report
         assert report.tol == proof_tol
         assert report.design is result.design
@@ -463,17 +505,6 @@ def test_import_does_not_load_scipy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
-@pytest.mark.parametrize("k,s", [(5, 5), (40, 17), (1000, 1000), (10_000, 10_000)])
-def test_h_matrix_matches_per_depth_fractions(k, s):
-    spec = ModelSpec(k, s)
-    matrix = _h_matrix(spec)
-    assert len(matrix) == s and all(type(row) is tuple and len(row) == 4 for row in matrix)
-    for row, depth in zip(matrix, spec.depths):
-        for x, h in zip(row, h_values(spec, depth).values):
-            # the correctly rounded float of the exact fraction
-            assert type(x) is float and x == float(h)
-
-
 def integer_det(matrix):
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
     rows = [list(row) for row in matrix]
@@ -514,8 +545,10 @@ class TestActiveSet:
             vandermonde = math.prod(b - a for a, b in itertools.combinations(depths, 2))
             assert det == 16384 * vandermonde != 0, (s, depths)
 
-    def test_newton_solves_at_most_four_unknowns(self, monkeypatch):
-        # the 703 specs 4 <= S <= K <= 40: only the exact four-depth systems of K = S = 4
+    def test_exact_solves_have_at_most_four_unknowns(self, monkeypatch):
+        # the 703 specs 4 <= S <= K <= 40: 4 x 4 only in the four-depth systems of
+        # K = S = 4; 3 x 3 only on the dual lines of the triples of (6, 5) and (16, 14),
+        # four minors and three weight columns each
         sizes = []
         solve = optimizer._solve
 
@@ -527,7 +560,7 @@ class TestActiveSet:
         specs = [ModelSpec(k, s) for k in range(4, 41) for s in range(4, k + 1)]
         assert len(specs) == 703
         assert all(optimize_full(spec).certified for spec in specs)
-        assert sizes == [4, 4]
+        assert sizes == [4, 4] + [3] * 14
 
     def test_singular_system_gives_none(self):
         assert optimizer._solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0]) is None
