@@ -16,7 +16,8 @@ file that cannot be read or written, a plan past ``_MAX_PLAN_ROWS`` rows or
 a ``verify --oracle`` request past the oracle gate or without numpy (one
 ``error:`` line on stderr), 3 an ``optimize`` result that fails its certificate
 (never seen), 4 singular (non-identifiable) design, from any subcommand.
-All output is deterministic.
+All output is deterministic.  No command picks a tolerance: ``optimize`` and
+``verify`` print ``kw_certify(design)``, tol 0 for exact weights, 1e-9 for floats.
 
 Only the brute-force oracle needs numpy: ``explicit`` and ``oracle`` are
 imported inside ``verify --oracle``.  CSV plans are written and read as text
@@ -30,7 +31,6 @@ import argparse
 import contextlib
 import itertools
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -45,12 +45,7 @@ from .design_space import (
     count_pairs,
     param_dims,
 )
-from .equivalence import (
-    DEFAULT_CERTIFY_TOL,
-    CertificationReport,
-    kw_certify,
-    variance_profile,
-)
+from .equivalence import CertificationReport, kw_certify, variance_profile
 from .information import SingularDesignError, h_values, log_det, mix_h
 from .optimizer import OptimResult, optimize_full
 
@@ -127,6 +122,7 @@ def _read_document(handle) -> tuple[ModelSpec, dict[int, Weight]]:
     Its ``certification`` block is not read.  A key repeated in any object is
     refused, and so is a depth key other than the plain decimal of its depth
     (``"05"``, ``" 5"``, ``"+5"``), so that no weight silently replaces another.
+    A weight object with both fields must agree: its decimal is float(fraction).
     """
     document = json.load(handle, object_pairs_hook=_unique_keys)
     if "explicit_rows" in document:
@@ -139,7 +135,11 @@ def _read_document(handle) -> tuple[ModelSpec, dict[int, Weight]]:
     for key, value in document["depth_weights"].items():
         if key != str(int(key)):
             raise ValueError(f"depth key {key!r} is not a plain decimal depth")
-        weights[int(key)] = _parse_weight(value)
+        weights[int(key)] = weight = _parse_weight(value)
+        if isinstance(value, dict) and {"fraction", "decimal"} <= value.keys():
+            decimal = value["decimal"]
+            if isinstance(decimal, bool) or decimal != float(weight):
+                raise ValueError(f"depth {key}: decimal {json.dumps(decimal)} is not {weight}")
     return spec, weights
 
 
@@ -464,8 +464,6 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise ValueError(f"--tol must be finite and at least 0, got {args.tol}")
     with _parsing(args.design):
         if args.design.endswith(".csv"):
             weights = _plan_segments(args.design)
@@ -482,7 +480,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _check_oracle_gate(spec)
     with _parsing(args.design):
         design = DepthDesign(dict(weights), spec)
-    print(kw_certify(design, tol=args.tol).to_text())
+    print(kw_certify(design).to_text())
     if args.oracle:
         # an accepted plan's rows are the realized rows, in the file's order
         dense = info_matrix_exact(realize_design(design))
@@ -545,10 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subparsers.add_parser("verify", help="certify a design file")
     verify.add_argument("design", help="JSON document or exported CSV plan")
-    verify.add_argument(
-        "--tol", type=float, default=DEFAULT_CERTIFY_TOL,
-        help="certificate tolerance, relative to p (0 is the exact proof)",
-    )
     verify.add_argument(
         "--oracle", action="store_true",
         help="also cross-check closed forms against the brute-force oracle",

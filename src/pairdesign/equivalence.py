@@ -21,9 +21,10 @@ By the Kiefer-Wolfowitz equivalence theorem a design is D-optimal exactly when
 V(d) <= p for every depth, with equality at every depth it actually weights.
 The certificate below holds the design it checked and reports the worst
 excess max_d V(d) - p, read off the profile's one max; ``certified`` is its
-one verdict, optimal with the support condition.  With rational weights the
-whole check runs in exact arithmetic, so a verdict of "optimal" at tol 0 is a
-proof, not an approximation.  A design with some h_r = 0 is neither: it
+one verdict, optimal with the support condition.  ``kw_certify`` alone picks
+the tolerance: exact weights are checked at tol 0, in exact arithmetic, so a
+verdict of "optimal" is a proof, not an approximation; float weights are
+certified at 1e-9 relative to p.  A design with some h_r = 0 is neither: it
 raises the one "not identifiable" SingularDesignError of information.py.
 
 On full profiles K = S >= 5 the optimum (optimizer.full_profile_design) is a
@@ -61,7 +62,8 @@ __all__ = [
     "variance_uniform",
 ]
 
-DEFAULT_CERTIFY_TOL = 1e-6
+# the certificate tolerance, relative to p, of a design with float weights
+_FLOAT_TOL = 1e-9
 
 
 def _gradient_coefficients(info: BlockInfo) -> tuple[Weight, ...]:
@@ -238,17 +240,21 @@ class CertificationReport:
         return "\n".join(lines)
 
 
-def kw_certify(design: DepthDesign, *, tol: float = DEFAULT_CERTIFY_TOL) -> CertificationReport:
+def kw_certify(design: DepthDesign, *, tol: float | None = None) -> CertificationReport:
     """Certify D-optimality of an invariant design.
 
     Optimal means max_d V(d) - p <= tol * p over all depths 1..S, in exact
     arithmetic for exact weights; the support condition asks every weighted
-    depth to sit within tol * p of p; ``certified`` asks for both.  ``tol``
-    must be finite and at least 0 (ValueError otherwise).  Singular designs
-    raise SingularDesignError, they are neither optimal nor suboptimal.
+    depth to sit within tol * p of p; ``certified`` asks for both.  With no
+    ``tol`` exact weights are proved at tol 0 and float weights certified at
+    1e-9; an explicit ``tol`` must be a finite number at least 0, not a bool
+    (ValueError otherwise).  Singular designs raise SingularDesignError, they
+    are neither optimal nor suboptimal.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and at least 0, got {tol}")
+    if tol is None:
+        tol = 0 if design.is_exact else _FLOAT_TOL
+    elif isinstance(tol, bool) or not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number at least 0, got {tol!r}")
     profile = variance_profile(design)
     p = design.spec.n_params
     max_excess = profile.max_value - p

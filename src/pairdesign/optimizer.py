@@ -143,17 +143,12 @@ def full_profile_design(spec: ModelSpec) -> DepthDesign:
     return DepthDesign({d: Fraction(s + 1 - d, s + 1), s + 1 - d: Fraction(d, s + 1)}, spec)
 
 
-# the certificate tolerance, relative to p, of the floats of an irrational optimum
-_FLOAT_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class OptimResult:
     """Outcome of one D-optimality run: the optimal design and its certificate."""
 
     design: DepthDesign
-    # the kw_certify report of ``design``: at tol 0 for exact weights, at
-    # _FLOAT_TOL for the nearest floats of an irrational optimum
+    # kw_certify(design): tol 0 for exact weights, 1e-9 for the floats of an irrational optimum
     report: CertificationReport = field(repr=False, compare=False)
 
     @property
@@ -379,13 +374,12 @@ def optimize_full(spec: ModelSpec) -> OptimResult:
     """Maximize log det over depth weightings and certify the result.
 
     Full profiles K = S >= 5 take ``full_profile_design``, the closed-form
-    law; every other spec is solved on C(S).  The one ``kw_certify`` report is
-    at tol 0 for exact weights, at 1e-9 for the floats of an irrational optimum.
+    law; every other spec is solved on C(S).  The report is ``kw_certify(design)``
+    at its default: tol 0 for exact weights, 1e-9 for the floats of an irrational optimum.
     A ValueError means that the law or every support in C(S) failed (never seen).
     """
     if spec.n_attributes == spec.strength >= 5:
         design = full_profile_design(spec)
     else:
         design = _solve_on_candidates(spec)
-    report = kw_certify(design, tol=0 if design.is_exact else _FLOAT_TOL)
-    return OptimResult(design=design, report=report)
+    return OptimResult(design=design, report=kw_certify(design))

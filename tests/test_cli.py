@@ -211,15 +211,15 @@ class TestOptimize:
         calls = []
         certify = optimizer.kw_certify
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("tol"))
-            return certify(*args, **kwargs)
+        def counting(design, **kwargs):
+            calls.append(design)
+            return certify(design, **kwargs)
 
         monkeypatch.setattr(optimizer, "kw_certify", counting)
         monkeypatch.setattr(cli, "kw_certify", counting)
         code, out, _ = run(capsys, "optimize", "--k", "6", "--s", "6", "--json")
         assert code == 0
-        assert calls == [0]
+        assert len(calls) == 1 and calls[0].is_exact
         assert json.loads(out)["certification"]["tol"] == 0
 
     @pytest.mark.parametrize("k,s,tol_text", [(6, 6, "tol 0"), (8, 6, "tol 1e-09")])
@@ -365,9 +365,65 @@ class TestVerify:
         weights = {"2": str(Fraction(3, 4) + eps), "6": str(Fraction(1, 4) - eps)}
         path = tmp_path / "eps.json"
         path.write_text(json.dumps({"K": 7, "S": 7, "depth_weights": weights}))
-        code, out, _ = run(capsys, "verify", str(path), "--tol", "0")
+        code, out, _ = run(capsys, "verify", str(path))
         assert code == 0
         assert out.splitlines()[-1] == "verdict: not optimal (support condition violated)"
+
+    def test_exact_excess_past_a_float_tolerance_is_not_optimal(self, capsys, tmp_path):
+        # 10^-9 of weight moved: the excess 1.244e-8 is inside 1e-6 * p, but exact
+        # weights are proved at tol 0, with no flag
+        eps = Fraction(1, 10**9)
+        weights = {"2": str(Fraction(3, 4) + eps), "6": str(Fraction(1, 4) - eps)}
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"K": 7, "S": 7, "depth_weights": weights}))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        assert out.splitlines()[-2:] == [
+            "max excess: 1.244e-08 (tol 0 relative to p)",
+            "verdict: not optimal (support condition violated)",
+        ]
+
+    @pytest.mark.parametrize(
+        "k,s,weights,bad",
+        [
+            (7, 7, {"2": {"fraction": "3/4", "decimal": 0.9},
+                    "6": {"fraction": "1/4", "decimal": 0.1}}, True),
+            (7, 7, {"2": {"fraction": "3/4", "decimal": "0.75"}, "6": "1/4"}, True),
+            (19, 4, {"1": {"fraction": "1", "decimal": True}}, True),
+            (7, 7, {"2": {"fraction": "3/4", "decimal": 0.75},
+                    "6": {"fraction": "1/4", "decimal": 0.25}}, False),
+        ],
+        ids=["other-number", "string", "bool", "agree"],
+    )
+    def test_fraction_and_decimal_must_agree(self, capsys, tmp_path, k, s, weights, bad):
+        # only the fraction is read, so a decimal that says otherwise is refused
+        depth = next(iter(weights))
+        path = tmp_path / "cell.json"
+        path.write_text(json.dumps({"K": k, "S": s, "depth_weights": weights}))
+        code, out, err = run(capsys, "verify", str(path))
+        if bad:
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: cannot parse {path}: depth {depth}: decimal ")
+            assert len(err.splitlines()) == 1
+        else:
+            assert (code, err) == (0, "")
+            assert out.splitlines()[-1] == "verdict: optimal"
+
+    # the two three-depth optima and an irrational pair; the (16,14) plan would hold
+    # 7 872 184 320 rows, past _MAX_PLAN_ROWS, so it travels as a document only
+    @pytest.mark.parametrize("k,s,plan", [(8, 6, True), (6, 5, True), (16, 14, False)])
+    def test_float_optimum_round_trips_at_its_tol(self, capsys, tmp_path, k, s, plan):
+        doc, csv = tmp_path / "doc.json", tmp_path / "plan.csv"
+        argv = ["optimize", "--k", str(k), "--s", str(s), "--json"]
+        code, out, _ = run(capsys, *argv, *(("--export", str(csv)) if plan else ()))
+        assert code == 0
+        doc.write_text(out)
+        for path in (doc, csv) if plan else (doc,):
+            code, out, _ = run(capsys, "verify", str(path))
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[-2].endswith("(tol 1e-09 relative to p)")
+            assert lines[-1] == "verdict: optimal"
 
     def test_parse_failure(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -408,19 +464,22 @@ class TestVerify:
         assert len(built) == 0
 
 
-    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_bad_tol_exits_2(self, capsys, tmp_path, tol):
+        # verify has no --tol: kw_certify picks it, and a script that still passes
+        # one gets a usage error, not a silently ignored value
         path = tmp_path / "design.json"
         path.write_text(json.dumps({"K": 5, "S": 5, "depth_weights": {"2": "2/3", "4": "1/3"}}))
-        code, out, err = run(capsys, "verify", str(path), "--tol", tol)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "tol" in err
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", str(path), "--tol", tol])
+        out, err = capsys.readouterr()
+        assert exited.value.code == 2
+        assert out == "" and "unrecognized arguments: --tol" in err
 
     def test_zero_tol_is_the_exact_proof(self, capsys, tmp_path):
         path = tmp_path / "design.json"
         path.write_text(json.dumps({"K": 5, "S": 5, "depth_weights": {"2": "2/3", "4": "1/3"}}))
-        code, out, _ = run(capsys, "verify", str(path), "--tol", "0")
+        code, out, _ = run(capsys, "verify", str(path))
         assert code == 0
         assert "max excess: 0.000e+00 (tol 0 relative to p)" in out.splitlines()
         assert "verdict: optimal" in out.splitlines()
@@ -513,7 +572,7 @@ class TestVerify:
         path = tmp_path / "key.json"
         weights = '{"2": "5/7", "5": "1/7", %s: "2/7"}' % key
         path.write_text('{"K": 6, "S": 6, "depth_weights": %s}' % weights)
-        code, out, err = run(capsys, "verify", str(path), "--tol", "0")
+        code, out, err = run(capsys, "verify", str(path))
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: cannot parse {path}: depth key")
@@ -533,7 +592,7 @@ class TestVerify:
         # json keeps a repeated key's last value, which here is the K=S=6 optimum
         path = tmp_path / "repeated.json"
         path.write_text(text)
-        code, out, err = run(capsys, "verify", str(path), "--tol", "0")
+        code, out, err = run(capsys, "verify", str(path))
         assert code == 2
         assert out == ""
         assert err == f"error: cannot parse {path}: key {key!r} appears twice\n"
@@ -545,10 +604,12 @@ class TestVerify:
         assert weight == 1 and isinstance(weight, Fraction) == exact
         path = tmp_path / "d194.json"
         path.write_text('{"K": 19, "S": 4, "depth_weights": {"1": %s}}' % text)
-        code, out, _ = run(capsys, "verify", str(path), *(("--tol", "0") if exact else ()))
+        code, out, _ = run(capsys, "verify", str(path))
         assert code == 0 and "verdict: optimal" in out.splitlines()
         if exact:
             assert "max excess: 0.000e+00 (tol 0 relative to p)" in out.splitlines()
+        else:  # float rounding leaves an excess of about 1e-12, inside 1e-9 * p
+            assert out.splitlines()[-2].endswith("(tol 1e-09 relative to p)")
 
     def test_exact_weights_off_one_exit_2(self, capsys, tmp_path):
         # the K=S=4 optimum with 10^-13 added on depth 1: within a float tolerance,
@@ -558,7 +619,7 @@ class TestVerify:
             '{"K": 4, "S": 4, "depth_weights": {"1": "8000000000003/30000000000000", '
             '"2": "2/5", "3": "4/15", "4": "1/15"}}'
         )
-        code, out, err = run(capsys, "verify", str(path), "--tol", "0")
+        code, out, err = run(capsys, "verify", str(path))
         assert code == 2
         assert out == ""
         assert err == (
@@ -698,7 +759,7 @@ class TestExactCsvRoundTrip:
         assert dict(segments) == {2: Fraction(5, 7), 5: Fraction(2, 7)}
         code, out, _ = run(capsys, "verify", str(plan), "--oracle")
         assert code == 0
-        assert "max excess: 0.000e+00 (tol 1e-06 relative to p)" in out.splitlines()
+        assert "max excess: 0.000e+00 (tol 0 relative to p)" in out.splitlines()
         assert "oracle block deviation: 0.000e+00" in out.splitlines()
 
     def test_float_weights_stay_float(self, capsys, tmp_path):
@@ -1013,7 +1074,7 @@ GOLDEN_VERIFY_44 = """\
 K=4 S=4 p=15
 depth         1        2        3        4
 V/p      1.000*   1.000*   1.000*   1.000*
-max excess: 0.000e+00 (tol 1e-06 relative to p)
+max excess: 0.000e+00 (tol 0 relative to p)
 verdict: optimal
 """
 

@@ -454,7 +454,8 @@ class TestKWCertify:
         assert report.optimal
         assert report.support_ok
 
-    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    # a bool is an int: tol=True would certify at tol 1
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), True, False])
     def test_bad_tol_raises(self, spec44, tol):
         with pytest.raises(ValueError, match="tol"):
             kw_certify(four_depth_optimum(spec44), tol=tol)
@@ -497,7 +498,8 @@ class TestKWCertify:
         # V(1) = 0.9375 p on the K=S=5 optimum, so weight there breaks the support condition
         dust = Fraction(1, 10**9)
         design = DepthDesign({1: dust, 2: Fraction(2, 3) - dust, 4: Fraction(1, 3)}, spec55)
-        report = kw_certify(design)
+        # at a positive tol the excess passes and only the support half fails
+        report = kw_certify(design, tol=1e-6)
         assert report.optimal
         assert not report.support_ok
         assert not report.certified
@@ -515,3 +517,20 @@ class TestKWCertify:
         assert report.profile.values[6] != spec.n_params
         assert not report.optimal and not report.support_ok
         assert report.verdict == "not optimal"
+
+    def test_default_tol_proves_exact_weights(self):
+        # 10^-9 of weight moved from depth 6 to depth 2 of the K=S=7 law design: the
+        # excess is 1.244e-8, inside any float tolerance but not the exact proof's 0
+        spec = ModelSpec(7, 7)
+        eps = Fraction(1, 10**9)
+        report = kw_certify(DepthDesign({2: Fraction(3, 4) + eps, 6: Fraction(1, 4) - eps}, spec))
+        assert report.tol == 0 and type(report.tol) is int
+        assert f"{float(report.max_excess):.3e}" == "1.244e-08"
+        assert not report.optimal and not report.support_ok
+
+    def test_default_tol_of_float_weights(self):
+        # the same design as floats: the float certificate holds at 1e-9 relative to p
+        spec = ModelSpec(7, 7)
+        report = kw_certify(DepthDesign({2: 0.75 + 1e-9, 6: 0.25 - 1e-9}, spec))
+        assert report.tol == 1e-9
+        assert report.certified

@@ -259,13 +259,14 @@ class TestOptimizeFull:
         calls = []
         certify = optimizer.kw_certify
 
-        def counting(design, *, tol):
-            calls.append(tol)
-            return certify(design, tol=tol)
+        def counting(design, **kwargs):
+            calls.append(design)
+            return certify(design, **kwargs)
 
         monkeypatch.setattr(optimizer, "kw_certify", counting)
-        assert optimize_full(ModelSpec(8, 6)).certified
-        assert calls == [1e-9]
+        result = optimize_full(ModelSpec(8, 6))
+        assert calls == [result.design] and not result.design.is_exact
+        assert result.certified and result.report.tol == 1e-9
 
     def test_rational_weight_of_any_denominator_is_exact(self):
         # 20568 lies past a denominator guess of 10^4; the cubic's leading coefficient bounds it
@@ -330,9 +331,9 @@ class TestOptimizeFull:
         calls, solved = [], []
         certify, solve = optimizer.kw_certify, optimizer._solve_on_candidates
 
-        def counting(design, *, tol):
+        def counting(design, **kwargs):
             calls.append(design)
-            return certify(design, tol=tol)
+            return certify(design, **kwargs)
 
         def solving(spec):
             design = solve(spec)
@@ -344,6 +345,7 @@ class TestOptimizeFull:
         result = optimize_full(ModelSpec(k, s))
         assert solved == [0]  # no step certifies: the integer bound decides
         assert calls == [result.design] and result.certified
+        assert result.report.tol == (0 if result.design.is_exact else 1e-9)
 
     @pytest.mark.parametrize("k,s", [(5, 4), (6, 4), (8, 5), (10, 7), (12, 4), (12, 12)])
     def test_partial_profiles_certify_with_small_support(self, k, s):
