@@ -8,57 +8,26 @@ region by comparison depth, evaluates information matrices both in closed
 form and by brute force, certifies D-optimality through the equivalence
 theorem, and computes optimal depth weightings.
 
-The closed forms and the pair stream ``enumerate_orbit`` import no numpy.
-The names of the two modules that do, ``explicit`` (explicit designs as
-level arrays) and ``oracle`` (the brute-force oracle), are served on first
-use by the module ``__getattr__`` below (PEP 562), so ``import pairdesign``
-leaves numpy unloaded.
+Each module's ``__all__`` is the one list of its public names, and the
+package re-exports them.  The closed forms and the pair stream
+``enumerate_orbit`` import no numpy.  The names of the one module that does,
+``oracle`` (explicit designs as level arrays and the brute-force oracle), are
+served on first use by the module ``__getattr__`` below (PEP 562), so
+``import pairdesign`` leaves numpy unloaded.
 """
 
-from .design_space import (
-    ComparisonPair,
-    DepthDesign,
-    InvalidPairError,
-    ModelSpec,
-    Profile,
-    comparison_depth,
-    count_pairs,
-    enumerate_orbit,
-    param_dims,
-)
-from .equivalence import (
-    CertificationReport,
-    VarianceProfile,
-    kw_certify,
-    variance_from_blocks,
-    variance_profile,
-    variance_uniform,
-)
-from .information import (
-    BlockInfo,
-    SingularDesignError,
-    h_numerators,
-    h_values,
-    is_identifiable,
-    log_det,
-    mix_h,
-)
-from .optimizer import (
-    OptimResult,
-    conjectured_design,
-    full_profile_design,
-    optimal_depth_first_order,
-    optimal_depth_main,
-    optimal_depth_second_order,
-    optimal_depth_third_order,
-    optimize_full,
-)
+from . import design_space, equivalence, information, optimizer
+from .design_space import *  # noqa: F403
+from .equivalence import *  # noqa: F403
+from .information import *  # noqa: F403
+from .optimizer import *  # noqa: F403
 
-# names served on first use by __getattr__, from the modules that import numpy
-_EXPLICIT_NAMES = ("ExplicitDesign", "realize_design")
+# ``oracle.__all__``, served on first use by __getattr__; a test checks the two agree
 _ORACLE_NAMES = (
     "DenseInfo",
+    "ExplicitDesign",
     "info_matrix_exact",
+    "realize_design",
     "regression_vector",
     "variance_exact",
     "variance_sweep_max_deviation",
@@ -67,51 +36,17 @@ _ORACLE_NAMES = (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockInfo",
-    "CertificationReport",
-    "ComparisonPair",
-    "DenseInfo",
-    "DepthDesign",
-    "ExplicitDesign",
-    "InvalidPairError",
-    "ModelSpec",
-    "OptimResult",
-    "Profile",
-    "SingularDesignError",
-    "VarianceProfile",
-    "comparison_depth",
-    "conjectured_design",
-    "count_pairs",
-    "enumerate_orbit",
-    "full_profile_design",
-    "h_numerators",
-    "h_values",
-    "info_matrix_exact",
-    "is_identifiable",
-    "kw_certify",
-    "log_det",
-    "mix_h",
-    "optimal_depth_first_order",
-    "optimal_depth_main",
-    "optimal_depth_second_order",
-    "optimal_depth_third_order",
-    "optimize_full",
-    "param_dims",
-    "realize_design",
-    "regression_vector",
-    "variance_exact",
-    "variance_from_blocks",
-    "variance_profile",
-    "variance_sweep_max_deviation",
-    "variance_uniform",
+    *design_space.__all__,
+    *equivalence.__all__,
+    *information.__all__,
+    *optimizer.__all__,
+    *_ORACLE_NAMES,
 ]
 
 
 def __getattr__(name: str):
-    if name in _EXPLICIT_NAMES:
-        from . import explicit as module
-    elif name in _ORACLE_NAMES:
-        from . import oracle as module
-    else:
+    if name not in _ORACLE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(module, name)
+    from . import oracle
+
+    return getattr(oracle, name)

@@ -12,17 +12,19 @@ Subcommands:
 Exit codes: 0 ok, 1 ``tables --check`` drift or a reader that closed stdout
 early (nothing is printed to stderr then), 2 usage or parse failure, a
 malformed design file (a CSV plan must be whole orbits in export order), a
-file that cannot be read or written, a plan past ``_MAX_PLAN_ROWS`` rows or
-a ``verify --oracle`` request past the oracle gate or without numpy (one
-``error:`` line on stderr), 3 an ``optimize`` result that fails its certificate
-(never seen), 4 singular (non-identifiable) design, from any subcommand.
+file that cannot be read or written, a plan past ``_MAX_PLAN_ROWS`` rows, an
+``optimize`` or ``verify`` past ``_MAX_STRENGTH`` or a ``verify --oracle``
+request past the oracle gate or without numpy (one ``error:`` line on
+stderr), 3 an ``optimize`` result that fails its certificate (never seen),
+4 singular (non-identifiable) design, from any subcommand.
 All output is deterministic.  No command picks a tolerance: ``optimize`` and
 ``verify`` print ``kw_certify(design)``, tol 0 for exact weights, 1e-9 for floats.
 
-Only the brute-force oracle needs numpy: ``explicit`` and ``oracle`` are
-imported inside ``verify --oracle``.  CSV plans are written and read as text
-rows of ``design_space``'s orbit order, so every other command, ``enumerate``,
-``optimize --export`` and ``verify`` of a plan included, never loads it.
+Only the brute-force oracle needs numpy: ``oracle``, which realizes a design
+as pairs and checks it, is imported inside ``verify --oracle``.  CSV plans
+are written and read as text rows of ``design_space``'s orbit order, so
+every other command, ``enumerate``, ``optimize --export`` and ``verify`` of
+a plan included, never loads it.
 """
 
 from __future__ import annotations
@@ -59,6 +61,11 @@ EXIT_SINGULAR = 4
 # K=S=12 optimum's 2 928 640 rows and the largest plan the tests, demos, CI
 # and benchmark write (40 320 rows).
 _MAX_PLAN_ROWS = 10**8
+
+# The largest strength S ``optimize`` and ``verify`` accept, checked before any
+# work that grows with S: the certificate holds about 180 B per depth, so
+# K = S = 10**6 takes about 2 s and 170 MB.
+_MAX_STRENGTH = 10**6
 
 # Reference values the --check flag diffs against.  Regeneration never reads
 # these; they exist only to flag drift.
@@ -186,6 +193,12 @@ def _check_plan_rows(spec: ModelSpec, depths) -> None:
     n_rows = sum(count_pairs(spec, d) for d in depths)
     if n_rows > _MAX_PLAN_ROWS:
         raise ValueError(f"a plan of {n_rows} rows exceeds the limit of {_MAX_PLAN_ROWS} rows")
+
+
+def _check_strength(spec: ModelSpec) -> None:
+    """Refuse a strength S past _MAX_STRENGTH."""
+    if spec.strength > _MAX_STRENGTH:
+        raise ValueError(f"strength S={spec.strength} exceeds the limit of {_MAX_STRENGTH}")
 
 
 class _HalfTexts(dict):
@@ -353,6 +366,7 @@ def _print_optimize_text(spec: ModelSpec, result: OptimResult) -> None:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     spec = ModelSpec(args.k, args.s)
+    _check_strength(spec)
     result = optimize_full(spec)
     design = result.design
     if args.export:
@@ -471,10 +485,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             with open(args.design) as handle:
                 spec, weights = _read_document(handle)
-    if args.oracle:  # for a plan, before its second row is read
+    _check_strength(spec)  # for a plan, before its second row is read
+    if args.oracle:
         try:
-            from .explicit import realize_design
-            from .oracle import _check_oracle_gate, info_matrix_exact, variance_sweep_max_deviation
+            from .oracle import (
+                _check_oracle_gate,
+                info_matrix_exact,
+                realize_design,
+                variance_sweep_max_deviation,
+            )
         except ImportError as exc:
             raise ValueError("verify --oracle needs numpy (pip install numpy)") from exc
         _check_oracle_gate(spec)

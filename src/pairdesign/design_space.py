@@ -13,7 +13,7 @@ comparison depth.
 The order in which an orbit's rows are spelled out, and the weight each row
 carries, are decided here once (``_orbit_order``, ``_plan_blocks``), with no
 numpy: ``enumerate_orbit`` renders that order as pair objects, the CLI as
-CSV text rows, and ``explicit`` as the numpy level arrays of an explicit
+CSV text rows, and ``oracle`` as the numpy level arrays of an explicit
 design.  This module, like the closed forms built on it, imports no numpy.
 """
 
@@ -32,7 +32,6 @@ __all__ = [
     "InvalidPairError",
     "ModelSpec",
     "Profile",
-    "Weight",
     "comparison_depth",
     "count_pairs",
     "enumerate_orbit",

@@ -39,7 +39,9 @@ the integer polynomials in S and d of ``_mirror_g0`` and ``_mirror_law_values``:
 
 from __future__ import annotations
 
+import decimal
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -233,11 +235,21 @@ class CertificationReport:
             f"K={spec.n_attributes} S={spec.strength} p={self.p}",
             header,
             row,
-            f"max excess: {float(self.max_excess):.3e} (tol {self.tol:g} relative to p)",
+            f"max excess: {float(self.max_excess):.3e} (tol {_format_g(self.tol)} relative to p)",
             f"verdict: {self.verdict}"
             + ("" if self.support_ok else " (support condition violated)"),
         ]
         return "\n".join(lines)
+
+
+def _format_g(value: Weight) -> str:
+    """A finite real as ``:g`` prints a float, also past the float range (1e+400)."""
+    try:
+        return f"{float(value):g}"
+    except OverflowError:
+        fraction = Fraction(value)
+        quotient = decimal.Context(prec=6).divide(fraction.numerator, fraction.denominator)
+        return f"{quotient.normalize():g}"
 
 
 def kw_certify(design: DepthDesign, *, tol: float | None = None) -> CertificationReport:
@@ -247,14 +259,22 @@ def kw_certify(design: DepthDesign, *, tol: float | None = None) -> Certificatio
     arithmetic for exact weights; the support condition asks every weighted
     depth to sit within tol * p of p; ``certified`` asks for both.  With no
     ``tol`` exact weights are proved at tol 0 and float weights certified at
-    1e-9; an explicit ``tol`` must be a finite number at least 0, not a bool
-    (ValueError otherwise).  Singular designs raise SingularDesignError, they
-    are neither optimal nor suboptimal.
+    1e-9; an explicit ``tol`` must be a finite real number at least 0, not a
+    bool (ValueError otherwise), and -0.0 is held as 0.0.  Singular designs
+    raise SingularDesignError, they are neither optimal nor suboptimal.
     """
     if tol is None:
         tol = 0 if design.is_exact else _FLOAT_TOL
-    elif isinstance(tol, bool) or not (math.isfinite(tol) and tol >= 0):
+    elif (
+        isinstance(tol, bool)
+        or not isinstance(tol, numbers.Real)
+        # an int or Fraction is finite, though math.isfinite overflows past 1e308
+        or not (isinstance(tol, numbers.Rational) or math.isfinite(tol))
+        or tol < 0
+    ):
         raise ValueError(f"tol must be a finite number at least 0, got {tol!r}")
+    else:
+        tol += 0  # -0.0 becomes 0.0
     profile = variance_profile(design)
     p = design.spec.n_params
     max_excess = profile.max_value - p

@@ -13,8 +13,8 @@ quantity is built from the integer numerators ``h_numerators(S, d)`` over the
 K-only denominators, and a design with some h_r = 0 is "not identifiable":
 log det, the variance function and the certificate all raise the same
 SingularDesignError naming the dead blocks.  The closed form is what the
-optimizer runs on; the dense matrix of explicit pairs is built only by the
-brute-force oracle in ``oracle``, to verify it.
+optimizer runs on; explicit pairs and their dense matrix are built only by
+the brute-force layer ``oracle``, to verify it.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from pairdesign import (
     optimize_full,
     realize_design,
 )
-from pairdesign import cli, design_space, explicit, oracle
+from pairdesign import cli, design_space, oracle
 from pairdesign.cli import main
 
 
@@ -168,13 +168,13 @@ class TestOptimize:
 
     def test_export_realizes_nothing(self, capsys, tmp_path, monkeypatch):
         calls = []
-        realize = explicit.realize_design
+        realize = oracle.realize_design
 
         def counting(design):
             calls.append(design)
             return realize(design)
 
-        monkeypatch.setattr(explicit, "realize_design", counting)
+        monkeypatch.setattr(oracle, "realize_design", counting)
         path = tmp_path / "plan.csv"
         code, out, _ = run(
             capsys, "optimize", "--k", "5", "--s", "4", "--json", "--export", str(path)
@@ -732,7 +732,7 @@ class TestPlanReader:
     def test_oracle_gate_reads_only_the_first_row(self, capsys, tmp_path):
         spec = ModelSpec(11, 4)
         plan = tmp_path / "big.csv"
-        blocks = explicit._plan_blocks(spec, {1: 1})
+        blocks = oracle._plan_blocks(spec, {1: 1})
         with open(plan, "w", newline="") as handle:
             cli._write_plan_csv(handle, 11, [next(blocks)])
         lines = plan.read_text().splitlines()
@@ -799,7 +799,7 @@ class TestOracleGate:
         def refuse(*args):
             raise AssertionError("realized before the gate")
 
-        monkeypatch.setattr(explicit, "realize_design", refuse)
+        monkeypatch.setattr(oracle, "realize_design", refuse)
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"K": 11, "S": 4, "depth_weights": {"1": "1"}}))
         code, out, err = run(capsys, "verify", str(path), "--oracle")
@@ -840,6 +840,50 @@ class TestPlanLimit:
         monkeypatch.setattr(cli, "_MAX_PLAN_ROWS", 1344)
         code, out, _ = run(capsys, "optimize", "--k", "6", "--s", "6", "--export", str(plan))
         assert code == 0 and f"exported 1344 rows to {plan}" in out.splitlines()
+
+
+class TestStrengthLimit:
+    def refuse_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work that grows with S ran before the limit")
+
+        for name in ("optimize_full", "DepthDesign", "kw_certify"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    def test_oversize_optimize_exits_2_before_any_work(self, capsys, monkeypatch):
+        self.refuse_work(monkeypatch)
+        code, out, err = run(capsys, "optimize", "--k", "1000001", "--s", "1000001")
+        assert (code, out) == (2, "")
+        assert err == "error: strength S=1000001 exceeds the limit of 1000000\n"
+
+    @pytest.mark.parametrize("oracle_flag", [(), ("--oracle",)], ids=["closed-form", "oracle"])
+    def test_oversize_verify_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch,
+                                                     oracle_flag):
+        self.refuse_work(monkeypatch)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"K": 1000001, "S": 1000001, "depth_weights": {"7": "1"}}))
+        code, out, err = run(capsys, "verify", str(path), *oracle_flag)
+        assert (code, out) == (2, "")
+        assert err == "error: strength S=1000001 exceeds the limit of 1000000\n"
+
+    def test_limit_is_inclusive(self, capsys, tmp_path, monkeypatch):
+        designs = {}
+        for s in (6, 7):
+            designs[s, "csv"] = tmp_path / f"plan{s}.csv"
+            designs[s, "json"] = tmp_path / f"doc{s}.json"
+            argv = ("optimize", "--k", str(s), "--s", str(s), "--json", "--export")
+            code, out, _ = run(capsys, *argv, str(designs[s, "csv"]))
+            assert code == 0
+            designs[s, "json"].write_text(out)
+        monkeypatch.setattr(cli, "_MAX_STRENGTH", 6)
+        code, out, _ = run(capsys, "optimize", "--k", "6", "--s", "6")
+        assert code == 0 and "support: 2 5" in out
+        for kind in ("csv", "json"):
+            code, out, _ = run(capsys, "verify", str(designs[6, kind]))
+            assert code == 0 and "verdict: optimal" in out
+        refused = [run(capsys, "optimize", "--k", "7", "--s", "7")]
+        refused += [run(capsys, "verify", str(designs[7, kind])) for kind in ("csv", "json")]
+        assert refused == [(2, "", "error: strength S=7 exceeds the limit of 6\n")] * 3
 
 
 def run_fresh(*argv, block_numpy=False):
@@ -958,7 +1002,7 @@ class TestPlanStream:
             return plan_blocks(spec, depth_weights)
 
         # realization, the export and enumerate all read design_space's one stream
-        for module in (explicit, cli):
+        for module in (oracle, cli):
             assert module._plan_blocks is plan_blocks
             monkeypatch.setattr(module, "_plan_blocks", recording)
         realize_design(DepthDesign({2: Fraction(1)}, ModelSpec(4, 4)))
@@ -1001,7 +1045,7 @@ class TestPlanStream:
             tracemalloc.reset_peak()
             firsts = np.zeros((block.n_rows, 20), dtype=np.int8)
             seconds = np.zeros_like(firsts)
-            explicit._fill_block(block, firsts, seconds)
+            oracle._fill_block(block, firsts, seconds)
             array_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

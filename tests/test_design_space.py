@@ -26,8 +26,7 @@ from pairdesign import (
 )
 
 from pairdesign import design_space
-from pairdesign.explicit import _fill_block
-from pairdesign.oracle import _regression_matrix, _subset_terms
+from pairdesign.oracle import _fill_block, _regression_matrix, _subset_terms
 
 from conftest import reference_pairs, reference_regression
 

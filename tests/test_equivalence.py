@@ -455,10 +455,32 @@ class TestKWCertify:
         assert report.support_ok
 
     # a bool is an int: tol=True would certify at tol 1
-    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), True, False])
+    @pytest.mark.parametrize(
+        "tol",
+        [-1.0, -1, Fraction(-1, 10**400), -(10**400), float("nan"), float("inf"),
+         float("-inf"), True, False, "0", 1j, None.__class__],
+    )
     def test_bad_tol_raises(self, spec44, tol):
         with pytest.raises(ValueError, match="tol"):
             kw_certify(four_depth_optimum(spec44), tol=tol)
+
+    @pytest.mark.parametrize(
+        "tol,text", [(10**400, "1e+400"), (Fraction(10**400, 3), "3.33333e+399")]
+    )
+    def test_tol_past_the_float_range_is_finite(self, tol, text):
+        # math.isfinite overflows on these; the design is 1e-9 off the K=S=7 law
+        eps = Fraction(1, 10**9)
+        design = DepthDesign({2: Fraction(3, 4) + eps, 6: Fraction(1, 4) - eps}, ModelSpec(7, 7))
+        report = kw_certify(design, tol=tol)
+        assert report.tol == tol and report.certified
+        assert f"max excess: 1.244e-08 (tol {text} relative to p)" in report.to_text()
+
+    def test_negative_zero_tol_is_held_as_zero(self):
+        law = DepthDesign({2: Fraction(3, 4), 6: Fraction(1, 4)}, ModelSpec(7, 7))
+        report = kw_certify(law, tol=-0.0)
+        assert report.tol == 0 and math.copysign(1, report.tol) == 1
+        assert "max excess: 0.000e+00 (tol 0 relative to p)" in report.to_text()
+        assert report.certified
 
     def test_tol_zero_proves_optimum(self, spec44):
         report = kw_certify(four_depth_optimum(spec44), tol=0)

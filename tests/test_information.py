@@ -26,8 +26,7 @@ from pairdesign import (
     variance_sweep_max_deviation,
 )
 from pairdesign import oracle
-from pairdesign.explicit import _MAX_EXACT_DENOMINATOR
-from pairdesign.oracle import _regression_matrix
+from pairdesign.oracle import _MAX_EXACT_DENOMINATOR, _regression_matrix
 
 from conftest import reference_uniform_info
 

@@ -15,7 +15,6 @@ from pairdesign import (
     cli,
     design_space,
     equivalence,
-    explicit,
     information,
     optimizer,
     oracle,
@@ -28,7 +27,6 @@ MODULES = {
     "cli": cli,
     "design_space": design_space,
     "equivalence": equivalence,
-    "explicit": explicit,
     "information": information,
     "optimizer": optimizer,
 }
@@ -62,17 +60,36 @@ def test_equivalence_imports_no_numpy():
 
 @pytest.mark.parametrize("name", ["design_space", "information", "equivalence", "optimizer"])
 def test_closed_forms_import_no_numpy_at_module_level(name):
-    # numpy is imported only where arrays are made: explicit, oracle, and
+    # numpy is imported only where arrays are made: the oracle, and
     # inside the cli commands and BlockInfo.as_matrix that need them
     imported = imported_modules(name, module_level=True)
     assert not any(module.split(".")[0] == "numpy" for module in imported)
+
+
+def test_only_the_oracle_imports_numpy_at_module_level():
+    importers = {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if any(m.split(".")[0] == "numpy" for m in imported_modules(path.stem, module_level=True))
+    }
+    assert importers == {"oracle"}
+
+
+def test_the_oracle_command_and_as_matrix_import_numpy_inside_a_function():
+    assert "numpy" in imported_modules("information")
+    assert "oracle" in imported_modules("cli")
+    assert "oracle" not in imported_modules("cli", module_level=True)
 
 
 def test_import_pairdesign_loads_no_numpy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     code = (
-        "import sys, pairdesign, pairdesign.cli\n"
+        "import sys, pairdesign\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('pairdesign.'))\n"
+        "closed_forms = ['design_space', 'equivalence', 'information', 'optimizer']\n"
+        "assert loaded == ['pairdesign.' + m for m in closed_forms], loaded\n"
+        "import pairdesign.cli\n"
         "assert 'numpy' not in sys.modules, 'numpy imported'\n"
         "assert sum(1 for _ in pairdesign.enumerate_orbit(pairdesign.ModelSpec(6, 6), 3)) == 1280\n"
         "assert 'numpy' not in sys.modules, 'numpy imported by the pair stream'\n"
@@ -126,3 +143,15 @@ def test_public_names_are_unchanged():
         "variance_sweep_max_deviation", "variance_uniform",
     ]
     assert all(hasattr(pairdesign, name) for name in pairdesign.__all__)
+
+
+def test_each_public_name_is_listed_by_one_module():
+    modules = [design_space, equivalence, information, optimizer, oracle]
+    listed = [name for module in modules for name in module.__all__]
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(pairdesign.__all__)
+    # the package serves the oracle's names lazily, from a copy of its list
+    assert pairdesign._ORACLE_NAMES == tuple(oracle.__all__)
+    for module in modules:
+        assert all(getattr(pairdesign, name) is getattr(module, name) for name in module.__all__)
+
