@@ -20,11 +20,12 @@ stderr), 3 an ``optimize`` result that fails its certificate (never seen),
 All output is deterministic.  No command picks a tolerance: ``optimize`` and
 ``verify`` print ``kw_certify(design)``, tol 0 for exact weights, 1e-9 for floats.
 
-Only the brute-force oracle needs numpy: ``oracle``, which realizes a design
-as pairs and checks it, is imported inside ``verify --oracle``.  CSV plans
-are written and read as text rows of ``design_space``'s orbit order, so
-every other command, ``enumerate``, ``optimize --export`` and ``verify`` of
-a plan included, never loads it.
+Every command runs on the closed forms of ``equivalence`` and ``optimizer``,
+imported at module level.  Only the brute-force oracle needs numpy:
+``oracle``, which realizes a design as pairs and checks it, is imported
+inside ``verify --oracle``.  CSV plans are written and read as text rows of
+``design_space``'s orbit order, so every other command, ``enumerate``,
+``optimize --export`` and ``verify`` of a plan included, never loads it.
 """
 
 from __future__ import annotations
@@ -47,9 +48,16 @@ from .design_space import (
     count_pairs,
     param_dims,
 )
-from .equivalence import CertificationReport, kw_certify, variance_profile
-from .information import SingularDesignError, h_values, log_det, mix_h
-from .optimizer import OptimResult, optimize_full
+from .equivalence import (
+    CertificationReport,
+    SingularDesignError,
+    h_values,
+    kw_certify,
+    log_det,
+    mix_h,
+    variance_profile,
+)
+from .optimizer import OptimResult, conjectured_design, optimal_depth_third_order, optimize_full
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -384,8 +392,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _table_1() -> dict[int, int]:
-    from .optimizer import optimal_depth_third_order
-
     return {s: min(optimal_depth_third_order(s)) for s in range(4, 13)}
 
 
@@ -399,8 +405,6 @@ def _table_2() -> dict[int, tuple[int, float, int, float]]:
 
 
 def _table_3() -> dict[int, tuple[tuple[float, ...], tuple[int, ...]]]:
-    from .optimizer import conjectured_design
-
     table = {}
     for k in range(5, 13):
         spec = ModelSpec(k, k)

@@ -5,14 +5,16 @@ block information over d = 1..S (ties are returned in full).  For the whole
 parameter vector the objective log det M = sum_r p_r ln h_r(w) is concave in
 the depth weights and depends on them only through h in R^4, so an optimum
 needs at most four depths.  On full profiles K = S >= 5 optimize_full returns
-the closed-form law of full_profile_design.  Every other spec is solved on
-the candidate depths C(S), the law's support at strength S with the four-way
+the closed-form law ``equivalence.full_profile_design``, which sits beside
+the identity that proves it.  Every other spec is solved here, on the
+candidate depths C(S), the law's support at strength S with the four-way
 argmax (all four depths at S = 4), one support at a time, each decided by one
 integer check: V(y) = sum_r z_r h_numerators(S, y)[r] <= p off the support for
 an upper bound of the design's dual z.  A pair's or a triple's optimum is the
 root of one integer cubic, exact when rational, else bracketed by two adjacent
 floats.  At most one support proves: log det is strictly concave in h, and
-any five h(d) are affinely independent.
+any five h(d) are affinely independent.  The paper's two-depth rule
+``conjectured_design`` stays beside it, with the range where it holds.
 """
 
 from __future__ import annotations
@@ -23,13 +25,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .design_space import DepthDesign, ModelSpec
-from .equivalence import CertificationReport, _mirror_g0, kw_certify
-from .information import h_numerators
+from .equivalence import CertificationReport, full_profile_design, h_numerators, kw_certify
 
 __all__ = [
     "OptimResult",
     "conjectured_design",
-    "full_profile_design",
     "optimal_depth_first_order",
     "optimal_depth_main",
     "optimal_depth_second_order",
@@ -114,33 +114,6 @@ def conjectured_design(spec: ModelSpec) -> DepthDesign:
     return DepthDesign(
         {d_low: Fraction(d_high, s + 1), d_high: Fraction(d_low, s + 1)}, spec
     )
-
-
-def full_profile_design(spec: ModelSpec) -> DepthDesign:
-    """The full-profile law: the mirror pair {d, e = S+1-d}, w(d) = e/(S+1), w(e) = d/(S+1).
-
-    With a = 2(S-1)(S-2) and u = x(S+1-x), V(x) - p has the sign of
-    (u - de)(g0 - a u), so the design is D-optimal exactly when no attainable u
-    lies strictly between de and g0/a: a (d-1)(e+1) <= g0 <= a (d+1)(e-1).
-    g0 - a de vanishes at d0 = ((S+1) - sqrt(N/D)) / 2, N = (S-1)(3S^2-13S+20)
-    and D = S^2-3S+8, so only d0-1 .. d0+2 are checked, in integers.  Raises
-    ValueError unless K = S >= 5 and exactly one passes (exactly one did at
-    every S in 5..20000 and at samples up to 10^15).  kw_certify(design,
-    tol=0) is the proof.
-    """
-    s = spec.strength
-    if spec.n_attributes != s or s < 5:
-        raise ValueError(f"the full-profile law needs K = S >= 5, got K={spec.n_attributes} S={s}")
-    a, n, den = 2 * (s - 1) * (s - 2), (s - 1) * (3 * s * s - 13 * s + 20), s * s - 3 * s + 8
-    d0 = ((s + 1) * den - math.isqrt(n * den)) // (2 * den)
-    passing = [
-        d for d in range(max(1, d0 - 1), d0 + 3)
-        if 2 * d < s + 1 and a * (d - 1) * (s + 2 - d) <= _mirror_g0(s, d) <= a * (d + 1) * (s - d)
-    ]
-    if len(passing) != 1:
-        raise ValueError(f"the full-profile law passes at depths {passing} for S={s}")
-    (d,) = passing
-    return DepthDesign({d: Fraction(s + 1 - d, s + 1), s + 1 - d: Fraction(d, s + 1)}, spec)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """The brute-force layer: designs spelled out as pairs, and the oracle that checks them.
 
-It exists only to check the closed forms h1..h4 (``information``) and V(d)
-(``equivalence``) on small problems, and it is the one module of the package
-that imports numpy at module level.
+It exists only to check the closed forms h1..h4 and V(d) of ``equivalence``
+on small problems, and it is the one module of the package that imports
+numpy at module level.
 
 An explicit design (``ExplicitDesign``, made by ``realize_design``) spells
 an invariant design (``design_space.DepthDesign``) out as int8 level arrays,
@@ -51,8 +51,7 @@ from .design_space import (
     _plan_blocks,
     count_pairs,
 )
-from .equivalence import variance_profile
-from .information import SingularDesignError
+from .equivalence import SingularDesignError, variance_profile
 
 __all__ = [
     "DenseInfo",

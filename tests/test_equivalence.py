@@ -1,6 +1,7 @@
 """Variance functions, trace identities and the optimality certificate."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -504,6 +505,18 @@ class TestKWCertify:
         text = report.to_text()
         assert "verdict: optimal" in text
         assert "1.000*" in text
+
+    @pytest.mark.parametrize(
+        "tol,written",
+        [(Fraction(1, 3), '"1/3"'), (0, "0"), (1e-9, "1e-09"), (10**400, "1" + "0" * 400)],
+        ids=["fraction", "zero", "float", "int_past_float"],
+    )
+    def test_report_serializes_every_tol(self, tol, written):
+        # an int or a float is written as it is, any other tol as its exact text
+        law = DepthDesign({2: Fraction(3, 4), 6: Fraction(1, 4)}, ModelSpec(7, 7))
+        record = json.dumps(kw_certify(law, tol=tol).to_dict())
+        assert f'"tol": {written},' in record
+        assert json.loads(record)["tol"] == (str(tol) if isinstance(tol, Fraction) else tol)
 
     def test_support_condition_flag(self, spec55):
         report = kw_certify(DepthDesign({1: 0.5, 2: 0.5}, spec55))

@@ -15,7 +15,6 @@ from pairdesign import (
     cli,
     design_space,
     equivalence,
-    information,
     optimizer,
     oracle,
 )
@@ -27,9 +26,10 @@ MODULES = {
     "cli": cli,
     "design_space": design_space,
     "equivalence": equivalence,
-    "information": information,
     "optimizer": optimizer,
 }
+# the closed forms, in their layers: equivalence on design_space, optimizer on both
+CLOSED_FORMS = ["design_space", "equivalence", "optimizer"]
 
 
 def imported_modules(name, module_level=False):
@@ -48,17 +48,53 @@ def imported_modules(name, module_level=False):
     return found
 
 
+def numpy_imports(name):
+    """The scope (``Class.function``, or "" at module level) of each numpy import in one file."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                modules = [a.name for a in child.names]
+            else:
+                modules = [child.module or ""] if isinstance(child, ast.ImportFrom) else []
+            found.extend(".".join(scope) for m in modules if m.split(".")[0] == "numpy")
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(ast.parse((PACKAGE / f"{name}.py").read_text()), ())
+    return found
+
+
 def test_only_the_package_and_the_cli_import_the_oracle():
-    # so information, equivalence, optimizer and design_space never do
+    # so the closed forms never do
     importers = {name for name in MODULES if "oracle" in imported_modules(name)}
     assert importers == {"__init__", "cli"}
 
 
-def test_equivalence_imports_no_numpy():
-    assert not any(name.split(".")[0] == "numpy" for name in imported_modules("equivalence"))
+def test_the_closed_forms_import_numpy_only_inside_as_matrix():
+    assert {name: numpy_imports(name) for name in CLOSED_FORMS} == {
+        "design_space": [],
+        "equivalence": ["BlockInfo.as_matrix"],
+        "optimizer": [],
+    }
 
 
-@pytest.mark.parametrize("name", ["design_space", "information", "equivalence", "optimizer"])
+def test_the_closed_forms_import_no_private_name_of_the_package():
+    # each layer reads only the public names of the layers below it
+    crossing = [
+        f"{name} imports {node.module}.{alias.name}"
+        for name in CLOSED_FORMS
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "pairdesign")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert crossing == []
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
 def test_closed_forms_import_no_numpy_at_module_level(name):
     # numpy is imported only where arrays are made: the oracle, and
     # inside the cli commands and BlockInfo.as_matrix that need them
@@ -76,7 +112,7 @@ def test_only_the_oracle_imports_numpy_at_module_level():
 
 
 def test_the_oracle_command_and_as_matrix_import_numpy_inside_a_function():
-    assert "numpy" in imported_modules("information")
+    # as_matrix: test_the_closed_forms_import_numpy_only_inside_as_matrix
     assert "oracle" in imported_modules("cli")
     assert "oracle" not in imported_modules("cli", module_level=True)
 
@@ -87,7 +123,7 @@ def test_import_pairdesign_loads_no_numpy():
     code = (
         "import sys, pairdesign\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('pairdesign.'))\n"
-        "closed_forms = ['design_space', 'equivalence', 'information', 'optimizer']\n"
+        f"closed_forms = {CLOSED_FORMS!r}\n"
         "assert loaded == ['pairdesign.' + m for m in closed_forms], loaded\n"
         "import pairdesign.cli\n"
         "assert 'numpy' not in sys.modules, 'numpy imported'\n"
@@ -146,7 +182,7 @@ def test_public_names_are_unchanged():
 
 
 def test_each_public_name_is_listed_by_one_module():
-    modules = [design_space, equivalence, information, optimizer, oracle]
+    modules = [design_space, equivalence, optimizer, oracle]
     listed = [name for module in modules for name in module.__all__]
     assert len(listed) == len(set(listed))
     assert sorted(listed) == sorted(pairdesign.__all__)

@@ -34,10 +34,9 @@ from pairdesign import (
     optimize_full,
     variance_profile,
 )
-from pairdesign.information import h_numerators
 from pairdesign import optimizer
 from pairdesign.cli import main
-from pairdesign.equivalence import _mirror_g0
+from pairdesign.equivalence import _mirror_g0, h_numerators
 
 THIRD_ORDER_REPORTED_DEPTH = {4: 1, 5: 1, 6: 1, 7: 1, 8: 2, 9: 2, 10: 2, 11: 3, 12: 3}
 
@@ -325,6 +324,39 @@ class TestOptimizeFull:
         assert optimizer._cubic_at(cubic, lo - fails) > 0 > optimizer._cubic_at(cubic, hi + fails)
         assert optimizer._bracket_proves(spec, support, edge, lo - proves, hi + proves)
         assert not optimizer._bracket_proves(spec, support, edge, lo - fails, hi + fails)
+
+    @pytest.mark.parametrize("k,s,support", [(8, 6, (2, 5)), (6, 5, (1, 2, 4)), (16, 14, (4, 5, 10))])
+    def test_bracket_reaching_an_end_of_the_edge_is_refused(self, k, s, support):
+        # the cubic's signs hold at 0 and 1, but a triple's z has a zero block at
+        # each end, so only the interval guard keeps at(0) and at(1) from dividing by 0
+        spec = ModelSpec(k, s)
+        edge = optimizer._edge(spec, support)
+        cubic = edge[2]
+        lo, hi = sorted(optimizer._root_bracket(cubic))
+        assert optimizer._cubic_at(cubic, Fraction(0)) >= 0 >= optimizer._cubic_at(cubic, Fraction(1))
+        assert optimizer._bracket_proves(spec, support, edge, lo, hi)
+        assert not optimizer._bracket_proves(spec, support, edge, 0, hi)
+        assert not optimizer._bracket_proves(spec, support, edge, lo, 1)
+
+    def test_four_step_refuses_a_zero_dual(self, monkeypatch, spec44):
+        # p_r / z_r would divide by the zero
+        monkeypatch.setattr(optimizer, "_solve", lambda matrix, rhs: [Fraction(1), 0, 1, 1])
+        assert optimizer._four_step(spec44, (1, 2, 3, 4)) is None
+
+    def test_four_step_refuses_a_zero_weight(self, monkeypatch, spec44):
+        # with the bound passing, only the weight guard keeps a zero-weight depth out
+        solve, results = optimizer._solve, []
+
+        def zeroing(matrix, rhs):
+            results.append(solve(matrix, rhs))
+            if len(results) == 1:
+                return results[0]  # the true dual z
+            return [Fraction(1, 2), 0, Fraction(1, 4), Fraction(1, 4)]  # weights with a zero
+
+        monkeypatch.setattr(optimizer, "_solve", zeroing)
+        monkeypatch.setattr(optimizer, "_bound_holds", lambda *args: True)
+        assert optimizer._four_step(spec44, (1, 2, 3, 4)) is None
+        assert len(results) == 2 and min(results[0]) > 0
 
     @pytest.mark.parametrize("k,s", [(6, 5), (8, 6), (60, 50), (19, 4), (4, 4)])
     def test_steps_prove_and_optimize_full_certifies_once(self, monkeypatch, k, s):
