@@ -57,7 +57,7 @@ from .equivalence import (
     mix_h,
     variance_profile,
 )
-from .optimizer import OptimResult, conjectured_design, optimal_depth_third_order, optimize_full
+from .optimizer import conjectured_design, optimal_depth_third_order, optimize_full
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -356,14 +356,14 @@ def cmd_dims(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _print_optimize_text(spec: ModelSpec, result: OptimResult) -> None:
+def _print_optimize_text(report: CertificationReport) -> None:
+    spec = report.design.spec
     print(f"K={spec.n_attributes} S={spec.strength} p={spec.n_params}")
-    print("support: " + " ".join(str(d) for d in result.support))
-    for depth in result.support:
-        weight = result.design.weights[depth]
+    print("support: " + " ".join(str(d) for d in report.support))
+    for depth in report.support:
+        weight = report.design.weights[depth]
         print(f"  d={depth}  w={float(weight):.3f}{_fraction_label(weight)}")
-    print(f"log det: {log_det(mix_h(result.design)):.12f}")
-    report = result.report
+    print(f"log det: {log_det(mix_h(report.design)):.12f}")
     excess = f"max excess {float(report.max_excess):.3e}"
     if report.certified:
         print(f"certified D-optimal: {excess} (tol {report.tol:g} relative to p)")
@@ -375,8 +375,8 @@ def _print_optimize_text(spec: ModelSpec, result: OptimResult) -> None:
 def cmd_optimize(args: argparse.Namespace) -> int:
     spec = ModelSpec(args.k, args.s)
     _check_strength(spec)
-    result = optimize_full(spec)
-    design = result.design
+    report = optimize_full(spec)
+    design = report.design
     if args.export:
         _check_plan_rows(spec, design.support)
         blocks = _plan_blocks(spec, {d: design.weights[d] for d in design.support})
@@ -385,10 +385,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         if not args.json:
             print(f"exported {n_rows} rows to {args.export}")
     if args.json:
-        print(json.dumps(_document_json(result.report), indent=2, sort_keys=True))
+        print(json.dumps(_document_json(report), indent=2, sort_keys=True))
     else:
-        _print_optimize_text(spec, result)
-    return EXIT_OK if result.certified else EXIT_UNCERTIFIED
+        _print_optimize_text(report)
+    return EXIT_OK if report.certified else EXIT_UNCERTIFIED
 
 
 def _table_1() -> dict[int, int]:

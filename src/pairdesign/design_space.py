@@ -80,6 +80,11 @@ class ModelSpec:
     n_params: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("n_attributes", "strength"):
+            value = getattr(self, name)
+            if value != int(value):  # 6.5 and "6" are refused, not truncated; 6.0 is 6
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         dims = param_dims(self.n_attributes)
         if not 4 <= self.strength <= self.n_attributes:
             raise ValueError(
@@ -183,6 +188,8 @@ def _dims_of(spec) -> tuple[int, int]:
     if isinstance(spec, ModelSpec):
         return spec.n_attributes, spec.strength
     k, s = (int(v) for v in spec)
+    if (k, s) != tuple(spec):  # as ModelSpec: (7, 2.5) is refused, not truncated
+        raise ValueError(f"K and S must be integers, got {tuple(spec)!r}")
     if not 1 <= s <= k:
         raise ValueError(f"need 1 <= S <= K, got S={s}, K={k}")
     return k, s

@@ -34,11 +34,12 @@ By the Kiefer-Wolfowitz equivalence theorem a design is D-optimal exactly when
 V(d) <= p for every depth, with equality at every depth it actually weights.
 The certificate below holds the design it checked and reports the worst
 excess max_d V(d) - p, read off the profile's one max; ``certified`` is its
-one verdict, optimal with the support condition.  ``kw_certify`` alone picks
-the tolerance: exact weights are checked at tol 0, in exact arithmetic, so a
-verdict of "optimal" is a proof, not an approximation; float weights are
-certified at 1e-9 relative to p.  A design with some h_r = 0 is neither: it
-raises the one SingularDesignError.
+one verdict, optimal with the support condition.  It is the whole result of
+``optimize_full``, which returns it as is.  ``kw_certify`` alone picks the
+tolerance, and an explicit one may only be 0: exact weights are checked at
+tol 0, in exact arithmetic, so a verdict of "optimal" is a proof, not an
+approximation; float weights are certified at 1e-9 relative to p.  A design
+with some h_r = 0 is neither: it raises the one SingularDesignError.
 
 On full profiles K = S >= 5 the optimum is the law of ``full_profile_design``,
 a mirror pair {d, e = S+1-d} weighted e/(S+1) on d and d/(S+1) on e, and on
@@ -55,9 +56,7 @@ imports numpy; the brute-force layer ``oracle`` checks h and V pair by pair.
 
 from __future__ import annotations
 
-import decimal
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -75,7 +74,6 @@ __all__ = [
     "kw_certify",
     "log_det",
     "mix_h",
-    "variance_from_blocks",
     "variance_profile",
     "variance_uniform",
 ]
@@ -97,6 +95,8 @@ def h_numerators(strength: int, depth: int) -> tuple[int, int, int, int]:
     integers.
     """
     s, d = int(strength), int(depth)
+    if s != strength or d != depth:  # 2.5 is refused, not truncated; 5.0 is 5
+        raise ValueError(f"strength and depth must be integers, got {strength!r} and {depth!r}")
     if not 0 <= d <= s:
         raise ValueError(f"depth must lie in 0..{s}, got {d}")
     return (
@@ -209,18 +209,6 @@ def _dot(coefficients: tuple[Weight, ...], numerators: tuple[int, ...]) -> Weigh
     return sum(c * n for c, n in zip(coefficients, numerators))
 
 
-def variance_from_blocks(info: BlockInfo, depth: int) -> Weight:
-    """V(depth) for a design with the given block informations.
-
-    Exact when the h values are exact.  Depth 0 is the degenerate identical
-    pair and evaluates to 0 by convention.
-    """
-    numerators = h_numerators(info.spec.strength, depth)
-    if depth == 0:
-        return 0
-    return _dot(_gradient_coefficients(info), numerators)
-
-
 @dataclass(frozen=True)
 class VarianceProfile:
     """Variance function of an invariant design, tabulated over depths 1..S."""
@@ -321,7 +309,9 @@ def variance_uniform(depth: int, design_depth: int, spec: ModelSpec) -> Fraction
     """
     s = spec.strength
     d, dd = int(depth), int(design_depth)
-    for name, value in (("depth", d), ("design depth", dd)):
+    for name, value, given in (("depth", d, depth), ("design depth", dd, design_depth)):
+        if value != given:
+            raise ValueError(f"{name} must be an integer, got {given!r}")
         if not 1 <= value <= s:
             raise ValueError(f"{name} must lie in 1..{s}, got {value}")
     _require_identifiable(h_values(spec, dd))
@@ -343,10 +333,13 @@ def variance_uniform(depth: int, design_depth: int, spec: ModelSpec) -> Fraction
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of the equivalence-theorem check for the invariant design it holds."""
+    """Outcome of the equivalence-theorem check for the invariant design it holds.
+
+    It is also ``optimize_full``'s result: the design, its support and its verdict.
+    """
 
     design: DepthDesign
-    profile: VarianceProfile
+    profile: VarianceProfile = field(repr=False)  # one value per depth, S of them
     tol: float
     max_excess: Weight
     optimal: bool
@@ -355,6 +348,19 @@ class CertificationReport:
     @property
     def p(self) -> int:
         return self.profile.p
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        """``design.support``: the depths carrying positive weight."""
+        return self.design.support
+
+    @property
+    def iterations(self) -> int:
+        """Always 0: no step ascends over the depth simplex.
+
+        It stays only until the benchmark stops reading it (ROADMAP item 3).
+        """
+        return 0
 
     @property
     def certified(self) -> bool:
@@ -374,8 +380,7 @@ class CertificationReport:
             "V_by_depth": {str(d): float(v) for d, v in self.profile.values.items()},
             "p": self.p,
             "max_excess": float(self.max_excess),
-            # JSON holds an int or a float as it is, any other tol as its exact text ("1/3")
-            "tol": self.tol if isinstance(self.tol, (int, float)) else str(self.tol),
+            "tol": self.tol,
             "verdict": self.verdict,
             "support_ok": self.support_ok,
         }
@@ -393,21 +398,11 @@ class CertificationReport:
             f"K={spec.n_attributes} S={spec.strength} p={self.p}",
             header,
             row,
-            f"max excess: {float(self.max_excess):.3e} (tol {_format_g(self.tol)} relative to p)",
+            f"max excess: {float(self.max_excess):.3e} (tol {self.tol:g} relative to p)",
             f"verdict: {self.verdict}"
             + ("" if self.support_ok else " (support condition violated)"),
         ]
         return "\n".join(lines)
-
-
-def _format_g(value: Weight) -> str:
-    """A finite real as ``:g`` prints a float, also past the float range (1e+400)."""
-    try:
-        return f"{float(value):g}"
-    except OverflowError:
-        fraction = Fraction(value)
-        quotient = decimal.Context(prec=6).divide(fraction.numerator, fraction.denominator)
-        return f"{quotient.normalize():g}"
 
 
 def kw_certify(design: DepthDesign, *, tol: float | None = None) -> CertificationReport:
@@ -415,29 +410,20 @@ def kw_certify(design: DepthDesign, *, tol: float | None = None) -> Certificatio
 
     Optimal means max_d V(d) - p <= tol * p over all depths 1..S, in exact
     arithmetic for exact weights; the support condition asks every weighted
-    depth to sit within tol * p of p; ``certified`` asks for both.  With no
-    ``tol`` exact weights are proved at tol 0 and float weights certified at
-    1e-9; an explicit ``tol`` must be a finite real number at least 0, not a
-    bool (ValueError otherwise), and -0.0 is held as 0.0.  Singular designs
-    raise SingularDesignError, they are neither optimal nor suboptimal.
+    depth to sit within tol * p of p; ``certified`` asks for both.  Exact
+    weights are proved at tol 0 and float weights certified at 1e-9.  An
+    explicit ``tol`` may only be 0 (an int or float; -0.0 is held as 0), and
+    any other value, a bool or Fraction(0) too, raises ValueError.  Singular
+    designs raise SingularDesignError, they are neither optimal nor suboptimal.
     """
-    if tol is None:
-        tol = 0 if design.is_exact else _FLOAT_TOL
-    elif (
-        isinstance(tol, bool)
-        or not isinstance(tol, numbers.Real)
-        # an int or Fraction is finite, though math.isfinite overflows past 1e308
-        or not (isinstance(tol, numbers.Rational) or math.isfinite(tol))
-        or tol < 0
-    ):
-        raise ValueError(f"tol must be a finite number at least 0, got {tol!r}")
-    else:
-        tol += 0  # -0.0 becomes 0.0
+    if tol is not None and (type(tol) not in (int, float) or tol != 0):
+        raise ValueError(f"an explicit tol may only be 0, got {tol!r}")
+    tol = _FLOAT_TOL if tol is None and not design.is_exact else 0
     profile = variance_profile(design)
     p = design.spec.n_params
     max_excess = profile.max_value - p
-    # exact designs compare exactly: float() rounds an excess below 5e-324 to 0
-    bound = Fraction(tol) * p if design.is_exact else tol * p
+    # an exact design's bound is the int 0: float() would round an excess below 5e-324 to 0
+    bound = tol * p
     optimal = max_excess <= bound
     support_ok = all(abs(profile.values[d] - p) <= bound for d in design.support)
     return CertificationReport(

@@ -13,22 +13,22 @@ integer check: V(y) = sum_r z_r h_numerators(S, y)[r] <= p off the support for
 an upper bound of the design's dual z.  A pair's or a triple's optimum is the
 root of one integer cubic, exact when rational, else bracketed by two adjacent
 floats.  At most one support proves: log det is strictly concave in h, and
-any five h(d) are affinely independent.  The paper's two-depth rule
-``conjectured_design`` stays beside it, with the range where it holds.
+any five h(d) are affinely independent.  The result of ``optimize_full`` is
+the optimum's ``kw_certify`` report, which holds the design.  The paper's
+two-depth rule ``conjectured_design`` stays beside it, with the range where
+it holds.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .design_space import DepthDesign, ModelSpec
 from .equivalence import CertificationReport, full_profile_design, h_numerators, kw_certify
 
 __all__ = [
-    "OptimResult",
     "conjectured_design",
     "optimal_depth_first_order",
     "optimal_depth_main",
@@ -41,7 +41,11 @@ _RULE_MAX_STRENGTH = 18
 
 
 def _strength_of(spec: ModelSpec | int) -> int:
-    return spec.strength if isinstance(spec, ModelSpec) else int(spec)
+    if isinstance(spec, ModelSpec):
+        return spec.strength
+    if spec != int(spec):  # 6.9 is refused, not truncated; 6.0 is 6
+        raise ValueError(f"strength must be an integer, got {spec!r}")
+    return int(spec)
 
 
 def _argmax_depths(strength: int, block: int) -> set[int]:
@@ -114,30 +118,6 @@ def conjectured_design(spec: ModelSpec) -> DepthDesign:
     return DepthDesign(
         {d_low: Fraction(d_high, s + 1), d_high: Fraction(d_low, s + 1)}, spec
     )
-
-
-@dataclass(frozen=True)
-class OptimResult:
-    """Outcome of one D-optimality run: the optimal design and its certificate."""
-
-    design: DepthDesign
-    # kw_certify(design): tol 0 for exact weights, 1e-9 for the floats of an irrational optimum
-    report: CertificationReport = field(repr=False, compare=False)
-
-    @property
-    def iterations(self) -> int:
-        """Always 0: no step of the solve ascends over the depth simplex."""
-        return 0
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """``design.support``: the depths carrying positive weight."""
-        return self.design.support
-
-    @property
-    def certified(self) -> bool:
-        """``report.certified``: optimal with the support condition."""
-        return self.report.certified
 
 
 def _det(m: list[list]):
@@ -343,16 +323,17 @@ def _solve_on_candidates(spec: ModelSpec) -> DepthDesign:
     raise ValueError(f"no support in C(S) = {candidates} proves optimal for {spec}")
 
 
-def optimize_full(spec: ModelSpec) -> OptimResult:
-    """Maximize log det over depth weightings and certify the result.
+def optimize_full(spec: ModelSpec) -> CertificationReport:
+    """Maximize log det over depth weightings; the result is the optimum's certificate.
 
     Full profiles K = S >= 5 take ``full_profile_design``, the closed-form
-    law; every other spec is solved on C(S).  The report is ``kw_certify(design)``
-    at its default: tol 0 for exact weights, 1e-9 for the floats of an irrational optimum.
+    law; every other spec is solved on C(S).  The result is ``kw_certify(design)``
+    at its default: tol 0 for exact weights, 1e-9 for the floats of an irrational
+    optimum; its ``design``, ``support`` and ``certified`` are read off it.
     A ValueError means that the law or every support in C(S) failed (never seen).
     """
     if spec.n_attributes == spec.strength >= 5:
         design = full_profile_design(spec)
     else:
         design = _solve_on_candidates(spec)
-    return OptimResult(design=design, report=kw_certify(design))
+    return kw_certify(design)

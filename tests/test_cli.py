@@ -243,10 +243,7 @@ class TestOptimize:
         solve = cli.optimize_full
 
         def failing(spec):
-            result = solve(spec)
-            return dataclasses.replace(
-                result, report=dataclasses.replace(result.report, support_ok=False)
-            )
+            return dataclasses.replace(solve(spec), support_ok=False)
 
         monkeypatch.setattr(cli, "optimize_full", failing)
         code, out, _ = run(capsys, "optimize", "--k", "27", "--s", "25")

@@ -80,6 +80,20 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(k, s)
 
+    @pytest.mark.parametrize(
+        "k,s,name", [(6, 5.5, "strength"), (6.5, 5, "n_attributes"), ("6", 5, "n_attributes"),
+                     (6, Fraction(9, 2), "strength")]
+    )
+    def test_non_integral_dimension_is_refused_not_truncated(self, k, s, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
+            ModelSpec(k, s)
+
+    @pytest.mark.parametrize("k,s", [(6, 5.0), (6.0, 5), (np.int64(6), Fraction(5))])
+    def test_integral_dimensions_are_stored_as_ints(self, k, s):
+        spec = ModelSpec(k, s)
+        assert spec == ModelSpec(6, 5) and type(spec.n_attributes) is type(spec.strength) is int
+        assert spec.n_params == ModelSpec(6, 5).n_params
+
 
 class TestProfile:
     def test_round_trip(self):
@@ -200,6 +214,12 @@ class TestCounting:
             count_pairs(spec44, 5)
         with pytest.raises(ValueError):
             count_pairs(spec44, -1)
+
+    def test_non_integral_bare_dimensions_are_refused_not_truncated(self):
+        # truncation would read (7, 2.5) as (7, 2)
+        with pytest.raises(ValueError, match=r"K and S must be integers, got \(7, 2.5\)"):
+            count_pairs((7, 2.5), 1)
+        assert count_pairs((7.0, 2.0), 1) == count_pairs((7, 2), 1) == 2**2 * 21 * 2
 
     @pytest.mark.parametrize("k,s", [(4, 4), (5, 4), (5, 5), (6, 4), (6, 5), (6, 6)])
     def test_matches_enumeration(self, k, s):

@@ -23,7 +23,6 @@ from pairdesign import (
     optimize_full,
     realize_design,
     variance_exact,
-    variance_from_blocks,
     variance_profile,
     variance_sweep_max_deviation,
     variance_uniform,
@@ -134,9 +133,11 @@ class TestVarianceProfile:
             )
             assert abs(total - spec.n_params) <= 1e-9
 
-    def test_depth_zero_constant(self, spec44):
-        info = mix_h(four_depth_optimum(spec44))
-        assert variance_from_blocks(info, 0) == 0
+
+def dot_product(info, x):
+    """V(x) = sum_r p_r h_r(x) / h_r, from ``h_values`` and the mixture's h: the reference path."""
+    own = h_values(info.spec, x).values
+    return sum(p * h_x / h for p, h_x, h in zip(info.spec.block_dims, own, info.values))
 
 
 @given(st.data())
@@ -162,7 +163,7 @@ def test_profile_matches_paper_display(data):
             1 / h1 + (s - d) / h2 + q3 / (6 * h3) + (s - d) * q4 / (6 * h4)
         )
         assert profile.values[d] == display
-        assert variance_from_blocks(info, d) == display
+        assert dot_product(info, d) == display
 
 
 def law_design(s, d):
@@ -172,9 +173,9 @@ def law_design(s, d):
 
 
 def dot_values(design, depths):
-    """V(x) by the dot product of ``variance_from_blocks``, the reference path."""
+    """V(x) by ``dot_product``, at each of ``depths``."""
     info = mix_h(design)
-    return {x: variance_from_blocks(info, x) for x in depths}
+    return {x: dot_product(info, x) for x in depths}
 
 
 class TestMirrorLaw:
@@ -269,6 +270,16 @@ class TestVarianceUniform:
             variance_uniform(0, 1, spec44)
         with pytest.raises(ValueError):
             variance_uniform(1, 5, spec44)
+
+    def test_non_integral_depth_is_refused_not_truncated(self, spec55):
+        # truncation would read 2.5 as depth 2: V(2) = 75/2
+        with pytest.raises(ValueError, match="depth must be an integer, got 2.5"):
+            variance_uniform(2.5, 1, spec55)
+        with pytest.raises(ValueError, match="design depth must be an integer, got 1.5"):
+            variance_uniform(2, 1.5, spec55)
+
+    def test_integral_float_depth_is_its_int(self, spec55):
+        assert variance_uniform(2.0, np.int64(1), spec55) == variance_uniform(2, 1, spec55)
 
 
 class TestVarianceExact:
@@ -421,11 +432,11 @@ class TestQuarticShape:
         design = DepthDesign(weights, spec)
         info = mix_h(design)
         depths = np.arange(0, 5)
-        values = np.array([float(variance_from_blocks(info, int(d))) for d in depths])
+        values = np.array([float(dot_product(info, int(d))) for d in depths])
         fitted = np.polyfit(depths, values, 4)
         assert fitted[0] < 0
         # exact fourth finite difference gives 4! times the leading coefficient
-        exact = [variance_from_blocks(info, d) for d in range(5)]
+        exact = [dot_product(info, d) for d in range(5)]
         lead = (
             exact[4] - 4 * exact[3] + 6 * exact[2] - 4 * exact[1] + exact[0]
         ) / 24
@@ -451,30 +462,28 @@ class TestKWCertify:
         from pairdesign import conjectured_design
 
         spec = ModelSpec(s, s)
-        report = kw_certify(conjectured_design(spec), tol=1e-6)
+        report = kw_certify(conjectured_design(spec))
         assert report.optimal
         assert report.support_ok
 
-    # a bool is an int: tol=True would certify at tol 1
+    # an explicit tol may only be 0: a bool (True == 1, False == 0) and Fraction(0) too
     @pytest.mark.parametrize(
         "tol",
         [-1.0, -1, Fraction(-1, 10**400), -(10**400), float("nan"), float("inf"),
-         float("-inf"), True, False, "0", 1j, None.__class__],
+         float("-inf"), True, False, "0", 1j, None.__class__,
+         1e-9, 1e-6, 1, 10**400, Fraction(1, 3), Fraction(0)],
     )
     def test_bad_tol_raises(self, spec44, tol):
-        with pytest.raises(ValueError, match="tol"):
+        with pytest.raises(ValueError, match="an explicit tol may only be 0, got"):
             kw_certify(four_depth_optimum(spec44), tol=tol)
 
-    @pytest.mark.parametrize(
-        "tol,text", [(10**400, "1e+400"), (Fraction(10**400, 3), "3.33333e+399")]
-    )
-    def test_tol_past_the_float_range_is_finite(self, tol, text):
-        # math.isfinite overflows on these; the design is 1e-9 off the K=S=7 law
-        eps = Fraction(1, 10**9)
-        design = DepthDesign({2: Fraction(3, 4) + eps, 6: Fraction(1, 4) - eps}, ModelSpec(7, 7))
-        report = kw_certify(design, tol=tol)
-        assert report.tol == tol and report.certified
-        assert f"max excess: 1.244e-08 (tol {text} relative to p)" in report.to_text()
+    @pytest.mark.parametrize("tol", [0, 0.0, -0.0])
+    def test_explicit_zero_tol_is_the_int_zero(self, tol):
+        # also on float weights, whose default would be 1e-9
+        law = DepthDesign({2: 0.75, 6: 0.25}, ModelSpec(7, 7))
+        report = kw_certify(law, tol=tol)
+        assert report.tol == 0 and type(report.tol) is int
+        assert "(tol 0 relative to p)" in report.to_text()
 
     def test_negative_zero_tol_is_held_as_zero(self):
         law = DepthDesign({2: Fraction(3, 4), 6: Fraction(1, 4)}, ModelSpec(7, 7))
@@ -507,16 +516,15 @@ class TestKWCertify:
         assert "1.000*" in text
 
     @pytest.mark.parametrize(
-        "tol,written",
-        [(Fraction(1, 3), '"1/3"'), (0, "0"), (1e-9, "1e-09"), (10**400, "1" + "0" * 400)],
-        ids=["fraction", "zero", "float", "int_past_float"],
+        "weights,written",
+        [({2: Fraction(3, 4), 6: Fraction(1, 4)}, "0"), ({2: 0.75, 6: 0.25}, "1e-09")],
+        ids=["zero", "float"],
     )
-    def test_report_serializes_every_tol(self, tol, written):
-        # an int or a float is written as it is, any other tol as its exact text
-        law = DepthDesign({2: Fraction(3, 4), 6: Fraction(1, 4)}, ModelSpec(7, 7))
-        record = json.dumps(kw_certify(law, tol=tol).to_dict())
+    def test_report_serializes_every_tol(self, weights, written):
+        # the K=S=7 law: its tol, 0 or 1e-9, is written as it is
+        record = json.dumps(kw_certify(DepthDesign(weights, ModelSpec(7, 7))).to_dict())
         assert f'"tol": {written},' in record
-        assert json.loads(record)["tol"] == (str(tol) if isinstance(tol, Fraction) else tol)
+        assert json.loads(record)["tol"] == float(written)
 
     def test_support_condition_flag(self, spec55):
         report = kw_certify(DepthDesign({1: 0.5, 2: 0.5}, spec55))
@@ -531,10 +539,10 @@ class TestKWCertify:
 
     def test_dust_weight_is_optimal_but_not_certified(self, spec55):
         # V(1) = 0.9375 p on the K=S=5 optimum, so weight there breaks the support condition
-        dust = Fraction(1, 10**9)
-        design = DepthDesign({1: dust, 2: Fraction(2, 3) - dust, 4: Fraction(1, 3)}, spec55)
-        # at a positive tol the excess passes and only the support half fails
-        report = kw_certify(design, tol=1e-6)
+        design = DepthDesign({1: 1e-12, 2: 2 / 3 - 1e-12, 4: 1 / 3}, spec55)
+        # at the float tol 1e-9 the excess passes and only the support half fails
+        report = kw_certify(design)
+        assert report.tol == 1e-9 and 0 < report.max_excess <= 1e-9 * spec55.n_params
         assert report.optimal
         assert not report.support_ok
         assert not report.certified

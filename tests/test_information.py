@@ -59,6 +59,20 @@ class TestHValues:
         with pytest.raises(ValueError):
             h_values(spec44, 5)
 
+    @pytest.mark.parametrize("strength,depth", [(5, 2.5), (5.9, 2), ("5", 2), (5, Fraction(5, 2))])
+    def test_non_integral_strength_or_depth_is_refused_not_truncated(self, strength, depth):
+        # truncation would read (5, 2.5) and (5.9, 2) as (5, 2): (8, 48, 144, 192)
+        with pytest.raises(ValueError, match="strength and depth must be integers"):
+            h_numerators(strength, depth)
+
+    def test_non_integral_depth_of_h_values(self):
+        with pytest.raises(ValueError, match="must be integers, got 5 and 2.5"):
+            h_values(ModelSpec(5, 5), 2.5)
+
+    def test_integral_float_is_its_int(self):
+        assert h_numerators(5.0, 2.0) == h_numerators(np.int64(5), 2) == (8, 48, 144, 192)
+        assert h_values(ModelSpec(5, 5), 2.0) == h_values(ModelSpec(5, 5), 2)
+
     @pytest.mark.parametrize("s", range(1, 13))
     def test_depth_symmetry(self, s):
         for d in range(s + 1):

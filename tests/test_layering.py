@@ -169,13 +169,13 @@ def test_one_block_budget_reaches_the_oracle_and_the_sweep(monkeypatch):
 def test_public_names_are_unchanged():
     assert sorted(pairdesign.__all__) == [
         "BlockInfo", "CertificationReport", "ComparisonPair", "DenseInfo", "DepthDesign",
-        "ExplicitDesign", "InvalidPairError", "ModelSpec", "OptimResult", "Profile",
+        "ExplicitDesign", "InvalidPairError", "ModelSpec", "Profile",
         "SingularDesignError", "VarianceProfile", "comparison_depth", "conjectured_design",
         "count_pairs", "enumerate_orbit", "full_profile_design", "h_numerators", "h_values",
         "info_matrix_exact", "is_identifiable", "kw_certify", "log_det", "mix_h",
         "optimal_depth_first_order", "optimal_depth_main", "optimal_depth_second_order",
         "optimal_depth_third_order", "optimize_full", "param_dims", "realize_design",
-        "regression_vector", "variance_exact", "variance_from_blocks", "variance_profile",
+        "regression_vector", "variance_exact", "variance_profile",
         "variance_sweep_max_deviation", "variance_uniform",
     ]
     assert all(hasattr(pairdesign, name) for name in pairdesign.__all__)

@@ -103,6 +103,18 @@ class TestSubsetCriteria:
         with pytest.raises(ValueError):
             optimal_depth_first_order(1)
 
+    def test_non_integral_strength_is_refused_not_truncated(self):
+        # truncation would read 6.9 as 6: {1, 5}
+        with pytest.raises(ValueError, match="strength must be an integer, got 6.9"):
+            optimal_depth_third_order(6.9)
+        with pytest.raises(ValueError, match="strength must be an integer, got '6'"):
+            optimal_depth_main("6")
+
+    def test_integral_float_strength_is_its_int(self):
+        assert optimal_depth_third_order(6.0) == optimal_depth_third_order(6) == {1, 5}
+        # a spec built from floats stores ints, and is solved as one
+        assert optimize_full(ModelSpec(6, 5.0)) == optimize_full(ModelSpec(6, 5))
+
 
 class TestConjecturedDesign:
     @pytest.mark.parametrize(
@@ -228,7 +240,7 @@ class TestOptimizeFull:
         for k, s in [(4, 4), (7, 7), (6, 4), (9, 5), (13, 8), (16, 10), (20, 7)]:
             result = optimize_full(ModelSpec(k, s))
             assert result.certified
-            report = kw_certify(result.design, tol=result.report.tol)
+            report = kw_certify(result.design)
             assert report.optimal
             assert report.support_ok
 
@@ -236,8 +248,8 @@ class TestOptimizeFull:
     def test_result_is_the_kw_certify_report(self, k, s, exact):
         result = optimize_full(ModelSpec(k, s))
         assert result.design.is_exact == exact
-        report = kw_certify(result.design, tol=result.report.tol)
-        assert report == result.report
+        report = kw_certify(result.design)
+        assert report == result
         assert result.certified == report.certified == (report.optimal and report.support_ok)
         assert result.certified
 
@@ -250,7 +262,7 @@ class TestOptimizeFull:
         assert not result.design.is_exact
         assert result.support == support
         assert result.certified
-        assert result.report.tol == 1e-9
+        assert result.tol == 1e-9
 
     def test_irrational_weight_builds_no_exact_profile(self, monkeypatch):
         # the (8,6) optimum's weight is the root of an irreducible cubic: no candidate
@@ -265,13 +277,13 @@ class TestOptimizeFull:
         monkeypatch.setattr(optimizer, "kw_certify", counting)
         result = optimize_full(ModelSpec(8, 6))
         assert calls == [result.design] and not result.design.is_exact
-        assert result.certified and result.report.tol == 1e-9
+        assert result.certified and result.tol == 1e-9
 
     def test_rational_weight_of_any_denominator_is_exact(self):
         # 20568 lies past a denominator guess of 10^4; the cubic's leading coefficient bounds it
         result = optimize_full(ModelSpec(60, 50))
         assert result.design.weights == {19: Fraction(8959, 20568), 31: Fraction(11609, 20568)}
-        assert result.certified and result.report.tol == 0
+        assert result.certified and result.tol == 0
 
     @pytest.mark.parametrize(
         "s,law", [(3200, (1552, 1649)), (5000, (2439, 2562)), (20_000, (9878, 10123))]
@@ -281,7 +293,7 @@ class TestOptimizeFull:
         assert full_profile_design(ModelSpec(s, s)).support == law
         result = optimize_full(ModelSpec(s + 1, s))
         assert result.support == law
-        assert result.certified and result.report.tol == 1e-9
+        assert result.certified and result.tol == 1e-9
         for depth in law:
             point = kw_certify(DepthDesign.point_mass(ModelSpec(s + 1, s), depth), tol=0)
             assert point.max_excess > 0 and not point.certified
@@ -377,15 +389,14 @@ class TestOptimizeFull:
         result = optimize_full(ModelSpec(k, s))
         assert solved == [0]  # no step certifies: the integer bound decides
         assert calls == [result.design] and result.certified
-        assert result.report.tol == (0 if result.design.is_exact else 1e-9)
+        assert result.tol == (0 if result.design.is_exact else 1e-9)
 
     @pytest.mark.parametrize("k,s", [(5, 4), (6, 4), (8, 5), (10, 7), (12, 4), (12, 12)])
     def test_partial_profiles_certify_with_small_support(self, k, s):
         result = optimize_full(ModelSpec(k, s))
         assert result.certified
         assert len(result.support) <= 4
-        report = result.report
-        assert float(report.max_excess) <= report.tol * ModelSpec(k, s).n_params
+        assert float(result.max_excess) <= result.tol * ModelSpec(k, s).n_params
 
     @pytest.mark.parametrize("s,d_low", [(650, 303), (1000, 473)])
     def test_large_full_profile_exact_two_depth(self, s, d_low):
@@ -406,7 +417,7 @@ class TestOptimizeFull:
         assert result.design.weights == {
             d_low: Fraction(s + 1 - d_low, s + 1), s + 1 - d_low: Fraction(d_low, s + 1)
         }
-        assert result.certified and result.report.tol == 0
+        assert result.certified and result.tol == 0
         assert result.iterations == 0  # the rule, with no float solve
 
     @given(st.integers(min_value=5, max_value=458))
@@ -428,7 +439,7 @@ class TestOptimizeFull:
 
     def test_full_profile_without_iterations(self):
         result = optimize_full(ModelSpec(12, 12))
-        assert result.certified and result.report.tol == 0
+        assert result.certified and result.tol == 0
         assert result.iterations == 0
         assert result.design == full_profile_design(ModelSpec(12, 12))
 
@@ -466,11 +477,13 @@ class TestOptimizeFull:
     @pytest.mark.parametrize("k,s,proof_tol", [(6, 6, 0), (8, 6, 1e-9)])
     def test_result_carries_its_report(self, k, s, proof_tol):
         result = optimize_full(ModelSpec(k, s))
-        report = result.report
-        assert report.tol == proof_tol
-        assert report.design is result.design
-        assert result.support == report.design.support
-        assert result.certified == report.certified == (report.optimal and report.support_ok)
+        assert result.tol == proof_tol
+        assert result.support == result.design.support
+        assert result.certified == (result.optimal and result.support_ok)
+
+    def test_repr_leaves_out_the_profile(self):
+        # the K=S=2000 profile holds 2000 values, about 109 000 characters of repr
+        assert len(repr(optimize_full(ModelSpec(2000, 2000)))) < 500
 
 
 class TestOnePath:
@@ -529,6 +542,27 @@ def test_grid_k40_optima_are_pinned():
     assert counts == {(1, True): 504, (2, True): 97, (2, False): 99, (3, False): 2, (4, True): 1}
     assert three_depth == [(6, 5), (16, 14)]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GRID_K40_EXACT_SHA256
+
+
+@pytest.fixture(scope="module")
+def grid_k40_results():
+    """optimize_full of the 703 specs with 4 <= S <= K <= 40."""
+    return [optimize_full(ModelSpec(k, s)) for k in range(4, 41) for s in range(4, k + 1)]
+
+
+def test_grid_k40_results_are_their_certificates(grid_k40_results):
+    assert len(grid_k40_results) == 703
+    for result in grid_k40_results:
+        assert result == kw_certify(result.design)
+        assert result.iterations == 0 and result.support == result.design.support
+
+
+def test_explicit_tol_0_is_the_default_on_exact_grid_optima(grid_k40_results):
+    # the benchmark's exact proof: kw_certify(design, tol=0) of each exact optimum
+    exact = [result.design for result in grid_k40_results if result.design.is_exact]
+    assert len(exact) == 602
+    for design in exact:
+        assert kw_certify(design, tol=0) == kw_certify(design)
 
 
 def test_import_does_not_load_scipy():
