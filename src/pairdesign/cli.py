@@ -110,8 +110,8 @@ def _document_json(report: CertificationReport) -> dict:
     weights = {}
     for depth, weight in sorted(report.design.weights.items()):
         weights[str(depth)] = {"decimal": float(weight)}
-        if isinstance(weight, (int, Fraction)):
-            weights[str(depth)]["fraction"] = str(Fraction(weight))
+        if isinstance(weight, Fraction):
+            weights[str(depth)]["fraction"] = str(weight)
     spec = report.design.spec
     return {
         "K": spec.n_attributes,
@@ -176,16 +176,16 @@ def _parse_weight(value) -> Weight:
 
 
 def _fraction_label(weight: Weight) -> str:
-    """Fraction suffix for weights that are exact rationals, empty otherwise."""
-    if isinstance(weight, (int, Fraction)):
-        return f" ({Fraction(weight)})"
+    """Fraction suffix for a weight held as a Fraction, empty otherwise."""
+    if isinstance(weight, Fraction):
+        return f" ({weight})"
     return ""
 
 
 def _weight_text(weight: Weight) -> str:
-    """Plan weight cell: fraction text for exact weights, 17 digits otherwise."""
-    if isinstance(weight, (int, Fraction)):
-        return str(Fraction(weight))
+    """Plan weight cell: fraction text for a Fraction, 17 digits otherwise."""
+    if isinstance(weight, Fraction):
+        return str(weight)
     return f"{float(weight):.17g}"
 
 
@@ -194,13 +194,6 @@ def _parse_weight_text(text: str) -> Weight:
     if "/" in text or text.lstrip("+-").isdigit():
         return Fraction(text)
     return float(text)
-
-
-def _check_plan_rows(spec: ModelSpec, depths) -> None:
-    """Refuse a plan of the whole orbits of ``depths`` past _MAX_PLAN_ROWS rows."""
-    n_rows = sum(count_pairs(spec, d) for d in depths)
-    if n_rows > _MAX_PLAN_ROWS:
-        raise ValueError(f"a plan of {n_rows} rows exceeds the limit of {_MAX_PLAN_ROWS} rows")
 
 
 def _check_strength(spec: ModelSpec) -> None:
@@ -285,6 +278,18 @@ def _write_plan_csv(handle, n_attributes: int, blocks) -> int:
         handle.writelines(_plan_rows(n_attributes, block, _weight_text(weight), n_rows + 1, "\r\n"))
         n_rows += block.n_rows
     return n_rows
+
+
+def _write_plan(path: str | None, design: DepthDesign) -> int:
+    """Write ``design``'s plan to ``path``, or to stdout when it is None; returns the row count.
+
+    A plan past _MAX_PLAN_ROWS rows is refused before anything is opened.
+    """
+    n_rows = sum(count_pairs(design.spec, d) for d in design.support)
+    if n_rows > _MAX_PLAN_ROWS:
+        raise ValueError(f"a plan of {n_rows} rows exceeds the limit of {_MAX_PLAN_ROWS} rows")
+    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as out:
+        return _write_plan_csv(out, design.spec.n_attributes, _plan_blocks(design))
 
 
 def _plan_segments(path: str):
@@ -376,12 +381,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     spec = ModelSpec(args.k, args.s)
     _check_strength(spec)
     report = optimize_full(spec)
-    design = report.design
     if args.export:
-        _check_plan_rows(spec, design.support)
-        blocks = _plan_blocks(spec, {d: design.weights[d] for d in design.support})
-        with open(args.export, "w", newline="") as handle:
-            n_rows = _write_plan_csv(handle, spec.n_attributes, blocks)
+        n_rows = _write_plan(args.export, report.design)
         if not args.json:
             print(f"exported {n_rows} rows to {args.export}")
     if args.json:
@@ -521,13 +522,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--d must lie in 1..{spec.strength} (depth 0 carries no information), got {args.d}"
         )
-    _check_plan_rows(spec, [args.d])
-    blocks = _plan_blocks(spec, {args.d: 1})
-    if args.out:
-        with open(args.out, "w", newline="") as handle:
-            _write_plan_csv(handle, args.k, blocks)
-    else:
-        _write_plan_csv(sys.stdout, args.k, blocks)
+    _write_plan(args.out or None, DepthDesign.point_mass(spec, args.d))
     return EXIT_OK
 
 

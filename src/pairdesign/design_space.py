@@ -10,6 +10,10 @@ profiles), and every design that is invariant under that group is a mixture
 of uniform designs on these orbits, so it is fully described by a weight per
 comparison depth.
 
+Two rules for the numbers that enter are decided here, and every layer reads
+their answer: ``integral`` for K, S and every depth, and ``_weight`` for each
+weight, which is exact exactly when it is held as a Fraction.
+
 The order in which an orbit's rows are spelled out, and the weight each row
 carries, are decided here once (``_orbit_order``, ``_plan_blocks``), with no
 numpy: ``enumerate_orbit`` renders that order as pair objects, the CLI as
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,12 +55,37 @@ class InvalidPairError(ValueError):
     """Two profiles that cannot be compared (different shown attributes)."""
 
 
+def integral(value, name: str) -> int:
+    """An integral real (``5.0``, ``numpy.int64(5)``) as its int; else ``ValueError`` naming it.
+
+    A bool, ``2.5``, inf, NaN, None and ``"5"`` are refused, not truncated or read as 1.
+    """
+    if type(value) is int:
+        return value
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and value == int(value):
+            return int(value)
+    except (OverflowError, ValueError):  # int() of inf or NaN
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _weight(value) -> Fraction | float:
+    """One weight as it is held: a rational (not a bool) as a Fraction, another real as a float."""
+    if type(value) is Fraction or type(value) is float:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return Fraction(value) if isinstance(value, numbers.Rational) else float(value)
+    raise ValueError(f"a weight must be a real number, got {value!r}")
+
+
 def param_dims(n_attributes: int) -> tuple[int, int, int, int, int]:
     """Parameter-block sizes (p1, p2, p3, p4, p) for K two-level attributes.
 
     Main effects plus all two-, three- and four-way product terms give block
     sizes C(K,1), C(K,2), C(K,3), C(K,4); p is their sum.
     """
+    n_attributes = integral(n_attributes, "n_attributes")
     if n_attributes < 4:
         raise ValueError(
             f"need at least 4 attributes, got {n_attributes}: four-way product "
@@ -81,10 +111,7 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         for name in ("n_attributes", "strength"):
-            value = getattr(self, name)
-            if value != int(value):  # 6.5 and "6" are refused, not truncated; 6.0 is 6
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, integral(getattr(self, name), name))
         dims = param_dims(self.n_attributes)
         if not 4 <= self.strength <= self.n_attributes:
             raise ValueError(
@@ -179,25 +206,9 @@ class ComparisonPair:
         return f"{self.first.to_text()}|{self.second.to_text()}"
 
 
-def _dims_of(spec) -> tuple[int, int]:
-    """Accept a ModelSpec or a bare (K, S) pair.
-
-    The bare form exists for enumeration and counting of toy spaces below the
-    model's identifiability threshold (S < 4), where no ModelSpec can be built.
-    """
-    if isinstance(spec, ModelSpec):
-        return spec.n_attributes, spec.strength
-    k, s = (int(v) for v in spec)
-    if (k, s) != tuple(spec):  # as ModelSpec: (7, 2.5) is refused, not truncated
-        raise ValueError(f"K and S must be integers, got {tuple(spec)!r}")
-    if not 1 <= s <= k:
-        raise ValueError(f"need 1 <= S <= K, got S={s}, K={k}")
-    return k, s
-
-
-def count_pairs(spec: ModelSpec | tuple[int, int], depth: int) -> int:
+def count_pairs(spec: ModelSpec, depth: int) -> int:
     """Number of ordered pairs at one comparison depth: 2^S C(K,S) C(S,d)."""
-    k, s = _dims_of(spec)
+    k, s, depth = spec.n_attributes, spec.strength, integral(depth, "depth")
     if not 0 <= depth <= s:
         raise ValueError(f"depth must lie in 0..{s}, got {depth}")
     return 2**s * math.comb(k, s) * math.comb(s, depth)
@@ -228,7 +239,7 @@ def _batches(iterable, size: int) -> Iterator[list]:
         yield batch
 
 
-def _orbit_order(spec: ModelSpec | tuple[int, int], depth: int) -> Iterator[_OrbitBlock]:
+def _orbit_order(spec: ModelSpec, depth: int) -> Iterator[_OrbitBlock]:
     """The one row order of a depth orbit, as blocks of at most ``_ORBIT_BLOCK_ROWS`` rows.
 
     Attribute subsets, then first-profile patterns, then flipped positions,
@@ -236,7 +247,7 @@ def _orbit_order(spec: ModelSpec | tuple[int, int], depth: int) -> Iterator[_Orb
     batch of an outer factor holds more than one item only when every inner
     factor fits whole, which keeps the order.
     """
-    k, s = _dims_of(spec)
+    k, s, depth = spec.n_attributes, spec.strength, integral(depth, "depth")
     if not 0 <= depth <= s:
         raise ValueError(f"depth must lie in 0..{s}, got {depth}")
     n_flips, n_levels = math.comb(s, depth), 2**s
@@ -256,9 +267,7 @@ def _orbit_order(spec: ModelSpec | tuple[int, int], depth: int) -> Iterator[_Orb
                 yield _OrbitBlock(subsets, patterns, flips)
 
 
-def enumerate_orbit(
-    spec: ModelSpec | tuple[int, int], depth: int
-) -> Iterator[ComparisonPair]:
+def enumerate_orbit(spec: ModelSpec, depth: int) -> Iterator[ComparisonPair]:
     """Yield every ordered pair of the given comparison depth exactly once.
 
     The stream is deterministic: attribute subsets, then first-profile levels,
@@ -266,7 +275,7 @@ def enumerate_orbit(
     block by block of ``_orbit_order``, so large spaces can be consumed
     incrementally.
     """
-    k, s = _dims_of(spec)
+    k, s = spec.n_attributes, spec.strength
     bits = range(s - 1, -1, -1)
     for block in _orbit_order(spec, depth):
         for subset in block.subsets:
@@ -285,17 +294,20 @@ def enumerate_orbit(
 
 @dataclass(frozen=True)
 class DepthDesign:
-    """Invariant design: one probability weight per comparison depth 1..S."""
+    """Invariant design: one probability weight per comparison depth 1..S.
+
+    A rational weight (an int, a Fraction, a numpy int; not a bool) is held as
+    a Fraction and must make an exact sum of 1, another real as a float
+    summing to 1 within 1e-12; a bool, a Decimal or a string raises ValueError.
+    """
 
     weights: dict[int, Weight]
     spec: ModelSpec
 
     def __post_init__(self) -> None:
-        cleaned: dict[int, Weight] = {}
-        for depth, weight in sorted(self.weights.items()):
-            if depth != int(depth):
-                raise ValueError(f"depth must be an integer, got {depth!r}")
-            depth = int(depth)
+        cleaned: dict[int, Fraction | float] = {}
+        for depth, weight in self.weights.items():
+            depth, weight = integral(depth, "depth"), _weight(weight)
             if depth == 0:
                 raise ValueError("depth 0 carries no information and cannot be weighted")
             if not 1 <= depth <= self.spec.strength:
@@ -305,7 +317,7 @@ class DepthDesign:
             if weight < 0:
                 raise ValueError(f"negative weight {weight} at depth {depth}")
             cleaned[depth] = weight
-        object.__setattr__(self, "weights", cleaned)
+        object.__setattr__(self, "weights", dict(sorted(cleaned.items())))
         total = sum(cleaned.values())
         if self.is_exact and total != 1:
             raise ValueError(f"exact weights sum to {total}, not 1")
@@ -324,22 +336,17 @@ class DepthDesign:
 
     @property
     def is_exact(self) -> bool:
-        """True when every weight is an exact rational."""
-        return all(isinstance(w, (int, Fraction)) for w in self.weights.values())
+        """True when every weight is held as a Fraction."""
+        return all(isinstance(w, Fraction) for w in self.weights.values())
 
 
-def _plan_blocks(
-    spec: ModelSpec, depth_weights: dict[int, Weight]
-) -> Iterator[tuple[_OrbitBlock, Weight]]:
-    """Weighted orbit blocks ``(block, row weight)``, depth by depth ascending.
+def _plan_blocks(design: DepthDesign) -> Iterator[tuple[_OrbitBlock, Fraction | float]]:
+    """The weighted orbit blocks ``(block, row weight)`` of ``design``'s support, depth ascending.
 
     Each depth's orbit streams from ``_orbit_order``, and every row of it
-    weighs w_d / N_d, exact when w_d is: this is the one place that weight
-    is decided, for ``realize_design`` and for CSV plans alike.  Bad depths
-    raise before any block is built.
+    weighs w_d / N_d, a Fraction when w_d is: this is the one place that
+    weight is decided, for ``realize_design`` and for CSV plans alike.
     """
-    shares = [
-        (d, (Fraction(w) if isinstance(w, (int, Fraction)) else w) / count_pairs(spec, d))
-        for d, w in sorted(depth_weights.items())
-    ]
+    spec = design.spec
+    shares = [(d, design.weights[d] / count_pairs(spec, d)) for d in design.support]
     return ((block, share) for d, share in shares for block in _orbit_order(spec, d))

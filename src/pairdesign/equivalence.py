@@ -60,7 +60,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .design_space import DepthDesign, ModelSpec, Weight
+from .design_space import DepthDesign, ModelSpec, Weight, integral
 
 __all__ = [
     "BlockInfo",
@@ -94,9 +94,7 @@ def h_numerators(strength: int, depth: int) -> tuple[int, int, int, int]:
     each block by a positive constant, so argmax questions reduce to these
     integers.
     """
-    s, d = int(strength), int(depth)
-    if s != strength or d != depth:  # 2.5 is refused, not truncated; 5.0 is 5
-        raise ValueError(f"strength and depth must be integers, got {strength!r} and {depth!r}")
+    s, d = integral(strength, "strength"), integral(depth, "depth")
     if not 0 <= d <= s:
         raise ValueError(f"depth must lie in 0..{s}, got {d}")
     return (
@@ -308,10 +306,8 @@ def variance_uniform(depth: int, design_depth: int, spec: ModelSpec) -> Fraction
     mass and is always exact.
     """
     s = spec.strength
-    d, dd = int(depth), int(design_depth)
-    for name, value, given in (("depth", d, depth), ("design depth", dd, design_depth)):
-        if value != given:
-            raise ValueError(f"{name} must be an integer, got {given!r}")
+    d, dd = integral(depth, "depth"), integral(design_depth, "design depth")
+    for name, value in (("depth", d), ("design depth", dd)):
         if not 1 <= value <= s:
             raise ValueError(f"{name} must lie in 1..{s}, got {value}")
     _require_identifiable(h_values(spec, dd))

@@ -25,7 +25,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .design_space import DepthDesign, ModelSpec
+from .design_space import DepthDesign, ModelSpec, integral
 from .equivalence import CertificationReport, full_profile_design, h_numerators, kw_certify
 
 __all__ = [
@@ -41,11 +41,7 @@ _RULE_MAX_STRENGTH = 18
 
 
 def _strength_of(spec: ModelSpec | int) -> int:
-    if isinstance(spec, ModelSpec):
-        return spec.strength
-    if spec != int(spec):  # 6.9 is refused, not truncated; 6.0 is 6
-        raise ValueError(f"strength must be an integer, got {spec!r}")
-    return int(spec)
+    return spec.strength if isinstance(spec, ModelSpec) else integral(spec, "strength")
 
 
 def _argmax_depths(strength: int, block: int) -> set[int]:

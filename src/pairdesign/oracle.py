@@ -49,6 +49,7 @@ from .design_space import (
     Weight,
     _OrbitBlock,
     _plan_blocks,
+    _weight,
     count_pairs,
 )
 from .equivalence import SingularDesignError, variance_profile
@@ -96,18 +97,19 @@ def _fill_block(block: _OrbitBlock, firsts: np.ndarray, seconds: np.ndarray) -> 
 def _weight_column(values: Sequence[Weight]) -> tuple[np.ndarray, int | None]:
     """Weights ``values`` in ExplicitDesign's storage form, one per value.
 
-    When all values are exact and their least common denominator D is at
-    most _MAX_EXACT_DENOMINATOR, they become int64 numerators over D;
-    otherwise float64 weights.  Values outside [0, 2] always go the float
-    way, so a numerator cannot overflow before validation rejects the design.
+    Each value is read by ``DepthDesign``'s weight rule, ``_weight``.  When
+    all are Fractions and their least common denominator D is at most
+    _MAX_EXACT_DENOMINATOR, they become int64 numerators over D; otherwise
+    float64 weights.  Values outside [0, 2] always go the float way, so a
+    numerator cannot overflow before validation rejects the design.
     """
-    if all(isinstance(v, (int, Fraction)) for v in values):
-        fractions = [Fraction(v) for v in values]
-        denominator = math.lcm(*(f.denominator for f in fractions))
-        if denominator <= _MAX_EXACT_DENOMINATOR and all(0 <= f <= 2 for f in fractions):
-            numerators = [f.numerator * (denominator // f.denominator) for f in fractions]
+    weights = [_weight(v) for v in values]
+    if all(isinstance(w, Fraction) for w in weights):
+        denominator = math.lcm(*(w.denominator for w in weights))
+        if denominator <= _MAX_EXACT_DENOMINATOR and all(0 <= w <= 2 for w in weights):
+            numerators = [w.numerator * (denominator // w.denominator) for w in weights]
             return np.array(numerators, dtype=np.int64), denominator
-    return np.array([float(v) for v in values], dtype=float), None
+    return np.array([float(w) for w in weights], dtype=float), None
 
 
 def _first_row(bad: np.ndarray) -> int | None:
@@ -280,12 +282,11 @@ def realize_design(design: DepthDesign) -> ExplicitDesign:
     so they are stored without ``from_arrays``'s copies and checks.
     """
     spec = design.spec
-    depth_weights = {d: design.weights[d] for d in design.support}
-    n_rows = sum(count_pairs(spec, d) for d in depth_weights)
+    n_rows = sum(count_pairs(spec, d) for d in design.support)
     firsts = np.zeros((n_rows, spec.n_attributes), dtype=np.int8)
     seconds = np.zeros_like(firsts)
     shares, sizes, row = [], [], 0
-    for block, share in _plan_blocks(spec, depth_weights):
+    for block, share in _plan_blocks(design):
         end = row + block.n_rows
         _fill_block(block, firsts[row:end], seconds[row:end])
         shares.append(share)

@@ -729,7 +729,7 @@ class TestPlanReader:
     def test_oracle_gate_reads_only_the_first_row(self, capsys, tmp_path):
         spec = ModelSpec(11, 4)
         plan = tmp_path / "big.csv"
-        blocks = oracle._plan_blocks(spec, {1: 1})
+        blocks = oracle._plan_blocks(DepthDesign.point_mass(spec, 1))
         with open(plan, "w", newline="") as handle:
             cli._write_plan_csv(handle, 11, [next(blocks)])
         lines = plan.read_text().splitlines()
@@ -994,9 +994,9 @@ class TestPlanStream:
         streams = []
         plan_blocks = design_space._plan_blocks
 
-        def recording(spec, depth_weights):
-            streams.append(dict(depth_weights))
-            return plan_blocks(spec, depth_weights)
+        def recording(design):
+            streams.append(design.weights)
+            return plan_blocks(design)
 
         # realization, the export and enumerate all read design_space's one stream
         for module in (oracle, cli):
@@ -1007,9 +1007,9 @@ class TestPlanStream:
         assert run(capsys, "optimize", "--k", "6", "--s", "6", "--export", str(plan))[0] == 0
         assert run(capsys, "enumerate", "--k", "4", "--s", "4", "--d", "3")[0] == 0
         assert streams == [{2: 1}, {2: Fraction(5, 7), 5: Fraction(2, 7)}, {3: 1}]
-        # a bad depth raises when the stream is made, before any block exists
+        # the stream takes a design, whose depths were checked when it was made
         with pytest.raises(ValueError, match="depth"):
-            plan_blocks(ModelSpec(4, 4), {1: Fraction(1, 2), 5: Fraction(1, 2)})
+            DepthDesign({1: Fraction(1, 2), 5: Fraction(1, 2)}, ModelSpec(4, 4))
 
     @pytest.mark.parametrize("block_rows", [1 << 16, 100])
     @pytest.mark.parametrize("k,s", [(7, 5), (6, 6), (10, 4)])
@@ -1019,8 +1019,7 @@ class TestPlanStream:
         design = optimize_full(ModelSpec(k, s)).design
         realized = realize_design(design)
         rows = []
-        weights = {d: design.weights[d] for d in design.support}
-        for block, weight in design_space._plan_blocks(design.spec, weights):
+        for block, weight in design_space._plan_blocks(design):
             block_rows = cli._plan_rows(k, block, cli._weight_text(weight), len(rows) + 1, "\n")
             assert len(block_rows) == block.n_rows
             rows += block_rows
@@ -1035,7 +1034,7 @@ class TestPlanStream:
         # a table of every pattern's text would take about 100 MB
         tracemalloc.start()
         try:
-            block = next(design_space._orbit_order((20, 20), 1))
+            block = next(design_space._orbit_order(ModelSpec(20, 20), 1))
             rows = cli._plan_rows(20, block, "1/20971520", 1, "\r\n")
             text_peak = tracemalloc.get_traced_memory()[1]
             del rows

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,7 @@ from pairdesign import (
     comparison_depth,
     count_pairs,
     enumerate_orbit,
+    kw_certify,
     optimize_full,
     param_dims,
     realize_design,
@@ -69,6 +72,15 @@ class TestParamDims:
         with pytest.raises(ValueError):
             param_dims(3)
 
+    @pytest.mark.parametrize("k", [4.5, float("inf"), True, None])
+    def test_non_integral_count_is_refused_not_truncated(self, k):
+        message = re.escape(f"n_attributes must be an integer, got {k!r}")
+        with pytest.raises(ValueError, match=message):
+            param_dims(k)
+
+    def test_integral_float_count_is_its_int(self):
+        assert param_dims(6.0) == param_dims(np.int64(6)) == param_dims(6)
+
 
 class TestModelSpec:
     def test_blocks(self, spec55):
@@ -82,7 +94,9 @@ class TestModelSpec:
 
     @pytest.mark.parametrize(
         "k,s,name", [(6, 5.5, "strength"), (6.5, 5, "n_attributes"), ("6", 5, "n_attributes"),
-                     (6, Fraction(9, 2), "strength")]
+                     (6, Fraction(9, 2), "strength"), (float("inf"), 5, "n_attributes"),
+                     (float("nan"), 5, "n_attributes"), (None, 5, "n_attributes"),
+                     (6, True, "strength")]
     )
     def test_non_integral_dimension_is_refused_not_truncated(self, k, s, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
@@ -215,11 +229,17 @@ class TestCounting:
         with pytest.raises(ValueError):
             count_pairs(spec44, -1)
 
-    def test_non_integral_bare_dimensions_are_refused_not_truncated(self):
-        # truncation would read (7, 2.5) as (7, 2)
-        with pytest.raises(ValueError, match=r"K and S must be integers, got \(7, 2.5\)"):
-            count_pairs((7, 2.5), 1)
-        assert count_pairs((7.0, 2.0), 1) == count_pairs((7, 2), 1) == 2**2 * 21 * 2
+    @pytest.mark.parametrize("depth", [2.5, float("inf"), True, "2"])
+    def test_non_integral_depth_is_refused_not_truncated(self, depth):
+        # True was read as depth 1: 384 pairs
+        message = re.escape(f"depth must be an integer, got {depth!r}")
+        with pytest.raises(ValueError, match=message):
+            count_pairs(ModelSpec(6, 6), depth)
+        with pytest.raises(ValueError, match=message):
+            next(enumerate_orbit(ModelSpec(6, 6), depth))
+
+    def test_integral_float_depth_is_its_int(self):
+        assert count_pairs(ModelSpec(6, 6), 2.0) == count_pairs(ModelSpec(6, 6), 2) == 960
 
     @pytest.mark.parametrize("k,s", [(4, 4), (5, 4), (5, 5), (6, 4), (6, 5), (6, 6)])
     def test_matches_enumeration(self, k, s):
@@ -230,12 +250,12 @@ class TestCounting:
 
 class TestEnumerateOrbit:
     def test_tiny_space_by_hand(self):
-        # below the model threshold: bare (K, S) dimensions
-        pairs = [(p.first.levels, p.second.levels) for p in enumerate_orbit((2, 2), 1)]
-        assert len(pairs) == 8
+        # the smallest space: every profile of K = S = 4, one level flipped
+        pairs = [(p.first.levels, p.second.levels) for p in enumerate_orbit(ModelSpec(4, 4), 1)]
+        assert len(pairs) == 64
         expected = set()
-        for i in itertools.product((-1, 1), repeat=2):
-            for flip in range(2):
+        for i in itertools.product((-1, 1), repeat=4):
+            for flip in range(4):
                 j = list(i)
                 j[flip] = -j[flip]
                 expected.add((i, tuple(j)))
@@ -311,7 +331,7 @@ class TestEnumerateOrbit:
 
 def filled_blocks(k, s, d):
     """Each ``_orbit_order`` block of one orbit as int8 ``(firsts, seconds)`` arrays."""
-    for block in design_space._orbit_order((k, s), d):
+    for block in design_space._orbit_order(ModelSpec(k, s), d):
         firsts = np.zeros((block.n_rows, k), dtype=np.int8)
         seconds = np.zeros_like(firsts)
         _fill_block(block, firsts, seconds)
@@ -331,7 +351,7 @@ class TestOrbitBlocks:
         seconds = np.concatenate([g for _, g in blocks]).tolist()
         rows = [(tuple(f), tuple(g)) for f, g in zip(firsts, seconds)]
         assert rows == [
-            (p.first.levels, p.second.levels) for p in enumerate_orbit((k, s), d)
+            (p.first.levels, p.second.levels) for p in enumerate_orbit(ModelSpec(k, s), d)
         ]
         assert rows == ordered_reference_orbit(k, s, d)
 
@@ -352,7 +372,7 @@ class TestOrbitBlocks:
 
     def test_huge_orbit_streams(self):
         # 2^40 level patterns times C(40, 20) flip masks: only the first block is built
-        pair = next(enumerate_orbit((40, 40), 20))
+        pair = next(enumerate_orbit(ModelSpec(40, 40), 20))
         assert pair.first.levels == (-1,) * 40
         assert pair.second.levels == (1,) * 20 + (-1,) * 20
 
@@ -374,9 +394,10 @@ class TestDesigns:
         with pytest.raises(ValueError):
             DepthDesign({1: 0.5, 2: 0.6}, spec44)
 
-    @pytest.mark.parametrize("depth", [2.7, 2.5, Fraction(5, 2)])
+    @pytest.mark.parametrize("depth", [2.7, 2.5, Fraction(5, 2), float("inf"), True])
     def test_non_integral_depth_is_refused_not_truncated(self, depth):
-        with pytest.raises(ValueError, match="depth must be an integer"):
+        # True was read as depth 1
+        with pytest.raises(ValueError, match=re.escape(f"depth must be an integer, got {depth!r}")):
             DepthDesign({depth: 1}, ModelSpec(5, 4))
 
     def test_integral_float_depth_is_accepted(self):
@@ -406,6 +427,26 @@ class TestDesigns:
         assert design.support == (1, 3)
         assert design.is_exact
         assert not DepthDesign({1: 0.5, 3: 0.5}, spec44).is_exact
+
+    def test_rational_weights_are_held_as_fractions(self, spec44):
+        design = DepthDesign({1: np.int64(1), 2: 0}, spec44)
+        assert design.is_exact and design.support == (1,)
+        assert all(type(w) is Fraction for w in design.weights.values())
+        floats = DepthDesign({1: np.float64(0.5), 3: 0.5}, spec44)
+        assert all(type(w) is float for w in floats.weights.values())
+
+    def test_numpy_int_point_mass_is_proved_at_tol_0(self):
+        report = kw_certify(DepthDesign({1: np.int64(1)}, ModelSpec(19, 4)))
+        assert report.certified and report.tol == 0
+
+    @pytest.mark.parametrize("weight", [Decimal(1), True, "1", 1j])
+    def test_weight_that_is_not_a_real_is_refused(self, spec44, weight):
+        message = re.escape(f"a weight must be a real number, got {weight!r}")
+        with pytest.raises(ValueError, match=message):
+            DepthDesign({1: weight}, spec44)
+        pair = ComparisonPair(Profile((1, 1, 1, 1)), Profile((-1, 1, 1, 1)))
+        with pytest.raises(ValueError, match=message):
+            ExplicitDesign(((pair, weight),), spec44)
 
     def test_realize_uniform_rows(self, spec44):
         from fractions import Fraction

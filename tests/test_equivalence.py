@@ -277,6 +277,8 @@ class TestVarianceUniform:
             variance_uniform(2.5, 1, spec55)
         with pytest.raises(ValueError, match="design depth must be an integer, got 1.5"):
             variance_uniform(2, 1.5, spec55)
+        with pytest.raises(ValueError, match="depth must be an integer, got inf"):
+            variance_uniform(float("inf"), 1, spec55)
 
     def test_integral_float_depth_is_its_int(self, spec55):
         assert variance_uniform(2.0, np.int64(1), spec55) == variance_uniform(2, 1, spec55)

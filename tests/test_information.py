@@ -1,5 +1,6 @@
 """Closed-form block informations against the brute-force oracle."""
 
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -59,14 +60,20 @@ class TestHValues:
         with pytest.raises(ValueError):
             h_values(spec44, 5)
 
-    @pytest.mark.parametrize("strength,depth", [(5, 2.5), (5.9, 2), ("5", 2), (5, Fraction(5, 2))])
+    @pytest.mark.parametrize(
+        "strength,depth",
+        [(5, 2.5), (5.9, 2), ("5", 2), (5, Fraction(5, 2)), (float("inf"), 2), (5, True)],
+    )
     def test_non_integral_strength_or_depth_is_refused_not_truncated(self, strength, depth):
-        # truncation would read (5, 2.5) and (5.9, 2) as (5, 2): (8, 48, 144, 192)
-        with pytest.raises(ValueError, match="strength and depth must be integers"):
+        # truncation would read (5, 2.5) and (5.9, 2) as (5, 2): (8, 48, 144, 192),
+        # and True was read as depth 1
+        name, value = ("depth", depth) if type(strength) is int else ("strength", strength)
+        message = re.escape(f"{name} must be an integer, got {value!r}")
+        with pytest.raises(ValueError, match=message):
             h_numerators(strength, depth)
 
     def test_non_integral_depth_of_h_values(self):
-        with pytest.raises(ValueError, match="must be integers, got 5 and 2.5"):
+        with pytest.raises(ValueError, match="depth must be an integer, got 2.5"):
             h_values(ModelSpec(5, 5), 2.5)
 
     def test_integral_float_is_its_int(self):

@@ -111,6 +111,34 @@ def test_only_the_oracle_imports_numpy_at_module_level():
     assert importers == {"oracle"}
 
 
+def test_each_number_rule_is_decided_in_design_space():
+    # "is it exact?" is a Fraction after DepthDesign's weight rule, and "is it
+    # an integer?" is design_space.integral: no module decides either again
+    found = []
+
+    def visit(node, scope, name):
+        for child in ast.iter_child_nodes(node):
+            where = f"{name}.{'.'.join(scope) or '<module>'}"
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "isinstance":
+                kinds = child.args[1] if len(child.args) == 2 else None
+                if isinstance(kinds, ast.Tuple) and ast.unparse(kinds) == "(int, Fraction)":
+                    found.append(f"{where}: {ast.unparse(child)}")
+            if isinstance(child, ast.Compare) and where != "design_space.integral":
+                operands = [child.left, *child.comparators]
+                casts = [
+                    ast.dump(o.args[0]) for o in operands
+                    if isinstance(o, ast.Call) and ast.unparse(o.func) == "int" and len(o.args) == 1
+                ]
+                if any(ast.dump(o) in casts for o in operands):
+                    found.append(f"{where}: {ast.unparse(child)}")
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + (child.name,) if named else scope, name)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), (), path.stem)
+    assert found == []
+
+
 def test_the_oracle_command_and_as_matrix_import_numpy_inside_a_function():
     # as_matrix: test_the_closed_forms_import_numpy_only_inside_as_matrix
     assert "oracle" in imported_modules("cli")

@@ -109,6 +109,11 @@ class TestSubsetCriteria:
             optimal_depth_third_order(6.9)
         with pytest.raises(ValueError, match="strength must be an integer, got '6'"):
             optimal_depth_main("6")
+        with pytest.raises(ValueError, match="strength must be an integer, got inf"):
+            optimal_depth_third_order(float("inf"))
+        # True was read as strength 1: {1}
+        with pytest.raises(ValueError, match="strength must be an integer, got True"):
+            optimal_depth_main(True)
 
     def test_integral_float_strength_is_its_int(self):
         assert optimal_depth_third_order(6.0) == optimal_depth_third_order(6) == {1, 5}
