@@ -100,6 +100,8 @@ EXPECTED_NORMALIZED_VARIANCES = {
     11: (0.609, 0.901, 0.999, 1.000, 0.973, 0.960, 0.973, 1.000, 0.999, 0.901, 0.609),
     12: (0.566, 0.860, 0.979, 1.000, 0.982, 0.963, 0.963, 0.982, 1.000, 0.979, 0.860, 0.566),
 }
+# table 3 marks each row at its two-depth design's support (d*, d1*)
+_EXPECTED_SUPPORTS = {k: design[::2] for k, design in EXPECTED_TWO_DEPTH_DESIGNS.items()}
 
 
 def _document_json(report: CertificationReport) -> dict:
@@ -137,7 +139,6 @@ def _read_document(handle) -> tuple[ModelSpec, dict[int, Weight]]:
     Its ``certification`` block is not read.  A key repeated in any object is
     refused, and so is a depth key other than the plain decimal of its depth
     (``"05"``, ``" 5"``, ``"+5"``), so that no weight silently replaces another.
-    A weight object with both fields must agree: its decimal is float(fraction).
     """
     document = json.load(handle, object_pairs_hook=_unique_keys)
     if "explicit_rows" in document:
@@ -150,29 +151,34 @@ def _read_document(handle) -> tuple[ModelSpec, dict[int, Weight]]:
     for key, value in document["depth_weights"].items():
         if key != str(int(key)):
             raise ValueError(f"depth key {key!r} is not a plain decimal depth")
-        weights[int(key)] = weight = _parse_weight(value)
-        if isinstance(value, dict) and {"fraction", "decimal"} <= value.keys():
-            decimal = value["decimal"]
-            if isinstance(decimal, bool) or decimal != float(weight):
-                raise ValueError(f"depth {key}: decimal {json.dumps(decimal)} is not {weight}")
+        weights[int(key)] = _parse_weight(value, f"depth {key}")
     return spec, weights
 
 
-def _parse_weight(value) -> Weight:
-    """Accept a bare number, a fraction string, or {"fraction":..., "decimal":...}.
+def _parse_weight(value, where: str) -> Weight:
+    """A document weight: a bare JSON number or string, or {"fraction": ..., "decimal": ...}.
 
-    A bare integer is exact and a bare decimal a float, as in a plan cell.  A
-    boolean is refused in every form, as it is for K and S.
+    A bare number goes to ``DepthDesign`` as it is, whose weight rule holds an
+    integer exact, a decimal as a float and refuses a bool.  A bare string is
+    read as a plan cell is, by ``_parse_weight_text``.  In an object, the
+    fraction must be text that rule reads as exact, and the decimal a JSON
+    number, read as a float; with both, the fraction is the weight and the
+    decimal must be its float.
     """
-    if isinstance(value, dict):
-        value, parse = (
-            (value["fraction"], Fraction) if "fraction" in value else (value["decimal"], float)
-        )
-    else:
-        parse = Fraction if isinstance(value, (str, int)) else float
-    if isinstance(value, bool):
-        raise ValueError(f"a depth weight must be a number or a fraction, got {json.dumps(value)}")
-    return parse(value)
+    if not isinstance(value, dict):
+        return _parse_weight_text(value) if isinstance(value, str) else value
+    decimal = value.get("decimal")
+    if "decimal" in value and type(decimal) not in (int, float):  # a JSON number, not a bool
+        raise ValueError(f"{where}: decimal {json.dumps(decimal)} is not a JSON number")
+    if "fraction" not in value:
+        return float(value["decimal"])
+    fraction = value["fraction"]
+    weight = _parse_weight_text(fraction) if isinstance(fraction, str) else None
+    if not isinstance(weight, Fraction):
+        raise ValueError(f"{where}: fraction {json.dumps(fraction)} is not exact fraction text")
+    if "decimal" in value and decimal != float(weight):
+        raise ValueError(f"{where}: decimal {json.dumps(decimal)} is not {weight}")
+    return weight
 
 
 def _fraction_label(weight: Weight) -> str:
@@ -405,14 +411,14 @@ def _table_2() -> dict[int, tuple[int, float, int, float]]:
     return table
 
 
-def _table_3() -> dict[int, tuple[tuple[float, ...], tuple[int, ...]]]:
-    table = {}
+def _table_3() -> tuple[dict[int, tuple[float, ...]], dict[int, tuple[int, ...]]]:
+    rows, supports = {}, {}
     for k in range(5, 13):
         spec = ModelSpec(k, k)
         design = conjectured_design(spec)
         normalized = variance_profile(design).normalized()
-        table[k] = (tuple(normalized[d] for d in spec.depths), design.support)
-    return table
+        rows[k], supports[k] = tuple(normalized[d] for d in spec.depths), design.support
+    return rows, supports
 
 
 def _render_table_1(table: dict[int, int]) -> str:
@@ -436,43 +442,36 @@ def _render_table_2(table: dict[int, tuple[int, float, int, float]]) -> str:
     return "\n".join(label.ljust(4) + "".join(f"{v:>7s}" for v in row) for label, row in rows)
 
 
-def _render_table_3(table: dict[int, tuple[tuple[float, ...], tuple[int, ...]]]) -> str:
-    max_depth = max(len(row) for row, _ in table.values())
+def _render_table_3(table: tuple[dict[int, tuple[float, ...]], dict[int, tuple[int, ...]]]) -> str:
+    rows, supports = table
+    max_depth = max(len(row) for row in rows.values())
     lines = ["K\\d " + "".join(f"{d:>7d}" for d in range(1, max_depth + 1))]
-    for k in sorted(table):
-        row, support = table[k]
+    for k in sorted(rows):
         cells = []
-        for d, value in enumerate(row, start=1):
-            mark = "*" if d in support else " "
+        for d, value in enumerate(rows[k], start=1):
+            mark = "*" if d in supports[k] else " "
             cells.append(f"{value:>6.3f}{mark}")
         lines.append(f"{k:<4d}" + "".join(cells))
     lines.append("(* marks the supported depths)")
     return "\n".join(lines)
 
 
-# which: (compute, render, reference of the computed table).  ``--check``
-# renders the reference with the table's own renderer; table 3's reference
-# takes its support marks from the computed table.
+# which: (compute, render, reference).  ``--check`` renders the reference
+# with the table's own renderer.
 _TABLES = {
-    1: (_table_1, _render_table_1, lambda table: EXPECTED_THIRD_ORDER_DEPTHS),
-    2: (_table_2, _render_table_2, lambda table: EXPECTED_TWO_DEPTH_DESIGNS),
-    3: (
-        _table_3,
-        _render_table_3,
-        lambda table: {k: (row, table[k][1]) for k, row in EXPECTED_NORMALIZED_VARIANCES.items()},
-    ),
+    1: (_table_1, _render_table_1, EXPECTED_THIRD_ORDER_DEPTHS),
+    2: (_table_2, _render_table_2, EXPECTED_TWO_DEPTH_DESIGNS),
+    3: (_table_3, _render_table_3, (EXPECTED_NORMALIZED_VARIANCES, _EXPECTED_SUPPORTS)),
 }
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
     compute, render, reference = _TABLES[args.which]
-    table = compute()
-    text = render(table)
+    text = render(compute())
     print(text)
     if args.check:
-        rows = itertools.zip_longest(
-            text.splitlines(), render(reference(table)).splitlines(), fillvalue=""
-        )
+        expected = render(reference).splitlines()
+        rows = itertools.zip_longest(text.splitlines(), expected, fillvalue="")
         failures = [(got, want) for got, want in rows if got != want]
         for got, want in failures:
             print(f"check FAILED: {got!r}, expected {want!r}", file=sys.stderr)

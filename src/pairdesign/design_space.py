@@ -11,8 +11,10 @@ of uniform designs on these orbits, so it is fully described by a weight per
 comparison depth.
 
 Two rules for the numbers that enter are decided here, and every layer reads
-their answer: ``integral`` for K, S and every depth, and ``_weight`` for each
-weight, which is exact exactly when it is held as a Fraction.
+their answer: ``integral`` for K, S, every depth, every per-block strength,
+every profile level (which must then be -1, 0 or +1) and the oracle's
+denominators, and ``_weight`` for each weight, which is exact exactly when
+it is held as a Fraction.
 
 The order in which an orbit's rows are spelled out, and the weight each row
 carries, are decided here once (``_orbit_order``, ``_plan_blocks``), with no
@@ -46,7 +48,6 @@ __all__ = [
 Weight = Fraction | float | int
 
 _WEIGHT_SUM_TOL = 1e-12
-_LEVELS = {-1: -1, 0: 0, 1: 1}  # a profile level's int: 1.0 and True read as 1
 # Rows per block when orbits stream (enumeration, realization, plan writing and reading).
 _ORBIT_BLOCK_ROWS = 1 << 16
 
@@ -134,11 +135,13 @@ class Profile:
     levels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        levels = tuple(self.levels)
-        try:  # 0.5 and NaN are not truncated
-            levels = tuple(map(_LEVELS.__getitem__, levels))
-        except (KeyError, TypeError):  # TypeError: an unhashable level
-            raise ValueError(f"levels must be -1, 0 or +1, got {self.levels!r}") from None
+        try:  # 0.5, NaN and True are refused, not truncated or read as 1
+            levels = tuple(map(integral, self.levels, itertools.repeat("level")))
+            valid = {-1, 0, 1}.issuperset(levels)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ValueError(f"levels must be -1, 0 or +1, got {self.levels!r}")
         object.__setattr__(self, "levels", levels)
 
     @property

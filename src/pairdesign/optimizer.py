@@ -38,58 +38,41 @@ __all__ = [
 ]
 
 _RULE_MAX_STRENGTH = 18
+_BLOCKS = ("main effects", "two-way products", "three-way products", "four-way products")
 
 
-def _strength_of(spec: ModelSpec | int) -> int:
-    return spec.strength if isinstance(spec, ModelSpec) else integral(spec, "strength")
+def _argmax_depths(strength: int, order: int) -> set[int]:
+    """Depths 1..S where the order-``order`` block's information peaks, ties in full."""
+    s = integral(strength, "strength")
+    if s < order:
+        raise ValueError(f"{_BLOCKS[order - 1]} need a strength of at least {order}, got {s}")
+    values = {d: h_numerators(s, d)[order - 1] for d in range(1, s + 1)}
+    top = max(values.values())
+    return {d for d, v in values.items() if v == top}
 
 
-def _argmax_depths(strength: int, block: int) -> set[int]:
-    values = [h_numerators(strength, d)[block] for d in range(1, strength + 1)]
-    top = max(values)
-    return {d for d, v in zip(range(1, strength + 1), values) if v == top}
-
-
-def optimal_depth_main(spec: ModelSpec | int) -> set[int]:
+def optimal_depth_main(strength: int) -> set[int]:
     """Depths maximizing the main-effects information: always {S}."""
-    strength = _strength_of(spec)
-    if strength < 1:
-        raise ValueError(f"strength must be at least 1, got {strength}")
-    return _argmax_depths(strength, 0)
-
-
-def optimal_depth_first_order(spec: ModelSpec | int) -> set[int]:
-    """Depths maximizing the two-way block: S/2, or both nearest when S is odd."""
-    strength = _strength_of(spec)
-    if strength < 2:
-        raise ValueError(
-            f"two-way products need at least 2 shown attributes, got strength {strength}"
-        )
     return _argmax_depths(strength, 1)
 
 
-def optimal_depth_second_order(spec: ModelSpec | int) -> set[int]:
-    """Depths maximizing the three-way block: {1, 3} for S=3, {S} for S >= 4."""
-    strength = _strength_of(spec)
-    if strength < 3:
-        raise ValueError(
-            f"three-way products need at least 3 shown attributes, got strength {strength}"
-        )
+def optimal_depth_first_order(strength: int) -> set[int]:
+    """Depths maximizing the two-way block: S/2, or both nearest when S is odd."""
     return _argmax_depths(strength, 2)
 
 
-def optimal_depth_third_order(spec: ModelSpec | int) -> set[int]:
+def optimal_depth_second_order(strength: int) -> set[int]:
+    """Depths maximizing the three-way block: {1, 3} for S=3, {S} for S >= 4."""
+    return _argmax_depths(strength, 3)
+
+
+def optimal_depth_third_order(strength: int) -> set[int]:
     """Depths maximizing the four-way block, symmetric under d <-> S-d.
 
     The full argmax set is returned; its minimum is the conventional single
     reported depth.
     """
-    strength = _strength_of(spec)
-    if strength < 4:
-        raise ValueError(
-            f"four-way products need at least 4 shown attributes, got strength {strength}"
-        )
-    return _argmax_depths(strength, 3)
+    return _argmax_depths(strength, 4)
 
 
 def conjectured_design(spec: ModelSpec) -> DepthDesign:

@@ -51,6 +51,7 @@ from .design_space import (
     _plan_blocks,
     _weight,
     count_pairs,
+    integral,
 )
 from .equivalence import SingularDesignError, variance_profile
 
@@ -194,6 +195,8 @@ class ExplicitDesign:
         weights = np.asarray(weights)
         if weights.ndim != 1:
             raise ValueError(f"row weights have shape {weights.shape}, expected one axis")
+        if weights.dtype.kind == "b":
+            raise ValueError("a weight must be a real number, got bool row weights")
         n = len(weights)
         for name, levels in (("first", firsts), ("second", seconds)):
             levels = np.asarray(levels)
@@ -202,6 +205,8 @@ class ExplicitDesign:
                     f"{name} profiles have shape {levels.shape}, expected {n} rows "
                     f"of the spec's {k} attributes"
                 )
+            if levels.dtype.kind == "b":
+                raise ValueError(f"{name} profiles: levels must be -1, 0 or +1, got bools")
             bad = _first_row(np.any((levels != -1) & (levels != 0) & (levels != 1), axis=1))
             if bad is not None:
                 raise ValueError(
@@ -221,6 +226,7 @@ class ExplicitDesign:
             weights = np.array(weights, dtype=float)
             floats = weights
         else:
+            denominator = integral(denominator, "denominator")
             if weights.dtype.kind not in "iu" or denominator < 1:
                 raise ValueError(
                     "exact weights need integer numerators and a positive denominator"
@@ -235,9 +241,9 @@ class ExplicitDesign:
         if not abs(total - 1.0) <= max(_WEIGHT_SUM_TOL, 1e-15 * n):  # NaN fails too
             raise ValueError(f"weights sum to {total!r}, not 1")
         if denominator is not None:
-            common = math.gcd(int(denominator), int(np.gcd.reduce(weights)))
+            common = math.gcd(denominator, int(np.gcd.reduce(weights)))
             weights //= common
-            denominator = int(denominator) // common
+            denominator //= common
             if denominator > _MAX_EXACT_DENOMINATOR:
                 raise ValueError(
                     f"exact weights need a denominator of at most {_MAX_EXACT_DENOMINATOR}, "
@@ -402,15 +408,17 @@ class DenseInfo:
         if exact != (self.exact_den is not None):
             raise ValueError("exact_num and exact_den must be given together")
         if exact:
-            if not self.exact_den > 0:
-                raise ValueError(f"exact_den must be positive, got {self.exact_den!r}")
+            exact_den = integral(self.exact_den, "exact_den")
+            if exact_den < 1:
+                raise ValueError(f"exact_den must be positive, got {exact_den!r}")
             exact_num = np.array(self.exact_num, dtype=np.int64)
             if not np.array_equal(exact_num, self.exact_num):
                 raise ValueError("exact_num must hold integers")
-            if not np.array_equal(entries, exact_num / self.exact_den):
+            if not np.array_equal(entries, exact_num / exact_den):
                 raise ValueError("entries differ from exact_num / exact_den")
             exact_num.flags.writeable = False
             object.__setattr__(self, "exact_num", exact_num)
+            object.__setattr__(self, "exact_den", exact_den)
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 

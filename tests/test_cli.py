@@ -305,6 +305,22 @@ class TestTables:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("check FAILED: ")
 
+    def test_support_marks_are_checked(self, capsys, monkeypatch):
+        # every mark moved to depth 1: the reference's marks are its own data
+        compute, render, reference = cli._TABLES[3]
+
+        def moved():
+            rows, supports = compute()
+            return rows, dict.fromkeys(supports, (1,))
+
+        monkeypatch.setitem(cli._TABLES, 3, (moved, render, reference))
+        code, out, err = run(capsys, "tables", "3", "--check")
+        assert code == 1
+        assert "check: OK" not in out
+        failures = err.splitlines()
+        assert len(failures) == 8  # one per row, K = 5..12
+        assert all(line.startswith("check FAILED: ") for line in failures)
+
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "tables", "3")
         _, second, _ = run(capsys, "tables", "3")
@@ -535,11 +551,19 @@ class TestVerify:
             ("decimal-true.json", '{"K": 6, "S": 6, "depth_weights": {"2": {"decimal": true}}}'),
             ("fraction-true.json", '{"K": 6, "S": 6, "depth_weights": {"2": {"fraction": true}}}'),
             ("weight-false.json", '{"K": 6, "S": 6, "depth_weights": {"2": false, "5": "1"}}'),
+            # a fraction must be text read as exact, and a decimal a JSON number
+            ("fraction-number.json",
+             '{"K": 7, "S": 7, "depth_weights": {"2": {"fraction": 0.75}, "6": "1/4"}}'),
+            ("fraction-decimal-text.json",
+             '{"K": 7, "S": 7, "depth_weights": {"2": {"fraction": "0.75"}, "6": "1/4"}}'),
+            ("decimal-text.json",
+             '{"K": 7, "S": 7, "depth_weights": {"2": {"decimal": "0.75"}, "6": 0.25}}'),
         ],
         ids=[
             "nan", "nan-decimal", "nan-cell", "weights-list", "k-overflow", "one-over-zero",
             "k-float", "k-whole-float", "k-string", "k-bool", "s-float",
             "weight-true", "decimal-true", "fraction-true", "weight-false",
+            "fraction-number", "fraction-decimal-text", "decimal-text",
         ],
     )
     def test_malformed_design_file_exits_2(self, capsys, tmp_path, name, text):
@@ -594,11 +618,14 @@ class TestVerify:
         assert out == ""
         assert err == f"error: cannot parse {path}: key {key!r} appears twice\n"
 
-    @pytest.mark.parametrize("text,exact", [("1", True), ("1.0", False)], ids=["int", "float"])
+    @pytest.mark.parametrize(
+        "text,exact",
+        [("1", True), ("1.0", False), ('"1.0"', False)],
+        ids=["int", "float", "float-text"],
+    )
     def test_bare_json_integer_weight_is_exact(self, capsys, tmp_path, text, exact):
-        # the depth-1 point mass is the K=19 S=4 optimum; only exact weights prove it at tol 0
-        weight = cli._parse_weight(json.loads(text))
-        assert weight == 1 and isinstance(weight, Fraction) == exact
+        # the depth-1 point mass is the K=19 S=4 optimum; only exact weights prove it at tol 0.
+        # A string is read as a plan cell is, so "1.0" is a float as 1.0 is
         path = tmp_path / "d194.json"
         path.write_text('{"K": 19, "S": 4, "depth_weights": {"1": %s}}' % text)
         code, out, _ = run(capsys, "verify", str(path))
@@ -656,26 +683,53 @@ class TestPlanReader:
     """A CSV plan verifies only as whole orbits, in export order, one weight cell per depth."""
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit,message",
         [
-            lambda lines: [lines[0], with_cell(lines[1], "5/7"), with_cell(lines[961], "2/7")],
-            lambda lines: lines[:1] + lines[2:3] + lines[2:],
-            lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:],
-            lambda lines: (
-                lines[:1] + [with_cell(lines[1], "1/672"), with_cell(lines[2], "0")] + lines[3:]
+            (
+                lambda lines: [lines[0], with_cell(lines[1], "5/7"), with_cell(lines[961], "2/7")],
+                "the depth 2 segment stops inside its orbit",
             ),
-            lambda lines: lines[:1] + lines[961:] + lines[1:961],
+            (
+                lambda lines: lines[:1] + lines[2:3] + lines[2:],
+                "row 1 is not the depth 2 orbit's next row",
+            ),
+            (
+                lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:],
+                "row 5 is not the depth 2 orbit's next row",
+            ),
+            (
+                lambda lines: (
+                    lines[:1] + [with_cell(lines[1], "1/672"), with_cell(lines[2], "0")] + lines[3:]
+                ),
+                "row 2 is not the depth 2 orbit's next row",
+            ),
+            (
+                lambda lines: lines[:1] + lines[961:] + lines[1:961],
+                "row 1 is not the depth 5 orbit's next row",
+            ),
+            # the depth-5 segment as ids 1..384, then the depth-2 segment as ids 385..1344
+            (
+                lambda lines: lines[:1] + [
+                    f"{i},{line.split(',', 1)[1]}"
+                    for i, line in enumerate(lines[961:] + lines[1:961], start=1)
+                ],
+                "row 385: depth 2 segment after depth 5",
+            ),
+            (lambda lines: lines[:1], "contains no rows"),
         ],
-        ids=["two-rows", "duplicated-row", "swapped-rows", "reweighted-rows", "segments-reversed"],
+        ids=[
+            "two-rows", "duplicated-row", "swapped-rows", "reweighted-rows", "segments-reversed",
+            "segments-out-of-order", "header-only",
+        ],
     )
-    def test_edited_plan_exits_2(self, capsys, tmp_path, edit):
+    def test_edited_plan_exits_2(self, capsys, tmp_path, edit, message):
         path = tmp_path / "edited.csv"
         path.write_text("\n".join(edit(k6_plan_lines(capsys, tmp_path))) + "\n")
         for extra in ((), ("--oracle",)):
             code, out, err = run(capsys, "verify", str(path), *extra)
             assert code == 2
             assert out == ""
-            assert err.startswith(f"error: cannot parse {path}: ") and "depth" in err
+            assert err.startswith(f"error: cannot parse {path}: ") and message in err
             assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(

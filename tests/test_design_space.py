@@ -120,8 +120,13 @@ class TestProfile:
     def test_bad_level(self):
         with pytest.raises(ValueError):
             Profile((1, 2, 0, 1))
+        # True and False were read as 1 and 0
+        with pytest.raises(ValueError, match="got \\(True, False, -1, 1\\)"):
+            Profile((True, False, -1, 1))
 
-    @pytest.mark.parametrize("bad", [0.5, -0.5, 0.9, 1.9, -1.7, float("nan"), "1", [1]])
+    @pytest.mark.parametrize(
+        "bad", [0.5, -0.5, 0.9, 1.9, -1.7, float("nan"), "1", [1], True, False]
+    )
     def test_non_integral_level_is_refused_not_truncated(self, bad):
         with pytest.raises(ValueError, match="levels must be -1, 0 or \\+1"):
             Profile((bad, 1, -1, 1, 1))
@@ -545,6 +550,33 @@ class TestExplicitDesignArrays:
         with pytest.raises(ValueError, match="levels must be -1, 0 or \\+1"):
             pair = ComparisonPair(Profile(row["first"]), Profile(row["second"]))
             ExplicitDesign(((pair, 1.0),), spec54)
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_bool_level_array_is_refused(self, spec54, side):
+        # a bool array would hold every -1 of the row as True, read as +1
+        arrays = {"first": np.array([self.FIRST]), "second": np.array([self.SECOND])}
+        arrays[side] = arrays[side].astype(bool)
+        with pytest.raises(ValueError, match=f"{side} profiles: levels must be -1, 0 or \\+1"):
+            ExplicitDesign.from_arrays(arrays["first"], arrays["second"], np.array([1.0]), spec54)
+
+    @pytest.mark.parametrize(
+        "weights,denominator,message",
+        [
+            (np.array([[1.0]]), None, "row weights have shape \\(1, 1\\), expected one axis"),
+            (np.array([True]), None, "a weight must be a real number, got bool row weights"),
+            (np.array([1.0]), 1, "exact weights need integer numerators"),
+            (np.array([1]), True, "denominator must be an integer, got True"),
+            (np.array([1]), 2.5, "denominator must be an integer, got 2.5"),
+            # 1 and 10^13 - 1 share no factor with 10^13, so nothing reduces
+            (np.array([1, 10**13 - 1]), 10**13, f"at most {10**12}, got {10**13}; pass float"),
+        ],
+        ids=["two-axes", "bool-weights", "float-numerators", "bool-denominator", "half-den", "cap"],
+    )
+    def test_rejects_bad_weight_arrays(self, spec54, weights, denominator, message):
+        rows = len(weights)
+        firsts, seconds = np.array([self.FIRST] * rows), np.array([self.SECOND] * rows)
+        with pytest.raises(ValueError, match=message):
+            ExplicitDesign.from_arrays(firsts, seconds, weights, spec54, denominator)
 
     def test_integral_float_levels_are_accepted(self, spec54):
         design = ExplicitDesign.from_arrays(

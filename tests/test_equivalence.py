@@ -321,6 +321,11 @@ class TestVarianceExact:
         with pytest.raises(SingularDesignError):
             variance_exact(pair, design)
 
+    def test_sweep_on_a_singular_oracle_raises(self, spec44):
+        info = DenseInfo(entries=np.zeros((spec44.n_params,) * 2), spec=spec44)
+        with pytest.raises(SingularDesignError):
+            variance_sweep_max_deviation(DepthDesign.point_mass(spec44, 1), info=info)
+
     def test_sweep_helper_tight(self, spec54):
         design = DepthDesign({1: Fraction(1, 4), 2: Fraction(3, 4)}, spec54)
         assert variance_sweep_max_deviation(design) <= 1e-10

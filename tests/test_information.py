@@ -190,6 +190,35 @@ class TestInfoMatrixExact:
         with pytest.raises(ValueError, match="together"):
             DenseInfo(entries=np.eye(spec44.n_params), spec=spec44, **{given: exact[given]})
 
+    @pytest.mark.parametrize("den", [2.5, True])
+    def test_refuses_a_denominator_that_is_not_an_integer(self, spec44, den):
+        # 2.5 was held, and exact_entry then raised TypeError; True was held as 1
+        num = np.eye(spec44.n_params, dtype=np.int64)
+        with pytest.raises(ValueError, match=f"exact_den must be an integer, got {den}"):
+            DenseInfo(entries=num / den, spec=spec44, exact_num=num, exact_den=den)
+
+    def test_integral_float_denominator_is_its_int(self, spec44):
+        num = np.eye(spec44.n_params, dtype=np.int64)
+        dense = DenseInfo(entries=num / 4, spec=spec44, exact_num=num, exact_den=4.0)
+        assert type(dense.exact_den) is int and dense.exact_entry(0, 0) == Fraction(1, 4)
+
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            (np.eye(14), "expected a 15 x 15 matrix, got shape \\(14, 14\\)"),
+            (np.eye(15) + np.eye(15, k=1), "not symmetric"),
+        ],
+        ids=["shape", "asymmetric"],
+    )
+    def test_refuses_a_matrix_that_is_not_p_by_p_symmetric(self, spec44, entries, message):
+        with pytest.raises(ValueError, match=message):
+            DenseInfo(entries=entries, spec=spec44)
+
+    def test_float_matrix_has_no_exact_entry(self, spec44):
+        dense = DenseInfo(entries=np.eye(spec44.n_params), spec=spec44)
+        with pytest.raises(ValueError, match="accumulated in floating point"):
+            dense.exact_entry(0, 0)
+
     @pytest.mark.parametrize("den", [0, -1])
     def test_refuses_a_denominator_that_is_not_positive(self, spec44, den):
         num = np.eye(spec44.n_params, dtype=np.int64) * den
@@ -245,6 +274,11 @@ class TestInfoMatrixExact:
         design = ExplicitDesign(((pair, 1.0),), spec)
         with pytest.raises(ValueError, match="oracle gate"):
             info_matrix_exact(design)
+
+    def test_oracle_gate_on_pairs(self, spec44):
+        oracle._check_oracle_gate(spec44, 10**7)
+        with pytest.raises(ValueError, match="oracle gate: 10000001 pairs exceed 10000000"):
+            oracle._check_oracle_gate(spec44, 10**7 + 1)
 
     def test_nonnegative_definite(self, spec54):
         dense = info_matrix_exact(uniform_orbit_design(spec54, 2))

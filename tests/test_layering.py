@@ -113,7 +113,8 @@ def test_only_the_oracle_imports_numpy_at_module_level():
 
 def test_each_number_rule_is_decided_in_design_space():
     # "is it exact?" is a Fraction after DepthDesign's weight rule, and "is it
-    # an integer?" is design_space.integral: no module decides either again
+    # an integer?" is design_space.integral: no module decides either again,
+    # and none outside design_space tells a bool or a spec from a number
     found = []
 
     def visit(node, scope, name):
@@ -122,6 +123,11 @@ def test_each_number_rule_is_decided_in_design_space():
             if isinstance(child, ast.Call) and ast.unparse(child.func) == "isinstance":
                 kinds = child.args[1] if len(child.args) == 2 else None
                 if isinstance(kinds, ast.Tuple) and ast.unparse(kinds) == "(int, Fraction)":
+                    found.append(f"{where}: {ast.unparse(child)}")
+                names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                if name != "design_space" and any(
+                    ast.unparse(kind) in ("bool", "ModelSpec") for kind in names if kind
+                ):
                     found.append(f"{where}: {ast.unparse(child)}")
             if isinstance(child, ast.Compare) and where != "design_space.integral":
                 operands = [child.left, *child.comparators]

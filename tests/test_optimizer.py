@@ -85,23 +85,15 @@ class TestSubsetCriteria:
     def test_third_order_symmetry_pair(self):
         assert optimal_depth_third_order(5) == {1, 4}
 
-    def test_accepts_model_spec(self):
-        assert optimal_depth_main(ModelSpec(9, 7)) == {7}
-        assert optimal_depth_first_order(ModelSpec(9, 7)) == {3, 4}
-
-    def test_argmax_independent_of_attribute_count(self):
-        for s in (4, 6, 8):
-            a = optimal_depth_third_order(ModelSpec(s, s))
-            b = optimal_depth_third_order(ModelSpec(s + 4, s))
-            assert a == b
-
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="three-way products need a strength of at least 3"):
             optimal_depth_second_order(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="four-way products need a strength of at least 4"):
             optimal_depth_third_order(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="two-way products need a strength of at least 2"):
             optimal_depth_first_order(1)
+        with pytest.raises(ValueError, match="main effects need a strength of at least 1, got 0"):
+            optimal_depth_main(0)
 
     def test_non_integral_strength_is_refused_not_truncated(self):
         # truncation would read 6.9 as 6: {1, 5}
@@ -114,6 +106,9 @@ class TestSubsetCriteria:
         # True was read as strength 1: {1}
         with pytest.raises(ValueError, match="strength must be an integer, got True"):
             optimal_depth_main(True)
+        # the rules take a strength: a spec is refused, not read as its S
+        with pytest.raises(ValueError, match="strength must be an integer, got ModelSpec"):
+            optimal_depth_main(ModelSpec(9, 7))
 
     def test_integral_float_strength_is_its_int(self):
         assert optimal_depth_third_order(6.0) == optimal_depth_third_order(6) == {1, 5}
